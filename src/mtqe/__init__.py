@@ -13,7 +13,6 @@ from .corpus import (
     HumanJudgment,
     ParallelCorpus,
     SentencePair,
-    corpus_stats,
     load_judgments,
     load_parallel,
     stats_from_sentences,
@@ -31,7 +30,6 @@ from .features import FeatureVector, extract_features, read_features, write_feat
 from .grading import (
     Grade,
     aggregate_judgment,
-    grade_to_rank,
     judgment_grade,
     score_to_grade,
 )
@@ -64,9 +62,7 @@ __all__ = [
     "aggregate_judgment",
     "build_lexicon",
     "confusion",
-    "corpus_stats",
     "extract_features",
-    "grade_to_rank",
     "histogram",
     "judgment_grade",
     "load_judgments",

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CorruptModel, EmptyTrainingSet, VersionMismatch
+from .errors import CorruptModel, EmptyTrainingSet
 from .features import N_FEATURES, FeatureVector
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, header_int, header_value, read_model_lines
 from .grading import Grade
 
 # The effective variance floor is the larger of these two terms:
@@ -140,53 +140,32 @@ def train_nb(rows, variance_floor: float = ABSOLUTE_VARIANCE_FLOOR) -> NaiveBaye
     return NaiveBayesModel(classes, priors, means, variances, floor)
 
 
-def _take(lines, index, key, n_values):
-    if index >= len(lines):
-        raise CorruptModel(f"missing '{key}' line")
-    cells = lines[index].split("\t")
-    if len(cells) != 2 or cells[0] != key:
-        raise CorruptModel(f"expected '{key}' line, got {lines[index]!r}")
-    parts = cells[1].split(" ")
+def _hex_floats(lines, index, key, n_values):
+    parts = header_value(lines, index, key).split(" ")
     if len(parts) != n_values:
         raise CorruptModel(f"'{key}' line carries {len(parts)} values, expected {n_values}")
-    return parts
-
-
-def _hex_floats(parts, key):
     try:
-        return tuple(float.fromhex(p) for p in parts)
+        values = tuple(float.fromhex(p) for p in parts)
     except ValueError:
         raise CorruptModel(f"bad float in '{key}' line") from None
+    if not all(map(math.isfinite, values)):
+        raise CorruptModel(f"non-finite value in '{key}' line")
+    return values
 
 
 def load_model(path) -> NaiveBayesModel:
     """Load a model written by :meth:`NaiveBayesModel.save`.
 
     The round trip preserves every parameter bit-for-bit, so predictions
-    match the saved model exactly.
+    match the saved model exactly.  Raises CorruptModel for a malformed
+    file and for parameters no training run writes: a prior outside
+    (0, 1], a variance or variance floor <= 0, or a non-finite value.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise CorruptModel("empty file")
-    first = lines[0].split("\t")
-    if len(first) != 2 or first[0] != _MAGIC:
-        raise CorruptModel("missing model signature")
-    try:
-        version = int(first[1])
-    except ValueError:
-        raise CorruptModel("non-integer format version") from None
-    if version > _FORMAT_VERSION:
-        raise VersionMismatch(version, _FORMAT_VERSION)
-    (floor_text,) = _take(lines, 1, "variance_floor", 1)
-    variance_floor = _hex_floats([floor_text], "variance_floor")[0]
-    (count_text,) = _take(lines, 2, "classes", 1)
-    try:
-        n_classes = int(count_text)
-    except ValueError:
-        raise CorruptModel("non-integer class count") from None
+    lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
+    (variance_floor,) = _hex_floats(lines, 1, "variance_floor", 1)
+    if variance_floor <= 0.0:
+        raise CorruptModel(f"variance floor {variance_floor} must be > 0")
+    n_classes = header_int(lines, 2, "classes")
     if not 1 <= n_classes <= len(Grade):
         raise CorruptModel(f"class count {n_classes} outside 1..{len(Grade)}")
     classes = []
@@ -195,17 +174,19 @@ def load_model(path) -> NaiveBayesModel:
     variances = {}
     index = 3
     for _ in range(n_classes):
-        (label,) = _take(lines, index, "class", 1)
+        label = header_value(lines, index, "class")
         try:
             grade = Grade.from_label(label)
         except ValueError:
             raise CorruptModel(f"unknown class label {label!r}") from None
-        (prior_text,) = _take(lines, index + 1, "prior", 1)
-        priors[grade] = _hex_floats([prior_text], "prior")[0]
-        means[grade] = _hex_floats(_take(lines, index + 2, "means", N_FEATURES), "means")
-        variances[grade] = _hex_floats(
-            _take(lines, index + 3, "variances", N_FEATURES), "variances"
-        )
+        (prior,) = _hex_floats(lines, index + 1, "prior", 1)
+        if not 0.0 < prior <= 1.0:
+            raise CorruptModel(f"prior {prior} outside (0, 1]")
+        priors[grade] = prior
+        means[grade] = _hex_floats(lines, index + 2, "means", N_FEATURES)
+        variances[grade] = _hex_floats(lines, index + 3, "variances", N_FEATURES)
+        if min(variances[grade]) <= 0.0:
+            raise CorruptModel(f"variance {min(variances[grade])} must be > 0")
         classes.append(grade)
         index += 4
     if index >= len(lines) or lines[index] != "end":

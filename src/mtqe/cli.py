@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
-from .corpus import (
-    SIDES,
-    load_judgments,
-    load_parallel,
-    read_lines,
-    stats_from_sentences,
-    tokenize,
-)
-from .errors import LengthMismatch, QEError
+from .corpus import SIDES, load_judgments, load_parallel, stats_from_sentences, tokenize
+from .errors import LengthMismatch, MalformedRow, QEError
 from .evaluation import (
     agreement,
     confusion,
@@ -29,24 +21,13 @@ from .evaluation import (
     render_report_text,
 )
 from .features import extract_features, read_features, write_features
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_lines, split_row
 from .grading import Grade, judgment_grade
 from .lexicon import DEFAULT_THRESHOLD, build_lexicon, load_lexicon
 from .ngram import load_lm, train_lm
 
 MIN_ORDER = 1
 MAX_ORDER = 5
-
-
-@dataclass
-class PipelineConfig:
-    """Knobs shared across the pipeline, all overridable by flags."""
-
-    lm_order: int = 3
-    lexicon_threshold: float = DEFAULT_THRESHOLD
-    variance_floor: float = ABSOLUTE_VARIANCE_FLOOR
-    seed: int = 0  # reserved for synthetic-data commands
-    paths: dict[str, str] = field(default_factory=dict)
 
 
 def _order_flag(text: str) -> int:
@@ -132,11 +113,12 @@ def _read_grade_file(path) -> list[tuple[int, Grade]]:
     lines = read_lines(path)
     if lines and lines[0] == "id,grade":
         rows = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise ValueError(f"bad grade row {line!r} in {path}")
-            rows.append((int(cells[0]), Grade.from_label(cells[1])))
+        for row, line in enumerate(lines[1:]):
+            row_id, label = split_row(line, row, ",", 2)
+            try:
+                rows.append((int(row_id), Grade.from_label(label)))
+            except ValueError as exc:
+                raise MalformedRow(row, str(exc)) from None
     else:
         feature_rows = read_features(path)
         if any(grade is None for _, _, grade in feature_rows):
@@ -172,12 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mtqe",
         description="Grade machine-translation output without reference translations.",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="random seed, reserved for synthetic-data commands (default 0)",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -239,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = PipelineConfig(seed=args.seed)
-    args.config = config
     try:
         return args.func(args)
     except (QEError, ValueError, OSError) as exc:

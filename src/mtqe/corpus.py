@@ -11,7 +11,8 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 
-from .errors import InvalidEncoding, LineCountMismatch, MalformedRow, OutOfRangeScore
+from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore
+from .fileio import read_lines, split_row
 
 SOURCE = "source"
 TARGET = "target"
@@ -133,22 +134,6 @@ class CorpusStats:
         )
 
 
-def read_lines(path) -> list[str]:
-    """Read a UTF-8, LF-terminated text file as a list of lines."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    raw = blob.split(b"\n")
-    if raw and raw[-1] == b"":
-        raw.pop()
-    lines = []
-    for line_no, chunk in enumerate(raw, start=1):
-        try:
-            lines.append(chunk.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise InvalidEncoding(line_no, path) from exc
-    return lines
-
-
 def load_parallel(source_path, target_path) -> ParallelCorpus:
     """Load two line-aligned text files into a tokenized parallel corpus.
 
@@ -171,21 +156,23 @@ def load_judgments(path) -> list[HumanJudgment]:
 
     Every parameter cell must be an integer in 0..4; violations raise
     OutOfRangeScore with the 0-based data-row index and 1-based parameter
-    number.  Structural problems raise MalformedRow.
+    number.  Structural problems and a repeated id raise MalformedRow.
     """
     lines = read_lines(path)
     if not lines or tuple(lines[0].split("\t")) != _JUDGMENT_HEADER:
         raise MalformedRow(None, "expected header 'id\\tp1\\t...\\tp10'")
     judgments = []
+    seen = set()
     for row, line in enumerate(lines[1:]):
-        cells = line.split("\t")
-        if len(cells) != 1 + JUDGMENT_PARAMS:
-            raise MalformedRow(row, f"expected {1 + JUDGMENT_PARAMS} cells, got {len(cells)}")
+        cells = split_row(line, row, "\t", 1 + JUDGMENT_PARAMS)
         try:
             values = [int(cell) for cell in cells]
         except ValueError:
             raise MalformedRow(row, "non-integer cell") from None
         sentence_id, params = values[0], values[1:]
+        if sentence_id in seen:
+            raise MalformedRow(row, f"duplicate id {sentence_id}")
+        seen.add(sentence_id)
         for col, value in enumerate(params, start=1):
             if not 0 <= value <= JUDGMENT_MAX:
                 raise OutOfRangeScore(row, col, value)
@@ -203,11 +190,3 @@ def stats_from_sentences(sentences) -> CorpusStats:
         words += len(sentence)
         types.update(sentence)
     return CorpusStats(count, words, len(types))
-
-
-def corpus_stats(corpus: ParallelCorpus, side: str) -> CorpusStats:
-    """Statistics for one side of a parallel corpus."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    picked = (pair.source if side == SOURCE else pair.target for pair in corpus.pairs)
-    return stats_from_sentences(picked)

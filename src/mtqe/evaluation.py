@@ -8,6 +8,7 @@ and rendered to two decimals with round-half-even.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import LengthMismatch
 from .grading import Grade
@@ -91,9 +92,18 @@ def confusion(human, predicted) -> ConfusionMatrix:
     return ConfusionMatrix(cells)
 
 
-def format_percentage(value: float) -> str:
-    """Two decimal places, ties rounded half-even."""
-    return f"{value:.2f}"
+def format_percentage(value) -> str:
+    """Two decimal places, ties rounded half-even.
+
+    ``value`` (a float or a Fraction) is rounded exactly, so a Fraction
+    rounds an exact tie such as 1/40 to even where its float would not.
+    """
+    hundredths = round(Fraction(value) * 100)  # Fraction rounds half-even
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
+
+
+def _report_percentage(report: AgreementReport) -> str:
+    return format_percentage(Fraction(100 * report.same, report.total))
 
 
 def render_report_csv(
@@ -107,7 +117,7 @@ def render_report_csv(
             f"{grade.label},{human_hist.counts[grade]},{predicted_hist.counts[grade]}"
         )
     lines.append("same,total,percentage")
-    lines.append(f"{report.same},{report.total},{format_percentage(report.percentage)}")
+    lines.append(f"{report.same},{report.total},{_report_percentage(report)}")
     return "\n".join(lines) + "\n"
 
 
@@ -131,6 +141,6 @@ def render_report_text(matrix: ConfusionMatrix, report: AgreementReport) -> str:
     lines.append("")
     lines.append(
         f"agreement: {report.same} of {report.total}"
-        f" ({format_percentage(report.percentage)}%)"
+        f" ({_report_percentage(report)}%)"
     )
     return "\n".join(lines) + "\n"

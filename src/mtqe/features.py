@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
-from .corpus import SentencePair, is_punctuation_token, read_lines
+from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_lines, split_row
 from .grading import Grade
 from .lexicon import TranslationLexicon
 from .ngram import FreqClass, NgramModel, ngrams
@@ -135,7 +136,11 @@ def write_features(rows, path) -> None:
 
 
 def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
-    """Read a feature CSV written by :func:`write_features`."""
+    """Read a feature CSV written by :func:`write_features`.
+
+    A row of the wrong width, an unparseable cell or a non-finite value
+    raises MalformedRow with the row's 0-based index.
+    """
     lines = read_lines(path)
     if not lines:
         raise MalformedRow(None, "empty feature file")
@@ -150,9 +155,7 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     width = len(base) + (1 if labeled else 0)
     out: list[tuple[int, FeatureVector, Grade | None]] = []
     for row, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        if len(cells) != width:
-            raise MalformedRow(row, f"expected {width} cells, got {len(cells)}")
+        cells = split_row(line, row, ",", width)
         try:
             row_id = int(cells[0])
             values = [
@@ -162,5 +165,7 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
             grade = Grade.from_label(cells[1 + N_FEATURES]) if labeled else None
         except ValueError as exc:
             raise MalformedRow(row, str(exc)) from None
+        if not all(map(math.isfinite, values)):
+            raise MalformedRow(row, "non-finite feature value")
         out.append((row_id, FeatureVector(*values), grade))
     return out

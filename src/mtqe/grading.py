@@ -52,11 +52,6 @@ def score_to_grade(score: float) -> Grade:
     return Grade.EXCELLENT
 
 
-def grade_to_rank(grade: Grade) -> int:
-    """Poor=1, Average=2, Good=3, Excellent=4."""
-    return int(grade)
-
-
 def judgment_grade(judgment: HumanJudgment) -> Grade:
     """Aggregate a judgment and grade it in one step."""
     return score_to_grade(aggregate_judgment(judgment))

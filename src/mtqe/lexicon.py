@@ -11,7 +11,7 @@ from collections import Counter
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_lines, split_row
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -22,9 +22,6 @@ class TranslationLexicon:
     def __init__(self, entries: dict[str, dict[str, float]], threshold: float):
         self.entries = entries
         self.threshold = threshold
-
-    def translations(self, token: str) -> dict[str, float]:
-        return self.entries.get(token, {})
 
     def translations_per_word(self, source_tokens) -> float:
         """Mean lexicon-entry count over the sentence's source tokens.
@@ -93,21 +90,17 @@ def load_lexicon(path) -> TranslationLexicon:
     """
     entries: dict[str, dict[str, float]] = {}
     smallest = None
-    with open(path, encoding="utf-8") as handle:
-        for row, line in enumerate(handle.read().split("\n")):
-            if line == "":
-                continue
-            cells = line.split("\t")
-            if len(cells) != 3:
-                raise MalformedRow(row, f"expected 3 tab-separated cells, got {len(cells)}")
-            source, target, text = cells
-            try:
-                score = float(text)
-            except ValueError:
-                raise MalformedRow(row, f"bad score {text!r}") from None
-            if not 0.0 < score <= 1.0:
-                raise MalformedRow(row, f"score {score} outside (0, 1]")
-            entries.setdefault(source, {})[target] = score
-            smallest = score if smallest is None else min(smallest, score)
+    for row, line in enumerate(read_lines(path)):
+        if line == "":
+            continue
+        source, target, text = split_row(line, row, "\t", 3)
+        try:
+            score = float(text)
+        except ValueError:
+            raise MalformedRow(row, f"bad score {text!r}") from None
+        if not 0.0 < score <= 1.0:
+            raise MalformedRow(row, f"score {score} outside (0, 1]")
+        entries.setdefault(source, {})[target] = score
+        smallest = score if smallest is None else min(smallest, score)
     threshold = smallest if smallest is not None else DEFAULT_THRESHOLD
     return TranslationLexicon(entries, threshold)

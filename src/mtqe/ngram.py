@@ -13,8 +13,8 @@ import enum
 import math
 from collections import Counter
 
-from .errors import CorruptModel, EmptyCorpus, VersionMismatch
-from .fileio import atomic_write_text
+from .errors import CorruptModel, EmptyCorpus
+from .fileio import atomic_write_text, header_int, read_model_lines
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -51,20 +51,20 @@ class NgramModel:
     are safe.
     """
 
-    def __init__(self, order, counts, context_totals, vocab, quartiles):
+    def __init__(self, order, counts, quartiles):
         self.order = order
         self.counts = counts  # {gram tuple: occurrences}
         # {context tuple: number of counted grams extending it}; this equals
         # sum_w counts[ctx + (w,)], which is what exact Laplace
         # normalization requires (a context ending a padded sentence occurs
         # but never continues, so its raw count would overstate the total).
-        self.context_totals = context_totals
-        self.vocab = frozenset(vocab)
+        context_totals: Counter = Counter()
+        for gram, count in counts.items():
+            context_totals[gram[:-1]] += count
+        self.context_totals = dict(context_totals)
+        # The observed unigram types plus the reserved markers.
+        self.vocab = frozenset(gram[0] for gram in counts if len(gram) == 1) | {UNK, BOS, END}
         self.quartiles = quartiles  # {n: (q1, q3)}
-
-    def count(self, gram) -> int:
-        """Corpus occurrence count of a gram (0 when unseen)."""
-        return self.counts.get(tuple(gram), 0)
 
     def cond_prob(self, word: str, context=()) -> float:
         """Add-one estimate of P(word | context).
@@ -163,33 +163,16 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     if not sentences:
         raise EmptyCorpus()
     counts: Counter = Counter()
-    context_totals: Counter = Counter()
-    vocab = {UNK, BOS, END}
     for sentence in sentences:
-        vocab.update(sentence)
         padded = [BOS] * (order - 1) + sentence + [END]
         for n in range(1, order + 1):
             for i in range(len(padded) - n + 1):
-                gram = tuple(padded[i : i + n])
-                counts[gram] += 1
-                context_totals[gram[:-1]] += 1
+                counts[tuple(padded[i : i + n])] += 1
     quartiles = {}
     for n in range(1, order + 1):
         frequencies = sorted(c for gram, c in counts.items() if len(gram) == n)
         quartiles[n] = (_nearest_rank(frequencies, 25), _nearest_rank(frequencies, 75))
-    return NgramModel(order, dict(counts), dict(context_totals), vocab, quartiles)
-
-
-def _header_int(lines, index, key):
-    if index >= len(lines):
-        raise CorruptModel(f"missing header line '{key}'")
-    cells = lines[index].split("\t")
-    if len(cells) != 2 or cells[0] != key:
-        raise CorruptModel(f"expected header line '{key}', got {lines[index]!r}")
-    try:
-        return int(cells[1])
-    except ValueError:
-        raise CorruptModel(f"non-integer value in header line '{key}'") from None
+    return NgramModel(order, dict(counts), quartiles)
 
 
 def load_lm(path) -> NgramModel:
@@ -199,33 +182,19 @@ def load_lm(path) -> NgramModel:
     VersionMismatch for files written by a newer format and CorruptModel
     for truncated or malformed files.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise CorruptModel("empty file")
-    first = lines[0].split("\t")
-    if len(first) != 2 or first[0] != _MAGIC:
-        raise CorruptModel("missing model signature")
-    try:
-        version = int(first[1])
-    except ValueError:
-        raise CorruptModel("non-integer format version") from None
-    if version > _FORMAT_VERSION:
-        raise VersionMismatch(version, _FORMAT_VERSION)
-    order = _header_int(lines, 1, "order")
+    lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
+    order = header_int(lines, 1, "order")
     if order < 1:
         raise CorruptModel(f"order must be >= 1, got {order}")
-    vocab_size = _header_int(lines, 2, "vocab_size")
+    vocab_size = header_int(lines, 2, "vocab_size")
     quartiles = {}
     index = 3
     for n in range(1, order + 1):
-        q1 = _header_int(lines, index, f"q1_{n}")
-        q3 = _header_int(lines, index + 1, f"q3_{n}")
+        q1 = header_int(lines, index, f"q1_{n}")
+        q3 = header_int(lines, index + 1, f"q3_{n}")
         quartiles[n] = (q1, q3)
         index += 2
-    n_grams = _header_int(lines, index, "ngrams")
+    n_grams = header_int(lines, index, "ngrams")
     index += 1
     counts = {}
     for offset in range(n_grams):
@@ -247,12 +216,9 @@ def load_lm(path) -> NgramModel:
     index += n_grams
     if index >= len(lines) or lines[index] != "end":
         raise CorruptModel("missing end marker")
-    context_totals: Counter = Counter()
-    for gram, count in counts.items():
-        context_totals[gram[:-1]] += count
-    vocab = {gram[0] for gram in counts if len(gram) == 1} | {UNK, BOS, END}
-    if len(vocab) != vocab_size:
+    model = NgramModel(order, counts, quartiles)
+    if len(model.vocab) != vocab_size:
         raise CorruptModel(
-            f"vocab_size header says {vocab_size}, file contains {len(vocab)} types"
+            f"vocab_size header says {vocab_size}, file contains {len(model.vocab)} types"
         )
-    return NgramModel(order, counts, dict(context_totals), vocab, quartiles)
+    return model

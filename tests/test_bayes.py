@@ -225,3 +225,31 @@ class TestPersistence:
         (tmp_path / "x.model").write_text("nope\n", encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_model(tmp_path / "x.model")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("prior", "0x0.0p+0"),
+            ("prior", "-0x1.0p-1"),
+            ("prior", "0x1.8p+0"),
+            ("prior", "nan"),
+            ("variance_floor", "0x0.0p+0"),
+            ("variance_floor", "-0x1.0p-40"),
+            ("variances", "0x0.0p+0"),
+            ("variances", "-0x1.0p+0"),
+            ("variances", "nan"),
+            ("means", "inf"),
+        ],
+    )
+    def test_impossible_parameters_are_corrupt(self, tmp_path, key, value):
+        rng = random.Random(12)
+        path = tmp_path / "nb.model"
+        train_nb(_random_rows(rng)).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith(key + "\t"))
+        values = lines[index].split("\t")[1].split(" ")
+        values[-1] = value
+        lines[index] = key + "\t" + " ".join(values)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel):
+            load_model(path)

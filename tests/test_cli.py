@@ -128,6 +128,23 @@ class TestTrainPredictEvaluate:
         rows = predictions.read_text(encoding="utf-8").splitlines()[1:]
         assert all(row.endswith(",Good") for row in rows)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_training_rejects_non_finite_features(self, tmp_path, small_data, cell, capsys):
+        models = TestExtract()._models(tmp_path, small_data)
+        labeled = tmp_path / "labeled.csv"
+        assert run_cli("extract", "--pairs-src", small_data["src"], "--pairs-tgt",
+                       small_data["tgt"], "--src-lm", models["src_lm"],
+                       "--tgt-lm", models["tgt_lm"], "--lexicon", models["lexicon"],
+                       "--judgments", small_data["judgments"], "--out", labeled) == 0
+        lines = labeled.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[3] = cell  # f3 of row 0
+        _write_lines(labeled, [lines[0], ",".join(cells)] + lines[2:])
+        model_path = tmp_path / "nb.model"
+        assert run_cli("train", "--features", labeled, "--out", model_path) == 2
+        assert "row 0" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_evaluate_id_mismatch(self, tmp_path, capsys):
         _write_lines(tmp_path / "a.csv", ["id,grade", "0,Good", "1,Poor"])
         _write_lines(tmp_path / "b.csv", ["id,grade", "0,Good"])

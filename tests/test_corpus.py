@@ -7,7 +7,6 @@ from mtqe.corpus import (
     TARGET,
     CorpusStats,
     HumanJudgment,
-    corpus_stats,
     is_punctuation_token,
     load_judgments,
     load_parallel,
@@ -138,6 +137,13 @@ class TestLoadJudgments:
             load_judgments(tmp_path / "j.tsv")
         assert info.value.row == 0
 
+    def test_duplicate_id(self, tmp_path):
+        rows = ["\t".join([i] + ["3"] * 10) for i in ("0", "1", "0")]
+        _write(tmp_path / "j.tsv", [_HEADER] + rows)
+        with pytest.raises(MalformedRow, match="duplicate id 0") as info:
+            load_judgments(tmp_path / "j.tsv")
+        assert info.value.row == 2
+
     def test_non_integer_cell(self, tmp_path):
         _write(tmp_path / "j.tsv", [_HEADER, "\t".join(["0", "x"] + ["3"] * 9)])
         with pytest.raises(MalformedRow):
@@ -159,12 +165,12 @@ class TestLoadJudgments:
 class TestCorpusStats:
     def test_hand_counted(self):
         corpus = make_corpus([["a", "b"], ["a", "c"]], [["x"], ["y"]])
-        stats = corpus_stats(corpus, SOURCE)
+        stats = stats_from_sentences(pair.source for pair in corpus)
         assert (stats.sentences, stats.words, stats.unique_words) == (2, 4, 3)
 
     def test_empty_corpus(self):
         corpus = make_corpus([], [])
-        assert corpus_stats(corpus, TARGET) == CorpusStats(0, 0, 0)
+        assert stats_from_sentences(pair.target for pair in corpus) == CorpusStats(0, 0, 0)
 
     def test_reporting_format(self):
         # Shape check only: the published training corpus is not distributed.

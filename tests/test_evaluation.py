@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from mtqe.evaluation import (
     format_percentage,
     histogram,
     render_report_csv,
+    render_report_text,
 )
 from mtqe.grading import Grade
 
@@ -76,6 +79,19 @@ class TestAgreement:
         human = [Grade.POOR] * 1300
         predicted = [Grade.POOR] * 771 + [Grade.GOOD] * 529
         assert format_percentage(agreement(human, predicted).percentage) == "59.31"
+
+    @pytest.mark.parametrize("same, total, expected", [(1, 4000, "0.02"), (203, 20000, "1.02")])
+    def test_exact_ties_round_half_even_in_report(self, same, total, expected):
+        # 0.025 and 1.015 are exact ties; their floats lie just above and
+        # just below the tie, so rounding the float would give 0.03 and 1.01.
+        human = [Grade.POOR] * total
+        predicted = [Grade.POOR] * same + [Grade.GOOD] * (total - same)
+        report = agreement(human, predicted)
+        matrix = confusion(human, predicted)
+        footer = render_report_csv(histogram(human), histogram(predicted), report)
+        assert footer.splitlines()[-1] == f"{same},{total},{expected}"
+        assert f"({expected}%)" in render_report_text(matrix, report)
+        assert format_percentage(Fraction(100 * same, total)) == expected
 
     def test_fully_disjoint(self):
         report = agreement([Grade.POOR] * 4, [Grade.GOOD] * 4)

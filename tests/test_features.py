@@ -211,3 +211,16 @@ class TestFeatureFile:
         path.write_text("id,oops\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             read_features(path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, cell):
+        path = tmp_path / "f.csv"
+        write_features(self._rows(labeled=True), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[2].split(",")
+        cells[3] = cell  # f3
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as info:
+            read_features(path)
+        assert info.value.row == 1

@@ -6,7 +6,6 @@ from mtqe.corpus import HumanJudgment
 from mtqe.grading import (
     Grade,
     aggregate_judgment,
-    grade_to_rank,
     judgment_grade,
     score_to_grade,
 )
@@ -49,13 +48,13 @@ class TestScoreToGrade:
 
 class TestGradeToRank:
     def test_defined_order(self):
-        assert grade_to_rank(Grade.POOR) == 1
-        assert grade_to_rank(Grade.AVERAGE) == 2
-        assert grade_to_rank(Grade.GOOD) == 3
-        assert grade_to_rank(Grade.EXCELLENT) == 4
+        assert int(Grade.POOR) == 1
+        assert int(Grade.AVERAGE) == 2
+        assert int(Grade.GOOD) == 3
+        assert int(Grade.EXCELLENT) == 4
 
     def test_strictly_monotone(self):
-        ranks = [grade_to_rank(g) for g in Grade]
+        ranks = [int(g) for g in Grade]
         assert ranks == sorted(ranks)
         assert len(set(ranks)) == 4
 

@@ -23,12 +23,12 @@ class TestBuildLexicon:
     def test_perfect_cooccurrence_scores_one(self):
         corpus = make_corpus([["a", "b"], ["a", "c"]], [["x", "y"], ["x", "z"]])
         lexicon = build_lexicon(corpus, 0.01)
-        assert lexicon.translations("a")["x"] == 1.0
+        assert lexicon.entries["a"]["x"] == 1.0
 
     def test_never_cooccurring_pair_absent(self):
         corpus = make_corpus([["a", "b"], ["a", "c"]], [["x", "y"], ["x", "z"]])
         lexicon = build_lexicon(corpus, 0.01)
-        assert "z" not in lexicon.translations("b")
+        assert "z" not in lexicon.entries.get("b", {})
 
     def test_threshold_bounds(self):
         corpus = make_corpus([["a"]], [["x"]])
@@ -44,7 +44,7 @@ class TestBuildLexicon:
         # Repeating a word inside a sentence must not inflate its score.
         corpus = make_corpus([["a", "a", "a"], ["b"]], [["x"], ["y"]])
         lexicon = build_lexicon(corpus, 0.01)
-        assert lexicon.translations("a")["x"] == 1.0
+        assert lexicon.entries["a"]["x"] == 1.0
 
     @settings(max_examples=50)
     @given(_corpus_lists)
