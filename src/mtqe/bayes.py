@@ -56,19 +56,29 @@ class NaiveBayesModel:
         self.means = means  # {Grade: 16 floats}
         self.variances = variances  # {Grade: 16 floats, all >= variance_floor}
         self.variance_floor = variance_floor
+        # Per class: ln P(y), the means, each feature's normalizing term
+        # 0.5 ln(2 pi) + 0.5 ln var and its 2 var, computed once so that
+        # log_joint does only the per-row arithmetic, in the same order.
+        self._terms = tuple(
+            (
+                y,
+                math.log(priors[y]),
+                means[y],
+                tuple(_HALF_LOG_TWO_PI + 0.5 * math.log(v) for v in variances[y]),
+                tuple(2.0 * v for v in variances[y]),
+            )
+            for y in self.classes
+        )
 
     def log_joint(self, x) -> dict[Grade, float]:
         """ln P(y) + sum of Gaussian log densities, for every class."""
         values = _as_values(x)
         scores: dict[Grade, float] = {}
-        for y in self.classes:
-            mean = self.means[y]
-            var = self.variances[y]
-            total = math.log(self.priors[y])
-            for i in range(N_FEATURES):
-                diff = values[i] - mean[i]
-                total -= _HALF_LOG_TWO_PI + 0.5 * math.log(var[i])
-                total -= (diff * diff) / (2.0 * var[i])
+        for y, total, mean, norms, twice_vars in self._terms:
+            for value, m, norm, twice_var in zip(values, mean, norms, twice_vars):
+                diff = value - m
+                total -= norm
+                total -= (diff * diff) / twice_var
             scores[y] = total
         return scores
 

@@ -66,8 +66,17 @@ def _cmd_extract(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     grades = None
     if args.judgments is not None:
-        judgments = {j.sentence_id: j for j in load_judgments(args.judgments)}
-        covered = sum(1 for pair in corpus.pairs if pair.id in judgments)
+        judgments = {}
+        for row, judgment in enumerate(load_judgments(args.judgments)):
+            if not 0 <= judgment.sentence_id < len(corpus.pairs):
+                raise MalformedRow(
+                    row,
+                    f"judgment id {judgment.sentence_id} is not a sentence pair id; "
+                    f"the corpus has {len(corpus.pairs)} pairs",
+                )
+            judgments[judgment.sentence_id] = judgment
+        # Every id is in range and unique, so the count is the coverage.
+        covered = len(judgments)
         if covered != len(corpus.pairs):
             raise LengthMismatch(
                 len(corpus.pairs),

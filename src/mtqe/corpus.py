@@ -29,6 +29,10 @@ _JUDGMENT_HEADER = ("id",) + tuple(f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1
 
 
 def is_punctuation_char(ch: str) -> bool:
+    # No letter or digit is punctuation (no alphanumeric code point has a
+    # P* category or is a danda), so the common case skips the lookup.
+    if ch.isalnum():
+        return False
     return ch in _EXTRA_PUNCTUATION or unicodedata.category(ch).startswith("P")
 
 

@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
 from .fileio import atomic_write_text, read_lines, split_row
 from .grading import Grade
 from .lexicon import TranslationLexicon
-from .ngram import FreqClass, NgramModel, ngrams
+from .ngram import NgramModel, ngrams
 
 N_FEATURES = 16
 FEATURE_COLUMNS = tuple(f"f{i}" for i in range(1, N_FEATURES + 1))
@@ -40,27 +41,23 @@ class FeatureVector:
 
     def values(self) -> tuple[float, ...]:
         """The 16 feature values as floats, in f1..f16 order."""
-        return tuple(float(v) for v in astuple(self))
+        return tuple(map(float, _fields_of(self)))
+
+
+_fields_of = attrgetter(*(field.name for field in fields(FeatureVector)))
 
 
 def _low_high_pct(model: NgramModel, tokens, n: int) -> tuple[float, float]:
-    grams = ngrams(tokens, n)
-    if not grams:
+    n_grams = len(tokens) - n + 1
+    if n_grams <= 0:
         return 0.0, 0.0
-    n_low = 0
-    n_high = 0
-    for gram in grams:
-        band = model.freq_class(gram)
-        if band is FreqClass.LOW:
-            n_low += 1
-        elif band is FreqClass.HIGH:
-            n_high += 1
-    low = 100.0 * n_low / len(grams)
-    if n_low + n_high == len(grams):
+    n_low, n_high = model.band_counts(tokens, n)
+    low = 100.0 * n_low / n_grams
+    if n_low + n_high == n_grams:
         # Complement keeps low + high from creeping past 100 in float.
         high = 100.0 - low
     else:
-        high = 100.0 * n_high / len(grams)
+        high = 100.0 * n_high / n_grams
     return low, high
 
 
@@ -79,8 +76,8 @@ def extract_features(
     """
     if src_lm.order < 3 or tgt_lm.order < 3:
         raise ValueError("language models must have order >= 3")
-    source = list(pair.source)
-    target = list(pair.target)
+    source = tuple(pair.source)
+    target = tuple(pair.target)
     src_count = len(source)
     tgt_count = len(target)
     low_uni, high_uni = _low_high_pct(src_lm, source, 1)
@@ -106,10 +103,19 @@ def extract_features(
     )
 
 
-def _format_cell(index: int, value: float) -> str:
-    if index in _INT_INDEXES:
-        return str(int(value))
+def _format_int(value: float) -> str:
+    return str(int(value))
+
+
+def _format_float(value: float) -> str:
     return f"{value:.6f}"
+
+
+# One cell formatter and one cell parser per feature column, in f1..f16 order.
+_FORMATTERS = tuple(
+    _format_int if i in _INT_INDEXES else _format_float for i in range(N_FEATURES)
+)
+_PARSERS = tuple(int if i in _INT_INDEXES else float for i in range(N_FEATURES))
 
 
 def write_features(rows, path) -> None:
@@ -128,7 +134,7 @@ def write_features(rows, path) -> None:
     lines = [header]
     for row_id, vector, grade in rows:
         cells = [str(row_id)]
-        cells.extend(_format_cell(i, v) for i, v in enumerate(vector.values()))
+        cells.extend(fmt(v) for fmt, v in zip(_FORMATTERS, vector.values()))
         if labeled:
             cells.append(grade.label)
         lines.append(",".join(cells))
@@ -158,10 +164,7 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
         cells = split_row(line, row, ",", width)
         try:
             row_id = int(cells[0])
-            values = [
-                int(cells[1 + i]) if i in _INT_INDEXES else float(cells[1 + i])
-                for i in range(N_FEATURES)
-            ]
+            values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
             grade = Grade.from_label(cells[1 + N_FEATURES]) if labeled else None
         except ValueError as exc:
             raise MalformedRow(row, str(exc)) from None

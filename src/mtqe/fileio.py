@@ -3,11 +3,12 @@
 Every file is UTF-8 text split on LF alone.  Tabular files split a line
 into cells on one separator; model files open with a ``magic<TAB>version``
 signature followed by ``key<TAB>value`` header lines.  Outputs are written
-atomically, so a failed run never leaves a partial file behind.
+atomically and durably, so a failed run or a crash never leaves a partial
+file behind.
 """
 
 import os
-import tempfile
+import stat
 
 from .errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
 
@@ -81,13 +82,27 @@ def header_int(lines, index: int, key: str) -> int:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file and atomic rename."""
+    """Write ``text`` to ``path`` via a temp file, fsync and atomic rename.
+
+    A new file gets mode ``0o666`` less the umask, like any file the
+    process creates; an existing file keeps its mode.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    tmp_path = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    # O_EXCL never reuses a name; the kernel applies the umask to 0o666.
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+            handle.flush()
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
+            os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except BaseException:
         try:

@@ -20,14 +20,18 @@ class Grade(enum.IntEnum):
     @property
     def label(self) -> str:
         """The exact string used in all file formats."""
-        return self.name.capitalize()
+        return _LABELS[self]
 
     @classmethod
     def from_label(cls, label: str) -> "Grade":
-        for grade in cls:
-            if grade.label == label:
-                return grade
-        raise ValueError(f"unknown grade label {label!r}")
+        try:
+            return _GRADES[label]
+        except KeyError:
+            raise ValueError(f"unknown grade label {label!r}") from None
+
+
+_LABELS = {grade: grade.name.capitalize() for grade in Grade}
+_GRADES = {label: grade for grade, label in _LABELS.items()}
 
 
 def aggregate_judgment(judgment: HumanJudgment) -> float:

@@ -88,19 +88,27 @@ class NgramModel:
     def sentence_log_prob(self, tokens) -> float:
         """Mean natural-log probability per scored position (always <= 0).
 
-        Pads the sentence, chains cond_prob at the model's full order, and
-        divides by the number of scored positions (token count + 1, the end
-        marker included).  An empty sentence scores the end marker alone.
+        Pads the sentence, sums ln cond_prob at the model's full order in
+        position order, and divides by the number of scored positions (token
+        count + 1, the end marker included).  An empty sentence scores the
+        end marker alone.
         """
-        tokens = list(tokens)
-        padded = [BOS] * (self.order - 1) + tokens + [END]
+        # cond_prob's arithmetic, with OOV tokens mapped once per sentence:
+        # each full-order window of the padded sentence is context + word.
+        vocab = self.vocab
+        padded = [BOS] * (self.order - 1)
+        padded += [t if t in vocab else UNK for t in tokens]
+        padded.append(END)
+        counts = self.counts
+        context_totals = self.context_totals
+        size = len(vocab)
+        log = math.log
         total = 0.0
-        positions = 0
-        for i in range(self.order - 1, len(padded)):
-            context = tuple(padded[i - self.order + 1 : i])
-            total += math.log(self.cond_prob(padded[i], context))
-            positions += 1
-        return total / positions
+        for gram in zip(*[padded[i:] for i in range(self.order)]):
+            numerator = counts.get(gram, 0) + 1
+            denominator = context_totals.get(gram[:-1], 0) + size
+            total += log(numerator / denominator)
+        return total / (len(padded) - self.order + 1)
 
     def freq_class(self, gram) -> FreqClass:
         """Low/Mid/High band of a gram's corpus frequency.
@@ -119,6 +127,27 @@ class NgramModel:
         if frequency > q3:
             return FreqClass.HIGH
         return FreqClass.MID
+
+    def band_counts(self, tokens, n: int) -> tuple[int, int]:
+        """How many length-n windows of ``tokens`` are Low and how many High.
+
+        The same tallies as :meth:`freq_class` over ``ngrams(tokens, n)``,
+        made in one pass without building a FreqClass per gram.
+        """
+        if not 1 <= n <= self.order:
+            raise ValueError(f"gram length must be in 1..{self.order}, got {n}")
+        q1, q3 = self.quartiles[n]
+        get = self.counts.get
+        tokens = tuple(tokens)
+        low = 0
+        high = 0
+        for gram in zip(*[tokens[i:] for i in range(n)]):
+            frequency = get(gram, 0)
+            if frequency <= q1:
+                low += 1
+            elif frequency > q3:
+                high += 1
+        return low, high
 
     def seen_fraction(self, grams) -> float:
         """Fraction of the given grams that occur in the corpus (0 for none given)."""

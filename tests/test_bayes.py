@@ -3,6 +3,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtqe.bayes import NaiveBayesModel, load_model, train_nb
 from mtqe.errors import CorruptModel, EmptyTrainingSet, VersionMismatch
@@ -123,7 +125,51 @@ def _oracle_rows():
     return rows
 
 
+def _reference_log_joint(model, x):
+    """Every class's score with each term computed per row, in term order."""
+    values = tuple(float(v) for v in x)
+    scores = {}
+    for y in model.classes:
+        mean = model.means[y]
+        var = model.variances[y]
+        total = math.log(model.priors[y])
+        for i in range(N_FEATURES):
+            diff = values[i] - mean[i]
+            total -= 0.5 * math.log(2.0 * math.pi) + 0.5 * math.log(var[i])
+            total -= (diff * diff) / (2.0 * var[i])
+        scores[y] = total
+    return scores
+
+
+def _bits(scores):
+    return {y: value.hex() for y, value in scores.items()}
+
+
 class TestLogJoint:
+    @settings(max_examples=60)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.floats(-1e6, 1e6), min_size=N_FEATURES, max_size=N_FEATURES),
+    )
+    def test_equals_per_row_formula_bit_for_bit(self, seed, x):
+        model = train_nb(_random_rows(random.Random(seed)))
+        assert _bits(model.log_joint(x)) == _bits(_reference_log_joint(model, x))
+
+    def test_loaded_model_equals_per_row_formula_bit_for_bit(self, tmp_path):
+        rng = random.Random(12)
+        # One class of identical rows has every variance at the floor.
+        rows = [row for row in _random_rows(rng) if row[1] is not Grade.EXCELLENT]
+        rows += [((5.0,) * N_FEATURES, Grade.EXCELLENT)] * 3
+        model = train_nb(rows)
+        model.save(tmp_path / "nb.model")
+        loaded = load_model(tmp_path / "nb.model")
+        assert min(model.variances[Grade.EXCELLENT]) == model.variance_floor
+        for _ in range(200):
+            x = _random_vector(rng, center=6.0, spread=8.0)
+            expected = _bits(_reference_log_joint(model, x))
+            assert _bits(model.log_joint(x)) == expected
+            assert _bits(loaded.log_joint(x)) == expected
+
     def test_matches_term_by_term_product(self):
         rng = random.Random(6)
         model = train_nb(_oracle_rows())

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import mtqe
 from mtqe.features import read_features
 from mtqe.grading import Grade
 from mtqe.ngram import load_lm
@@ -81,6 +83,22 @@ class TestExtract:
                        "--judgments", tmp_path / "short.tsv", "--out", tmp_path / "f.csv")
         assert code == 2
         assert "cover" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stray_id", [99999, 20, -1])
+    def test_judgment_id_outside_corpus(self, tmp_path, small_data, capsys, stray_id):
+        models = self._models(tmp_path, small_data)
+        judgments = small_data["judgments"].read_text(encoding="utf-8").splitlines()
+        _write_lines(tmp_path / "extra.tsv", judgments + [f"{stray_id}" + "\t2" * 10])
+        out = tmp_path / "f.csv"
+        code = run_cli("extract", "--pairs-src", small_data["src"], "--pairs-tgt",
+                       small_data["tgt"], "--src-lm", models["src_lm"],
+                       "--tgt-lm", models["tgt_lm"], "--lexicon", models["lexicon"],
+                       "--judgments", tmp_path / "extra.tsv", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"judgment id {stray_id} " in err
+        assert "row 20" in err
+        assert not out.exists()
 
 
 class TestTrainPredictEvaluate:
@@ -181,10 +199,15 @@ class TestDeterminism:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the same mtqe sources as this test process.
+        src = os.path.dirname(os.path.dirname(mtqe.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
         proc = subprocess.run(
             [sys.executable, "-m", "mtqe", "--help"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "build-lm" in proc.stdout

@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from mtqe.corpus import (
     TARGET,
     CorpusStats,
     HumanJudgment,
+    is_punctuation_char,
     is_punctuation_token,
     load_judgments,
     load_parallel,
@@ -65,6 +68,18 @@ class TestPunctuationTokens:
         assert is_punctuation_token("!?")
         assert not is_punctuation_token("a.")
         assert not is_punctuation_token("")
+
+    def test_char_rule_on_every_code_point(self):
+        # The early exit for letters and digits is checked against the
+        # category rule on the unicodedata tables this interpreter ships.
+        extra = frozenset("।॥")
+        category = unicodedata.category
+        wrong = [
+            ch
+            for ch in map(chr, range(0x110000))
+            if is_punctuation_char(ch) != (ch in extra or category(ch).startswith("P"))
+        ]
+        assert wrong == []
 
 
 def _write(path, lines):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,17 @@ _tgt_tokens = st.lists(st.sampled_from(["क", "ख", "ज", "।", "?"]), max_s
 
 
 class TestProperties:
+    @given(
+        st.lists(
+            st.one_of(st.integers(-(2**60), 2**60), st.floats(allow_nan=False)),
+            min_size=16,
+            max_size=16,
+        )
+    )
+    def test_values_equal_astuple_floats(self, fields):
+        vector = FeatureVector(*fields)
+        assert vector.values() == tuple(float(v) for v in astuple(vector))
+
     @settings(max_examples=80)
     @given(_src_tokens, _tgt_tokens)
     def test_invariants_hold(self, source, target):
@@ -180,6 +192,26 @@ class TestFeatureFile:
         for (_, original, _), (_, reread, _) in zip(rows, loaded):
             for a, b in zip(original.values(), reread.values()):
                 assert abs(a - b) <= 1e-6
+
+    def test_cells_match_per_index_reference(self, tmp_path):
+        int_columns = (0, 1, 14, 15)  # f1, f2, f15, f16
+        rows = self._rows(labeled=True)
+        path = tmp_path / "f.csv"
+        write_features(rows, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for (row_id, vector, grade), line in zip(rows, lines[1:]):
+            cells = [
+                str(int(v)) if i in int_columns else f"{v:.6f}"
+                for i, v in enumerate(vector.values())
+            ]
+            assert line == ",".join([str(row_id), *cells, grade.label])
+        for (_, reread, _), line in zip(read_features(path), lines[1:]):
+            cells = line.split(",")[1:17]
+            expected = [
+                int(cell) if i in int_columns else float(cell) for i, cell in enumerate(cells)
+            ]
+            assert astuple(reread) == tuple(expected)
+            assert [type(v) for v in astuple(reread)] == [type(v) for v in expected]
 
     def test_round_trip_unlabeled_header(self, tmp_path):
         path = tmp_path / "f.csv"

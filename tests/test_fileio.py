@@ -1,5 +1,8 @@
 """One file codec, one contract: every reader reports bad input the same way."""
 
+import os
+import stat
+
 import pytest
 
 from mtqe.bayes import load_model
@@ -7,7 +10,7 @@ from mtqe.cli import _read_grade_file
 from mtqe.corpus import load_judgments, load_parallel
 from mtqe.errors import CorruptModel, InvalidEncoding, MalformedRow
 from mtqe.features import read_features
-from mtqe.fileio import read_lines
+from mtqe.fileio import atomic_write_text, read_lines
 from mtqe.lexicon import load_lexicon
 from mtqe.ngram import load_lm
 
@@ -131,3 +134,50 @@ def test_crlf_model_is_corrupt(name, artifacts, tmp_path):
     with pytest.raises(CorruptModel):
         read(crlf, artifacts)
 
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+def test_new_output_takes_umask_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "x\n")
+    finally:
+        os.umask(old)
+    assert _mode(tmp_path / "out.txt") == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o664, 0o600], ids=oct)
+def test_rewritten_output_keeps_its_mode(tmp_path, mode):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    os.chmod(path, mode)
+    old = os.umask(0o077)
+    try:
+        atomic_write_text(path, "new\n")
+    finally:
+        os.umask(old)
+    assert _mode(path) == mode
+    assert path.read_text(encoding="utf-8") == "new\n"
+
+
+def test_output_is_fsynced_before_rename(tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    text = "line\n" * 1000
+    atomic_write_text(tmp_path / "out.txt", text)
+    assert events == [("fsync", len(text)), ("replace", "out.txt")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -90,6 +90,19 @@ class TestLabels:
         assert [g.label for g in Grade] == ["Poor", "Average", "Good", "Excellent"]
         assert Grade.from_label("Average") is Grade.AVERAGE
 
+    @pytest.mark.parametrize("grade", list(Grade))
+    def test_label_round_trip(self, grade):
+        assert Grade.from_label(grade.label) is grade
+        assert grade.label == grade.name.capitalize()
+
+    @given(st.text(max_size=12))
+    def test_unknown_label_raises(self, label):
+        if label in ("Poor", "Average", "Good", "Excellent"):
+            assert Grade.from_label(label).label == label
+        else:
+            with pytest.raises(ValueError):
+                Grade.from_label(label)
+
     def test_label_parsing_is_strict(self):
         with pytest.raises(ValueError):
             Grade.from_label("average")

@@ -22,6 +22,24 @@ _sentences = st.lists(
     min_size=1,
     max_size=10,
 )
+# Query sentences: seen words, an unseen word and the reserved markers.
+_queries = st.lists(st.sampled_from(["a", "b", "c", "z", BOS, END, UNK]), max_size=8)
+
+
+def _reference_sentence_log_prob(model, sentence):
+    """ln cond_prob summed in position order over the padded sentence."""
+    padded = [BOS] * (model.order - 1) + list(sentence) + [END]
+    total = 0.0
+    positions = 0
+    for i in range(model.order - 1, len(padded)):
+        total += math.log(model.cond_prob(padded[i], padded[i - model.order + 1 : i]))
+        positions += 1
+    return total / positions
+
+
+def _reference_band_counts(model, sentence, n):
+    bands = [model.freq_class(gram) for gram in ngrams(sentence, n)]
+    return bands.count(FreqClass.LOW), bands.count(FreqClass.HIGH)
 
 
 class TestTraining:
@@ -119,6 +137,13 @@ class TestSentenceLogProb:
         assert math.isfinite(value)
         assert value <= 0.0
 
+    @settings(max_examples=60)
+    @given(_sentences, st.integers(min_value=1, max_value=4), _queries)
+    def test_equals_cond_prob_log_sum_bit_for_bit(self, corpus, order, sentence):
+        model = train_lm(corpus, order)
+        expected = _reference_sentence_log_prob(model, sentence)
+        assert model.sentence_log_prob(sentence) == expected
+
     def test_empty_sentence_scores_end_alone(self):
         model = train_lm([["a", "b"]], order=3)
         expected = math.log(model.cond_prob(END, (BOS, BOS)))
@@ -149,6 +174,21 @@ class TestFreqClass:
             model.freq_class(())
         with pytest.raises(ValueError):
             model.freq_class(("a", "b", "c"))
+
+    @settings(max_examples=60)
+    @given(_sentences, _queries)
+    def test_band_counts_equal_freq_class_tallies(self, corpus, sentence):
+        model = train_lm(corpus, 3)
+        for n in (1, 2, 3):
+            expected = _reference_band_counts(model, sentence, n)
+            assert model.band_counts(sentence, n) == expected
+            assert model.band_counts(tuple(sentence), n) == expected
+
+    def test_band_counts_gram_length_bounds(self):
+        model = train_lm([["a", "b"]], order=2)
+        for n in (0, 3):
+            with pytest.raises(ValueError):
+                model.band_counts(["a", "b", "c"], n)
 
     @settings(max_examples=40)
     @given(_sentences, st.integers(min_value=1, max_value=3))
