@@ -55,7 +55,7 @@ def _cmd_build_lexicon(args) -> int:
     lexicon = build_lexicon(corpus, args.threshold)
     lexicon.save(args.out)
     entries = sum(len(targets) for targets in lexicon.entries.values())
-    print(f"lexicon entries={entries} threshold={lexicon.threshold}")
+    print(f"lexicon entries={entries} threshold={args.threshold}")
     return 0
 
 

@@ -118,9 +118,9 @@ class HumanJudgment:
     def __post_init__(self):
         if len(self.params) != JUDGMENT_PARAMS:
             raise ValueError(f"expected {JUDGMENT_PARAMS} parameters, got {len(self.params)}")
-        for value in self.params:
+        for col, value in enumerate(self.params, start=1):
             if not 0 <= value <= JUDGMENT_MAX:
-                raise ValueError(f"parameter value {value} outside 0..{JUDGMENT_MAX}")
+                raise OutOfRangeScore(None, col, value)
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,10 @@ def load_judgments(path) -> list[HumanJudgment]:
         if sentence_id in seen:
             raise MalformedRow(row, f"duplicate id {sentence_id}")
         seen.add(sentence_id)
-        for col, value in enumerate(params, start=1):
-            if not 0 <= value <= JUDGMENT_MAX:
-                raise OutOfRangeScore(row, col, value)
-        judgments.append(HumanJudgment(sentence_id, tuple(params)))
+        try:
+            judgments.append(HumanJudgment(sentence_id, tuple(params)))
+        except OutOfRangeScore as exc:  # HumanJudgment checks; only the row is added here
+            raise OutOfRangeScore(row, exc.col, exc.value) from None
     return judgments
 
 

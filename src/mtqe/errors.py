@@ -46,17 +46,16 @@ class MalformedRow(QEError):
         self.detail = detail
 
 
-class OutOfRangeScore(QEError):
+class OutOfRangeScore(QEError, ValueError):
     """A judgment parameter falls outside the 0..4 scale.
 
-    ``row`` is the 0-based data-row index, ``col`` the 1-based parameter
-    number (1..10).
+    ``row`` is the 0-based data-row index (``None`` for a judgment not read
+    from a file), ``col`` the 1-based parameter number (1..10).
     """
 
-    def __init__(self, row: int, col: int, value: int):
-        super().__init__(
-            f"judgment parameter p{col} in row {row} is {value}, outside 0..4"
-        )
+    def __init__(self, row: int | None, col: int, value: int):
+        where = "" if row is None else f" in row {row}"
+        super().__init__(f"judgment parameter p{col}{where} is {value}, outside 0..4")
         self.row = row
         self.col = col
         self.value = value

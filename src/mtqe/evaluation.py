@@ -20,10 +20,6 @@ class GradeHistogram:
 
     counts: dict[Grade, int]
 
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
 
 @dataclass(frozen=True)
 class AgreementReport:
@@ -32,23 +28,12 @@ class AgreementReport:
     same: int
     total: int
 
-    @property
-    def percentage(self) -> float:
-        return 100.0 * self.same / self.total
-
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
     """(human grade, predicted grade) -> count, all 16 cells present."""
 
     cells: dict[tuple[Grade, Grade], int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.cells.values())
-
-    def trace(self) -> int:
-        return sum(self.cells[(g, g)] for g in Grade)
 
     def human_histogram(self) -> GradeHistogram:
         return GradeHistogram(

@@ -84,6 +84,9 @@ def header_int(lines, index: int, key: str) -> int:
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file, fsync and atomic rename.
 
+    The directory is fsynced after the rename, so the rename itself is
+    durable too.
+
     A new file gets mode ``0o666`` less the umask, like any file the
     process creates; an existing file keeps its mode.
     """
@@ -110,3 +113,8 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)

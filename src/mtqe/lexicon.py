@@ -17,11 +17,10 @@ DEFAULT_THRESHOLD = 0.2
 
 
 class TranslationLexicon:
-    """Source token -> {target token: association score}, scores >= threshold."""
+    """Source token -> {target token: association score}."""
 
-    def __init__(self, entries: dict[str, dict[str, float]], threshold: float):
+    def __init__(self, entries: dict[str, dict[str, float]]):
         self.entries = entries
-        self.threshold = threshold
 
     def translations_per_word(self, source_tokens) -> float:
         """Mean lexicon-entry count over the sentence's source tokens.
@@ -78,18 +77,16 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
         dice = 2 * count / (source_sentences[s] + target_sentences[t])
         if dice >= threshold:
             entries.setdefault(s, {})[t] = dice
-    return TranslationLexicon(entries, threshold)
+    return TranslationLexicon(entries)
 
 
 def load_lexicon(path) -> TranslationLexicon:
     """Load a lexicon TSV written by :meth:`TranslationLexicon.save`.
 
     Any external file with ``source<TAB>target<TAB>score`` rows and scores
-    in (0, 1] is accepted; the recorded threshold becomes the smallest
-    score present.
+    in (0, 1] is accepted.
     """
     entries: dict[str, dict[str, float]] = {}
-    smallest = None
     for row, line in enumerate(read_lines(path)):
         if line == "":
             continue
@@ -101,6 +98,4 @@ def load_lexicon(path) -> TranslationLexicon:
         if not 0.0 < score <= 1.0:
             raise MalformedRow(row, f"score {score} outside (0, 1]")
         entries.setdefault(source, {})[target] = score
-        smallest = score if smallest is None else min(smallest, score)
-    threshold = smallest if smallest is not None else DEFAULT_THRESHOLD
-    return TranslationLexicon(entries, threshold)
+    return TranslationLexicon(entries)

@@ -34,8 +34,8 @@ class FreqClass(enum.Enum):
 
 def ngrams(tokens, n: int) -> list[tuple[str, ...]]:
     """All contiguous length-n windows of a token sequence, as tuples."""
-    tokens = list(tokens)
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+    tokens = tuple(tokens)
+    return list(zip(*[tokens[i:] for i in range(n)]))
 
 
 def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
@@ -104,7 +104,7 @@ class NgramModel:
         size = len(vocab)
         log = math.log
         total = 0.0
-        for gram in zip(*[padded[i:] for i in range(self.order)]):
+        for gram in ngrams(padded, self.order):
             numerator = counts.get(gram, 0) + 1
             denominator = context_totals.get(gram[:-1], 0) + size
             total += log(numerator / denominator)
@@ -138,10 +138,9 @@ class NgramModel:
             raise ValueError(f"gram length must be in 1..{self.order}, got {n}")
         q1, q3 = self.quartiles[n]
         get = self.counts.get
-        tokens = tuple(tokens)
         low = 0
         high = 0
-        for gram in zip(*[tokens[i:] for i in range(n)]):
+        for gram in ngrams(tokens, n):
             frequency = get(gram, 0)
             if frequency <= q1:
                 low += 1
@@ -195,8 +194,7 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     for sentence in sentences:
         padded = [BOS] * (order - 1) + sentence + [END]
         for n in range(1, order + 1):
-            for i in range(len(padded) - n + 1):
-                counts[tuple(padded[i : i + n])] += 1
+            counts.update(ngrams(padded, n))
     quartiles = {}
     for n in range(1, order + 1):
         frequencies = sorted(c for gram, c in counts.items() if len(gram) == n)

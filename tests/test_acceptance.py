@@ -124,7 +124,7 @@ def test_criterion_5_histogram_columns_total_1300():
         for column in columns:
             grades = [g for grade, n in column.items() for g in [grade] * n]
             hist = histogram(grades)
-            assert hist.total == 1300
+            assert sum(hist.counts.values()) == 1300
             assert hist.counts == {g: column[g] for g in Grade}
 
 
@@ -177,8 +177,8 @@ def test_criterion_7_end_to_end_beats_majority_baseline(tmp_path):
         human, predicted = _pipeline_grades(paths)
         report = agreement(human, predicted)
         majority = max(histogram(human).counts.values())
-        baseline = 100.0 * majority / len(human)
-        assert report.percentage > baseline
+        assert report.total == len(human)
+        assert report.same > majority  # agreement above the majority baseline
         footer = read_lines(paths["report"])[-1].split(",")
         assert int(footer[0]) == report.same and int(footer[1]) == report.total
         assert time.perf_counter() - start < 10.0

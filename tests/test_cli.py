@@ -7,6 +7,7 @@ import pytest
 import mtqe
 from mtqe.features import read_features
 from mtqe.grading import Grade
+from mtqe.lexicon import load_lexicon
 from mtqe.ngram import load_lm
 
 from conftest import run_cli, run_toy_pipeline, write_toy_dataset
@@ -42,6 +43,21 @@ class TestBuildLm:
                        "--order", "7", "--out", tmp_path / "x.lm")
         assert code == 2
         assert "1..5" in capsys.readouterr().err
+
+
+class TestBuildLexicon:
+    @pytest.mark.parametrize(
+        "flags, threshold",
+        [((), "0.2"), (("--threshold", "0.35"), "0.35")],
+        ids=["default", "explicit"],
+    )
+    def test_prints_entries_and_threshold(self, tmp_path, small_data, capsys, flags, threshold):
+        out = tmp_path / "lex.tsv"
+        code = run_cli("build-lexicon", "--pairs-src", small_data["src"],
+                       "--pairs-tgt", small_data["tgt"], *flags, "--out", out)
+        assert code == 0
+        entries = sum(len(targets) for targets in load_lexicon(out).entries.values())
+        assert capsys.readouterr().out == f"lexicon entries={entries} threshold={threshold}\n"
 
 
 class TestExtract:

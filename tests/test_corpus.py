@@ -175,6 +175,10 @@ class TestLoadJudgments:
             HumanJudgment(0, (1,) * 9)
         with pytest.raises(ValueError):
             HumanJudgment(0, (1,) * 9 + (5,))
+        with pytest.raises(OutOfRangeScore) as info:
+            HumanJudgment(0, (1,) * 9 + (5,))
+        assert (info.value.row, info.value.col, info.value.value) == (None, 10, 5)
+        assert "row" not in str(info.value)
 
 
 class TestCorpusStats:

@@ -42,13 +42,13 @@ class TestHistogram:
     def test_transcribed_columns_total_1300(self):
         for column in list(CLASSIFIER_COLUMNS.values()) + list(HUMAN_COLUMNS.values()):
             hist = histogram(_expand(column))
-            assert hist.total == 1300
+            assert sum(hist.counts.values()) == 1300
             for grade in Grade:
                 assert hist.counts[grade] == column[grade]
 
     def test_empty_input(self):
         hist = histogram([])
-        assert hist.total == 0
+        assert sum(hist.counts.values()) == 0
         assert all(count == 0 for count in hist.counts.values())
 
     @given(_grades, _grades)
@@ -63,8 +63,8 @@ class TestAgreement:
     def test_identical_sequences(self):
         grades = [Grade.GOOD, Grade.POOR, Grade.AVERAGE]
         report = agreement(grades, grades)
-        assert report.same == 3
-        assert report.percentage == 100.0
+        assert report.same == report.total == 3
+        assert Fraction(100 * report.same, report.total) == 100
 
     def test_published_arithmetic(self):
         human = [Grade.POOR] * 1300
@@ -72,13 +72,17 @@ class TestAgreement:
             predicted = [Grade.POOR] * same + [Grade.GOOD] * (1300 - same)
             report = agreement(human, predicted)
             assert report.same == same
-            assert format_percentage(report.percentage) == expected
+            footer = render_report_csv(histogram(human), histogram(predicted), report)
+            assert footer.splitlines()[-1] == f"{same},1300,{expected}"
 
     def test_rounds_half_even_not_truncated(self):
         # 771/1300 is 59.3077 percent; two-decimal rendering rounds up.
         human = [Grade.POOR] * 1300
         predicted = [Grade.POOR] * 771 + [Grade.GOOD] * 529
-        assert format_percentage(agreement(human, predicted).percentage) == "59.31"
+        report = agreement(human, predicted)
+        footer = render_report_csv(histogram(human), histogram(predicted), report)
+        assert footer.splitlines()[-1] == "771,1300,59.31"
+        assert format_percentage(100.0 * 771 / 1300) == "59.31"
 
     @pytest.mark.parametrize("same, total, expected", [(1, 4000, "0.02"), (203, 20000, "1.02")])
     def test_exact_ties_round_half_even_in_report(self, same, total, expected):
@@ -96,7 +100,7 @@ class TestAgreement:
     def test_fully_disjoint(self):
         report = agreement([Grade.POOR] * 4, [Grade.GOOD] * 4)
         assert report.same == 0
-        assert report.percentage == 0.0
+        assert report.total == 4
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -121,7 +125,7 @@ class TestConfusion:
             for p in Grade:
                 if h is not p:
                     assert matrix.cells[(h, p)] == 0
-        assert matrix.trace() == 3
+        assert sum(matrix.cells[(g, g)] for g in Grade) == 3
 
     @given(_grades, _grades)
     def test_trace_and_marginals(self, a, b):
@@ -131,11 +135,16 @@ class TestConfusion:
             return
         matrix = confusion(a, b)
         report = agreement(a, b)
-        assert matrix.trace() == report.same
-        assert matrix.total == report.total
+        diagonal = sum(matrix.cells[(g, g)] for g in Grade)
+        total = sum(matrix.cells.values())
+        assert diagonal == report.same
+        assert total == report.total
         assert matrix.human_histogram().counts == histogram(a).counts
         assert matrix.predicted_histogram().counts == histogram(b).counts
-        assert 100.0 * matrix.trace() / matrix.total == report.percentage
+        percentage = format_percentage(Fraction(100 * diagonal, total))
+        assert render_report_text(matrix, report).endswith(
+            f"agreement: {diagonal} of {total} ({percentage}%)\n"
+        )
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

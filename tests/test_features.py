@@ -99,7 +99,7 @@ class TestExtract:
         assert fv.pct_unigrams_seen == 75.0
 
     def test_translations_per_word_feature(self):
-        lexicon = TranslationLexicon({"a": {"क": 0.9, "ख": 0.8}}, 0.2)
+        lexicon = TranslationLexicon({"a": {"क": 0.9, "ख": 0.8}})
         fv = extract_features(_pair(["a", "b"], ["क"]), SRC_LM, TGT_LM, lexicon)
         assert fv.avg_translations_per_src_word == 1.0
 

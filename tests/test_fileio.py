@@ -168,7 +168,11 @@ def test_output_is_fsynced_before_rename(tmp_path, monkeypatch):
     real_fsync, real_replace = os.fsync, os.replace
 
     def fsync(fd):
-        events.append(("fsync", os.fstat(fd).st_size))
+        info = os.fstat(fd)
+        if os.path.samestat(info, os.stat(tmp_path)):
+            events.append(("fsync", "directory"))
+        else:
+            events.append(("fsync", info.st_size))
         real_fsync(fd)
 
     def replace(src, dst):
@@ -179,5 +183,5 @@ def test_output_is_fsynced_before_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "replace", replace)
     text = "line\n" * 1000
     atomic_write_text(tmp_path / "out.txt", text)
-    assert events == [("fsync", len(text)), ("replace", "out.txt")]
+    assert events == [("fsync", len(text)), ("replace", "out.txt"), ("fsync", "directory")]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]

@@ -72,15 +72,15 @@ class TestBuildLexicon:
 
 class TestTranslationsPerWord:
     def test_hand_average(self):
-        lexicon = TranslationLexicon({"a": {"x": 1.0}}, 0.2)
+        lexicon = TranslationLexicon({"a": {"x": 1.0}})
         assert lexicon.translations_per_word(["a", "b"]) == 0.5
 
     def test_empty_sentence(self):
-        lexicon = TranslationLexicon({"a": {"x": 1.0}}, 0.2)
+        lexicon = TranslationLexicon({"a": {"x": 1.0}})
         assert lexicon.translations_per_word([]) == 0.0
 
     def test_all_tokens_absent(self):
-        lexicon = TranslationLexicon({"a": {"x": 1.0}}, 0.2)
+        lexicon = TranslationLexicon({"a": {"x": 1.0}})
         assert lexicon.translations_per_word(["q", "r"]) == 0.0
 
 
@@ -98,7 +98,7 @@ class TestLexiconFile:
 
     def test_empty_lexicon_round_trip(self, tmp_path):
         path = tmp_path / "lex.tsv"
-        TranslationLexicon({}, 0.2).save(path)
+        TranslationLexicon({}).save(path)
         assert load_lexicon(path).entries == {}
 
     def test_malformed_rows(self, tmp_path):

@@ -37,9 +37,26 @@ def _reference_sentence_log_prob(model, sentence):
     return total / positions
 
 
+def _index_windows(tokens, n):
+    """Length-n windows by index, the reference for ``ngrams``."""
+    tokens = list(tokens)
+    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
 def _reference_band_counts(model, sentence, n):
-    bands = [model.freq_class(gram) for gram in ngrams(sentence, n)]
+    bands = [model.freq_class(gram) for gram in _index_windows(sentence, n)]
     return bands.count(FreqClass.LOW), bands.count(FreqClass.HIGH)
+
+
+def _reference_counts(sentences, order):
+    """Every 1..order window of every padded sentence, counted one by one."""
+    counts = {}
+    for sentence in sentences:
+        padded = [BOS] * (order - 1) + list(sentence) + [END]
+        for n in range(1, order + 1):
+            for gram in _index_windows(padded, n):
+                counts[gram] = counts.get(gram, 0) + 1
+    return counts
 
 
 class TestTraining:
@@ -66,6 +83,11 @@ class TestTraining:
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             train_lm([], order=2)
+
+    @settings(max_examples=60)
+    @given(_sentences, st.integers(min_value=1, max_value=4))
+    def test_counts_equal_index_loop_reference(self, sentences, order):
+        assert train_lm(sentences, order).counts == _reference_counts(sentences, order)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -214,6 +236,13 @@ class TestNgramsHelper:
         assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
         assert ngrams(["a"], 2) == []
         assert ngrams([], 1) == []
+
+    @given(_queries, st.integers(min_value=1, max_value=5))
+    def test_equals_index_loop(self, tokens, n):
+        expected = _index_windows(tokens, n)
+        assert ngrams(tokens, n) == expected
+        assert ngrams(tuple(tokens), n) == expected
+        assert ngrams(iter(tokens), n) == expected
 
 
 class TestPersistence:
