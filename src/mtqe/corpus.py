@@ -38,7 +38,11 @@ def is_punctuation_char(ch: str) -> bool:
 
 def is_punctuation_token(token: str) -> bool:
     """True when the token consists entirely of punctuation characters."""
-    return bool(token) and all(is_punctuation_char(ch) for ch in token)
+    # Most tokens are words, which their first character settles without
+    # building a generator.
+    if not token or not is_punctuation_char(token[0]):
+        return False
+    return all(is_punctuation_char(ch) for ch in token[1:])
 
 
 def _split_chunk(chunk: str) -> list[str]:

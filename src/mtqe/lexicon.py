@@ -7,7 +7,9 @@ sentences containing the target word), with presence counted once per pair.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
@@ -44,6 +46,21 @@ class TranslationLexicon:
         atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def _dice_band(ns: int, threshold: float, limit: int) -> tuple[int, int]:
+    """The nt in 1..limit with 2 * min(ns, nt) / (ns + nt) >= threshold, as (low, high).
+
+    The test is the filter's own float expression with the co-occurrence
+    count replaced by its upper bound.  It rises with nt up to ns and falls
+    after, and correctly rounded division keeps both runs monotone, so each
+    end is a bisection; nt = ns scores 1.0 and always lies in the band.
+    """
+    rising = range(1, ns + 1)
+    falling = range(ns, limit + 1)
+    low = rising[bisect_left(rising, True, key=lambda nt: 2 * nt / (ns + nt) >= threshold)]
+    high = falling[bisect_left(falling, True, key=lambda nt: 2 * ns / (ns + nt) < threshold) - 1]
+    return low, high
+
+
 def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) -> TranslationLexicon:
     """Induce a lexicon by keeping word pairs whose Dice score >= threshold.
 
@@ -59,19 +76,30 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if not corpus.pairs:
         raise EmptyCorpus("cannot induce a lexicon from an empty corpus")
-    cooccurrence: Counter = Counter()
+    # Document frequencies: the number of pairs containing each word.
     source_sentences: Counter = Counter()
     target_sentences: Counter = Counter()
     for pair in corpus.pairs:
-        source_set = set(pair.source)
-        target_set = set(pair.target)
-        for s in source_set:
-            source_sentences[s] += 1
-        for t in target_set:
-            target_sentences[t] += 1
-        for s in source_set:
-            for t in target_set:
-                cooccurrence[(s, t)] += 1
+        source_sentences.update(set(pair.source))
+        target_sentences.update(set(pair.target))
+    # A word pair co-occurs at most min(ns, nt) times, so only targets whose
+    # nt lies in the source word's Dice band can pass.  The band depends on
+    # the global counts alone, so a word pair is counted in every sentence
+    # pair that holds it, or in none, and its count stays exact.
+    limit = len(corpus.pairs)
+    bands = {ns: _dice_band(ns, threshold, limit) for ns in set(source_sentences.values())}
+    source_band = {s: bands[ns] for s, ns in source_sentences.items()}
+    nt_of = target_sentences.__getitem__
+    cooccurrence: Counter = Counter()
+    for pair in corpus.pairs:
+        targets = sorted(set(pair.target), key=nt_of)
+        frequencies = [nt_of(t) for t in targets]
+        for s in set(pair.source):
+            low, high = source_band[s]
+            start = bisect_left(frequencies, low)
+            stop = bisect_right(frequencies, high, start)
+            if start < stop:
+                cooccurrence.update(zip(repeat(s, stop - start), targets[start:stop]))
     entries: dict[str, dict[str, float]] = {}
     for (s, t), count in cooccurrence.items():
         dice = 2 * count / (source_sentences[s] + target_sentences[t])
@@ -83,8 +111,8 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
 def load_lexicon(path) -> TranslationLexicon:
     """Load a lexicon TSV written by :meth:`TranslationLexicon.save`.
 
-    Any external file with ``source<TAB>target<TAB>score`` rows and scores
-    in (0, 1] is accepted.
+    Any external file with ``source<TAB>target<TAB>score`` rows, scores in
+    (0, 1] and no (source, target) pair twice is accepted.
     """
     entries: dict[str, dict[str, float]] = {}
     for row, line in enumerate(read_lines(path)):
@@ -97,5 +125,8 @@ def load_lexicon(path) -> TranslationLexicon:
             raise MalformedRow(row, f"bad score {text!r}") from None
         if not 0.0 < score <= 1.0:
             raise MalformedRow(row, f"score {score} outside (0, 1]")
-        entries.setdefault(source, {})[target] = score
+        targets = entries.setdefault(source, {})
+        if target in targets:
+            raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")
+        targets[target] = score
     return TranslationLexicon(entries)

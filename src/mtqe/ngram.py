@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import Counter
+from itertools import islice
 
 from .errors import CorruptModel, EmptyCorpus
 from .fileio import atomic_write_text, header_int, read_model_lines
@@ -58,10 +59,12 @@ class NgramModel:
         # sum_w counts[ctx + (w,)], which is what exact Laplace
         # normalization requires (a context ending a padded sentence occurs
         # but never continues, so its raw count would overstate the total).
-        context_totals: Counter = Counter()
+        context_totals: dict[tuple[str, ...], int] = {}
+        get = context_totals.get
         for gram, count in counts.items():
-            context_totals[gram[:-1]] += count
-        self.context_totals = dict(context_totals)
+            context = gram[:-1]
+            context_totals[context] = get(context, 0) + count
+        self.context_totals = context_totals
         # The observed unigram types plus the reserved markers.
         self.vocab = frozenset(gram[0] for gram in counts if len(gram) == 1) | {UNK, BOS, END}
         self.quartiles = quartiles  # {n: (q1, q3)}
@@ -195,10 +198,14 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
         padded = [BOS] * (order - 1) + sentence + [END]
         for n in range(1, order + 1):
             counts.update(ngrams(padded, n))
+    # frequencies[n]: the count of every distinct length-n gram.
+    frequencies: list[list[int]] = [[] for _ in range(order + 1)]
+    for gram, count in counts.items():
+        frequencies[len(gram)].append(count)
     quartiles = {}
     for n in range(1, order + 1):
-        frequencies = sorted(c for gram, c in counts.items() if len(gram) == n)
-        quartiles[n] = (_nearest_rank(frequencies, 25), _nearest_rank(frequencies, 75))
+        values = sorted(frequencies[n])
+        quartiles[n] = (_nearest_rank(values, 25), _nearest_rank(values, 75))
     return NgramModel(order, dict(counts), quartiles)
 
 
@@ -207,7 +214,7 @@ def load_lm(path) -> NgramModel:
 
     Queries on the loaded model are bit-identical to the original.  Raises
     VersionMismatch for files written by a newer format and CorruptModel
-    for truncated or malformed files.
+    for truncated or malformed files, a gram listed twice included.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
     order = header_int(lines, 1, "order")
@@ -222,24 +229,34 @@ def load_lm(path) -> NgramModel:
         quartiles[n] = (q1, q3)
         index += 2
     n_grams = header_int(lines, index, "ngrams")
+    if n_grams < 0:
+        raise CorruptModel(f"ngrams must be >= 0, got {n_grams}")
     index += 1
     counts = {}
-    for offset in range(n_grams):
-        if index + offset >= len(lines):
-            raise CorruptModel("n-gram section truncated")
-        cells = lines[index + offset].split("\t")
+    for line in islice(lines, index, index + n_grams):
+        cells = line.split("\t")
         if len(cells) != 2:
-            raise CorruptModel(f"bad n-gram line {lines[index + offset]!r}")
+            raise CorruptModel(f"bad n-gram line {line!r}")
         gram = tuple(cells[0].split(" "))
         if not 1 <= len(gram) <= order or "" in gram:
             raise CorruptModel(f"bad n-gram {cells[0]!r}")
         try:
             count = int(cells[1])
         except ValueError:
-            raise CorruptModel(f"non-integer count in {lines[index + offset]!r}") from None
+            raise CorruptModel(f"non-integer count in {line!r}") from None
         if count < 1:
-            raise CorruptModel(f"count must be >= 1 in {lines[index + offset]!r}")
+            raise CorruptModel(f"count must be >= 1 in {line!r}")
         counts[gram] = count
+    if len(lines) < index + n_grams:
+        raise CorruptModel("n-gram section truncated")
+    if len(counts) < n_grams:
+        # A repeated gram overwrote an earlier count; name the first one.
+        seen = set()
+        for line in islice(lines, index, index + n_grams):
+            text = line.split("\t")[0]
+            if text in seen:
+                raise CorruptModel(f"duplicate n-gram {text!r}")
+            seen.add(text)
     index += n_grams
     if index >= len(lines) or lines[index] != "end":
         raise CorruptModel("missing end marker")

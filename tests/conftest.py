@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 
 from mtqe.cli import main as cli_main
 from mtqe.corpus import ParallelCorpus, SentencePair
+from mtqe.lexicon import TranslationLexicon
+from mtqe.ngram import BOS, END, NgramModel, _nearest_rank
 
 EN_WORDS = [
     "the", "a", "boy", "girl", "house", "river", "runs", "walks", "sees",
@@ -29,6 +32,69 @@ TOY_BANDS = [
     (0.25, (11, 13), (21, 30)),
     (0.20, (15, 18), (31, 40)),
 ]
+
+
+def index_windows(tokens, n):
+    """Length-n windows by index, the reference for ``ngrams``."""
+    tokens = list(tokens)
+    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+
+
+def reference_counts(sentences, order):
+    """Every 1..order window of every padded sentence, counted one by one."""
+    counts = {}
+    for sentence in sentences:
+        padded = [BOS] * (order - 1) + list(sentence) + [END]
+        for n in range(1, order + 1):
+            for gram in index_windows(padded, n):
+                counts[gram] = counts.get(gram, 0) + 1
+    return counts
+
+
+def reference_quartiles(counts, order):
+    """Nearest-rank Q1 and Q3 of each order's type frequencies, one pass per order."""
+    quartiles = {}
+    for n in range(1, order + 1):
+        frequencies = sorted(c for gram, c in counts.items() if len(gram) == n)
+        quartiles[n] = (_nearest_rank(frequencies, 25), _nearest_rank(frequencies, 75))
+    return quartiles
+
+
+def reference_context_totals(counts):
+    """sum_w counts[ctx + (w,)] for every context, summed in a Counter."""
+    totals = Counter()
+    for gram, count in counts.items():
+        totals[gram[:-1]] += count
+    return dict(totals)
+
+
+def reference_lm(sentences, order):
+    """An NgramModel built from the reference counts and quartiles."""
+    counts = reference_counts(sentences, order)
+    return NgramModel(order, counts, reference_quartiles(counts, order))
+
+
+def brute_force_lexicon(corpus, threshold):
+    """Dice of every source-target word pair in every sentence pair, unpruned."""
+    cooccurrence = Counter()
+    source_sentences = Counter()
+    target_sentences = Counter()
+    for pair in corpus.pairs:
+        source_set = set(pair.source)
+        target_set = set(pair.target)
+        for s in source_set:
+            source_sentences[s] += 1
+        for t in target_set:
+            target_sentences[t] += 1
+        for s in source_set:
+            for t in target_set:
+                cooccurrence[(s, t)] += 1
+    entries = {}
+    for (s, t), count in cooccurrence.items():
+        dice = 2 * count / (source_sentences[s] + target_sentences[t])
+        if dice >= threshold:
+            entries.setdefault(s, {})[t] = dice
+    return TranslationLexicon(entries)
 
 
 def make_corpus(source_sentences, target_sentences):

@@ -5,12 +5,20 @@ import sys
 import pytest
 
 import mtqe
+from mtqe.corpus import SOURCE, TARGET, load_parallel, tokenize
 from mtqe.features import read_features
+from mtqe.fileio import read_lines
 from mtqe.grading import Grade
-from mtqe.lexicon import load_lexicon
+from mtqe.lexicon import DEFAULT_THRESHOLD, load_lexicon
 from mtqe.ngram import load_lm
 
-from conftest import run_cli, run_toy_pipeline, write_toy_dataset
+from conftest import (
+    brute_force_lexicon,
+    reference_lm,
+    run_cli,
+    run_toy_pipeline,
+    write_toy_dataset,
+)
 
 
 @pytest.fixture
@@ -213,17 +221,46 @@ class TestDeterminism:
         assert results[0] == results[1]
 
 
+def _run_module(*argv):
+    """Run ``python -m mtqe`` on the same mtqe sources as this test process."""
+    src = os.path.dirname(os.path.dirname(mtqe.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "mtqe", *map(str, argv)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
-        # The child imports the same mtqe sources as this test process.
-        src = os.path.dirname(os.path.dirname(mtqe.__file__))
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-        proc = subprocess.run(
-            [sys.executable, "-m", "mtqe", "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = _run_module("--help")
         assert proc.returncode == 0
         assert "build-lm" in proc.stdout
+
+
+class TestWriteStageBytes:
+    """The write stages' files equal the saves of reference-built artifacts."""
+
+    def test_language_models(self, tmp_path):
+        data = write_toy_dataset(tmp_path)
+        for side, key in ((SOURCE, "src"), (TARGET, "tgt")):
+            out = tmp_path / f"{key}.lm"
+            proc = _run_module("build-lm", "--corpus", data[key], "--side", side, "--out", out)
+            assert proc.returncode == 0, proc.stderr
+            sentences = [tokenize(line, side) for line in read_lines(data[key])]
+            reference_lm(sentences, 3).save(tmp_path / f"reference-{key}.lm")
+            assert out.read_bytes() == (tmp_path / f"reference-{key}.lm").read_bytes()
+
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0.05])
+    def test_lexicon(self, tmp_path, threshold):
+        data = write_toy_dataset(tmp_path)
+        out = tmp_path / "lexicon.tsv"
+        proc = _run_module("build-lexicon", "--pairs-src", data["src"], "--pairs-tgt",
+                           data["tgt"], "--threshold", threshold, "--out", out)
+        assert proc.returncode == 0, proc.stderr
+        corpus = load_parallel(data["src"], data["tgt"])
+        brute_force_lexicon(corpus, threshold).save(tmp_path / "reference.tsv")
+        assert out.read_bytes() == (tmp_path / "reference.tsv").read_bytes()

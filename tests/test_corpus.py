@@ -27,6 +27,8 @@ from conftest import make_corpus
 
 _CHARS = list("abcXY zq.?!,()-'।॥") + ["लड़", "का", "दौ"]
 _text = st.text(alphabet=st.sampled_from("".join(_CHARS)), max_size=40)
+# Any punctuation, math symbols and digits, so all-punctuation runs are common.
+_symbols = st.text(st.characters(whitelist_categories=("P", "Sm", "Nd")))
 
 
 class TestTokenize:
@@ -68,6 +70,14 @@ class TestPunctuationTokens:
         assert is_punctuation_token("!?")
         assert not is_punctuation_token("a.")
         assert not is_punctuation_token("")
+
+    @given(st.one_of(_text, _symbols, st.text()))
+    def test_token_rule_equals_per_character_definition(self, token):
+        extra = frozenset("।॥")
+        expected = bool(token) and all(
+            ch in extra or unicodedata.category(ch).startswith("P") for ch in token
+        )
+        assert is_punctuation_token(token) == expected
 
     def test_char_rule_on_every_code_point(self):
         # The early exit for letters and digits is checked against the

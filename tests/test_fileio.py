@@ -135,6 +135,41 @@ def test_crlf_model_is_corrupt(name, artifacts, tmp_path):
         read(crlf, artifacts)
 
 
+def test_repeated_lexicon_entry_is_located(artifacts, tmp_path, capsys):
+    lines = read_lines(artifacts["lexicon"])
+    source, target, _ = lines[0].split("\t")
+    bad = tmp_path / "repeated-lexicon.tsv"
+    lines.insert(1, f"{source}\t{target}\t1.0")
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as info:
+        load_lexicon(bad)
+    assert info.value.row == 1
+    assert f"duplicate entry {source!r} -> {target!r}" in str(info.value)
+    capsys.readouterr()
+    assert run_cli(*_extract(artifacts, tmp_path / "out", lexicon=bad)) == 2
+    assert "malformed row 1: duplicate entry" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys):
+    # The header counts the repeated line, so only the repetition is wrong.
+    lines = read_lines(artifacts["src_lm"])
+    header = next(i for i, line in enumerate(lines) if line.startswith("ngrams\t"))
+    n_grams = int(lines[header].split("\t")[1])
+    gram, count = lines[header + 1].split("\t")
+    lines[header] = f"ngrams\t{n_grams + 1}"
+    lines.insert(header + 2, f"{gram}\t{int(count) + 1}")
+    bad = tmp_path / "repeated.lm"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptModel) as info:
+        load_lm(bad)
+    assert f"duplicate n-gram {gram!r}" in str(info.value)
+    capsys.readouterr()
+    assert run_cli(*_extract(artifacts, tmp_path / "out", src_lm=bad)) == 2
+    assert f"corrupt model file: duplicate n-gram {gram!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _mode(path):
     return stat.S_IMODE(os.stat(path).st_mode)
 

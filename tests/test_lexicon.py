@@ -1,11 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtqe.errors import EmptyCorpus, MalformedRow
-from mtqe.lexicon import TranslationLexicon, build_lexicon, load_lexicon
+from mtqe.lexicon import TranslationLexicon, _dice_band, build_lexicon, load_lexicon
 
-from conftest import make_corpus
+from conftest import brute_force_lexicon, make_corpus
 
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=5)
 _corpus_lists = st.lists(
@@ -14,9 +16,38 @@ _corpus_lists = st.lists(
     max_size=8,
 )
 
+# Wider corpora for the pruning: more words, so document frequencies spread.
+_wide_corpus_lists = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from("abcdefghijkl"), max_size=7),
+        st.lists(st.sampled_from("mnopqrstuvwx"), max_size=7),
+    ),
+    min_size=1,
+    max_size=30,
+)
+# Thresholds anywhere in (0, 1), plus Dice values 2c / (ns + nt) and their
+# float neighbours, so that scores land exactly on the cut-off.
+_dice_values = st.tuples(st.integers(1, 40), st.integers(1, 40)).map(
+    lambda p: 2 * min(p) / (p[0] + p[1])
+)
+_thresholds = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    _dice_values.filter(lambda v: v < 1.0),
+    _dice_values.map(lambda v: math.nextafter(v, 0.0)),
+    _dice_values.filter(lambda v: v < 1.0).map(lambda v: math.nextafter(v, 1.0)),
+)
+
 
 def _corpus(pair_lists):
     return make_corpus([s for s, _ in pair_lists], [t for _, t in pair_lists])
+
+
+def _hex_entries(lexicon):
+    return {
+        (s, t): score.hex()
+        for s, targets in lexicon.entries.items()
+        for t, score in targets.items()
+    }
 
 
 class TestBuildLexicon:
@@ -68,6 +99,51 @@ class TestBuildLexicon:
         loose = build_lexicon(corpus, 0.1)
         tight = build_lexicon(corpus, 0.6)
         assert tight.translations_per_word(sentence) <= loose.translations_per_word(sentence)
+
+
+class TestDiceBand:
+    @settings(max_examples=200)
+    @given(_wide_corpus_lists, _thresholds)
+    def test_equals_brute_force_reference(self, pair_lists, threshold):
+        corpus = _corpus(pair_lists)
+        expected = _hex_entries(brute_force_lexicon(corpus, threshold))
+        assert _hex_entries(build_lexicon(corpus, threshold)) == expected
+
+    @pytest.mark.parametrize(
+        "sources, targets",
+        [([["a"]] + [["b"]] * 8, [["x"]] * 9), ([["a"]] * 9, [["x"]] + [["y"]] * 8)],
+        ids=["ns=1,nt=9", "ns=9,nt=1"],
+    )
+    def test_score_on_the_threshold_is_kept(self, sources, targets):
+        # 2 * 1 / (1 + 9) is exactly the float 0.2, so the pair passes.  An
+        # exact-rational bound would drop it: the float 0.2 lies just above 1/5.
+        corpus = make_corpus(sources, targets)
+        lexicon = build_lexicon(corpus, 0.2)
+        assert lexicon.entries["a"]["x"] == 0.2
+        assert _hex_entries(lexicon) == _hex_entries(brute_force_lexicon(corpus, 0.2))
+
+    @pytest.mark.parametrize(
+        "threshold, expected",
+        [
+            (0.999, {"a": {"z": 1.0, "x": 2000 / 2001}}),
+            (math.nextafter(1.0, 0.0), {"a": {"z": 1.0}}),
+        ],
+        ids=["0.999", "below-one"],
+    )
+    def test_threshold_near_one(self, threshold, expected):
+        # a and z always co-occur (Dice 1); a and x miss by one pair (2000/2001).
+        corpus = make_corpus([["a"]] * 1000 + [["b"]], [["x", "z"]] * 1000 + [["x"]])
+        lexicon = build_lexicon(corpus, threshold)
+        assert lexicon.entries == expected
+        assert _hex_entries(lexicon) == _hex_entries(brute_force_lexicon(corpus, threshold))
+
+    @pytest.mark.parametrize("threshold", [0.01, 0.2, 1 / 3, 0.5, 0.9, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("ns", [1, 2, 3, 7, 9, 10, 50])
+    def test_band_is_exactly_the_feasible_frequencies(self, ns, threshold):
+        limit = 60
+        low, high = _dice_band(ns, threshold, limit)
+        feasible = [nt for nt in range(1, limit + 1) if 2 * min(ns, nt) / (ns + nt) >= threshold]
+        assert feasible == list(range(low, high + 1))
 
 
 class TestTranslationsPerWord:

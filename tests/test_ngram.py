@@ -17,6 +17,13 @@ from mtqe.ngram import (
     train_lm,
 )
 
+from conftest import (
+    index_windows,
+    reference_context_totals,
+    reference_counts,
+    reference_quartiles,
+)
+
 _sentences = st.lists(
     st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6),
     min_size=1,
@@ -37,26 +44,9 @@ def _reference_sentence_log_prob(model, sentence):
     return total / positions
 
 
-def _index_windows(tokens, n):
-    """Length-n windows by index, the reference for ``ngrams``."""
-    tokens = list(tokens)
-    return [tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-
-
 def _reference_band_counts(model, sentence, n):
-    bands = [model.freq_class(gram) for gram in _index_windows(sentence, n)]
+    bands = [model.freq_class(gram) for gram in index_windows(sentence, n)]
     return bands.count(FreqClass.LOW), bands.count(FreqClass.HIGH)
-
-
-def _reference_counts(sentences, order):
-    """Every 1..order window of every padded sentence, counted one by one."""
-    counts = {}
-    for sentence in sentences:
-        padded = [BOS] * (order - 1) + list(sentence) + [END]
-        for n in range(1, order + 1):
-            for gram in _index_windows(padded, n):
-                counts[gram] = counts.get(gram, 0) + 1
-    return counts
 
 
 class TestTraining:
@@ -87,7 +77,19 @@ class TestTraining:
     @settings(max_examples=60)
     @given(_sentences, st.integers(min_value=1, max_value=4))
     def test_counts_equal_index_loop_reference(self, sentences, order):
-        assert train_lm(sentences, order).counts == _reference_counts(sentences, order)
+        assert train_lm(sentences, order).counts == reference_counts(sentences, order)
+
+    @settings(max_examples=60)
+    @given(_sentences, st.integers(min_value=1, max_value=4))
+    def test_quartiles_equal_per_order_reference(self, sentences, order):
+        model = train_lm(sentences, order)
+        assert model.quartiles == reference_quartiles(model.counts, order)
+
+    @settings(max_examples=60)
+    @given(_sentences, st.integers(min_value=1, max_value=4))
+    def test_context_totals_equal_counter_reference(self, sentences, order):
+        model = train_lm(sentences, order)
+        assert model.context_totals == reference_context_totals(model.counts)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -239,7 +241,7 @@ class TestNgramsHelper:
 
     @given(_queries, st.integers(min_value=1, max_value=5))
     def test_equals_index_loop(self, tokens, n):
-        expected = _index_windows(tokens, n)
+        expected = index_windows(tokens, n)
         assert ngrams(tokens, n) == expected
         assert ngrams(tuple(tokens), n) == expected
         assert ngrams(iter(tokens), n) == expected
@@ -290,6 +292,17 @@ class TestPersistence:
         (tmp_path / "new.lm").write_text(bumped, encoding="utf-8")
         with pytest.raises(VersionMismatch):
             load_lm(tmp_path / "new.lm")
+
+    @pytest.mark.parametrize("n_grams", [-1, -10**6])
+    def test_negative_gram_count(self, tmp_path, n_grams):
+        model = self._random_model()
+        path = tmp_path / "m.lm"
+        model.save(path)
+        text = path.read_text(encoding="utf-8")
+        text = text.replace(f"ngrams\t{len(model.counts)}\n", f"ngrams\t{n_grams}\n")
+        (tmp_path / "neg.lm").write_text(text, encoding="utf-8")
+        with pytest.raises(CorruptModel, match="ngrams must be >= 0"):
+            load_lm(tmp_path / "neg.lm")
 
     def test_garbage_file(self, tmp_path):
         (tmp_path / "x.lm").write_text("not a model\n", encoding="utf-8")
