@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import N_FEATURES, FeatureVector
-from .fileio import atomic_write_text, header_int, header_value, read_model_lines
+from .fileio import atomic_write_text, header_int, header_value, is_plain, read_model_lines
 from .grading import Grade
 
 # The effective variance floor is the larger of these two terms:
@@ -155,6 +155,8 @@ def _hex_floats(lines, index, key, n_values):
     if len(parts) != n_values:
         raise CorruptModel(f"'{key}' line carries {len(parts)} values, expected {n_values}")
     try:
+        if not all(map(is_plain, parts)):
+            raise ValueError
         values = tuple(float.fromhex(p) for p in parts)
     except ValueError:
         raise CorruptModel(f"bad float in '{key}' line") from None

@@ -14,14 +14,9 @@ import sys
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
 from .corpus import SIDES, load_judgments, load_parallel, stats_from_sentences, tokenize
 from .errors import LengthMismatch, MalformedRow, QEError
-from .evaluation import (
-    agreement,
-    confusion,
-    render_report_csv,
-    render_report_text,
-)
+from .evaluation import confusion, render_report_csv, render_report_text
 from .features import extract_features, read_features, write_features
-from .fileio import atomic_write_text, read_lines, split_row
+from .fileio import atomic_write_text, check_new_id, parse_int, read_lines, split_row
 from .grading import Grade, judgment_grade
 from .lexicon import DEFAULT_THRESHOLD, build_lexicon, load_lexicon
 from .ngram import load_lm, train_lm
@@ -118,16 +113,19 @@ def _cmd_predict(args) -> int:
 
 
 def _read_grade_file(path) -> list[tuple[int, Grade]]:
-    """Accept either an ``id,grade`` CSV or a labeled feature CSV."""
+    """Accept either an ``id,grade`` CSV or a labeled feature CSV, no id twice."""
     lines = read_lines(path)
     if lines and lines[0] == "id,grade":
         rows = []
+        seen = set()
         for row, line in enumerate(lines[1:]):
-            row_id, label = split_row(line, row, ",", 2)
+            cells = split_row(line, row, ",", 2)
             try:
-                rows.append((int(row_id), Grade.from_label(label)))
+                row_id, grade = parse_int(cells[0]), Grade.from_label(cells[1])
             except ValueError as exc:
                 raise MalformedRow(row, str(exc)) from None
+            check_new_id(row_id, row, seen)
+            rows.append((row_id, grade))
     else:
         feature_rows = read_features(path)
         if any(grade is None for _, _, grade in feature_rows):
@@ -147,8 +145,8 @@ def _cmd_evaluate(args) -> int:
         )
     human = [grade for _, grade in human_rows]
     predicted = [grade for _, grade in predicted_rows]
-    report = agreement(human, predicted)
     matrix = confusion(human, predicted)
+    report = matrix.agreement()
     atomic_write_text(
         args.out,
         render_report_csv(

@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore
-from .fileio import read_lines, split_row
+from .fileio import check_new_id, parse_ints, read_lines, split_row
 
 SOURCE = "source"
 TARGET = "target"
@@ -105,9 +105,6 @@ class ParallelCorpus:
                     f"pair ids must be 0..n-1 in order; position {position} has id {pair.id}"
                 )
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def __iter__(self):
         return iter(self.pairs)
 
@@ -174,13 +171,11 @@ def load_judgments(path) -> list[HumanJudgment]:
     for row, line in enumerate(lines[1:]):
         cells = split_row(line, row, "\t", 1 + JUDGMENT_PARAMS)
         try:
-            values = [int(cell) for cell in cells]
+            values = parse_ints(cells)
         except ValueError:
             raise MalformedRow(row, "non-integer cell") from None
         sentence_id, params = values[0], values[1:]
-        if sentence_id in seen:
-            raise MalformedRow(row, f"duplicate id {sentence_id}")
-        seen.add(sentence_id)
+        check_new_id(sentence_id, row, seen)
         try:
             judgments.append(HumanJudgment(sentence_id, tuple(params)))
         except OutOfRangeScore as exc:  # HumanJudgment checks; only the row is added here

@@ -43,7 +43,6 @@ class MalformedRow(QEError):
         where = "header" if row is None else f"row {row}"
         super().__init__(f"malformed {where}" + (f": {detail}" if detail else ""))
         self.row = row
-        self.detail = detail
 
 
 class OutOfRangeScore(QEError, ValueError):
@@ -81,8 +80,6 @@ class LengthMismatch(QEError):
     def __init__(self, expected: int, got: int, detail: str = ""):
         msg = detail or f"sequences do not align: {expected} vs {got} items"
         super().__init__(msg)
-        self.expected = expected
-        self.got = got
 
 
 class MixedLabeling(QEError):
@@ -99,8 +96,6 @@ class VersionMismatch(QEError):
         super().__init__(
             f"model file has format version {found}, this build supports {supported}"
         )
-        self.found = found
-        self.supported = supported
 
 
 class CorruptModel(QEError):
@@ -108,4 +103,3 @@ class CorruptModel(QEError):
 
     def __init__(self, detail: str):
         super().__init__(f"corrupt model file: {detail}")
-        self.detail = detail

@@ -1,8 +1,10 @@
 """Comparison of human and classifier grades.
 
-Counts per-grade histograms, positional same-grade agreement, and the full
-4x4 confusion matrix.  Percentages are kept at full precision internally
-and rendered to two decimals with round-half-even.
+Human and predicted grades are tallied once, into the 4x4 confusion
+matrix; the per-grade histograms are its row and column sums and the
+positional same-grade agreement is its diagonal.  Percentages are kept at
+full precision internally and rendered to two decimals with
+round-half-even.
 """
 
 from __future__ import annotations
@@ -12,13 +14,6 @@ from fractions import Fraction
 
 from .errors import LengthMismatch
 from .grading import Grade
-
-
-@dataclass(frozen=True)
-class GradeHistogram:
-    """Per-grade counts; every grade has a key, zero when absent."""
-
-    counts: dict[Grade, int]
 
 
 @dataclass(frozen=True)
@@ -35,34 +30,20 @@ class ConfusionMatrix:
 
     cells: dict[tuple[Grade, Grade], int]
 
-    def human_histogram(self) -> GradeHistogram:
-        return GradeHistogram(
-            {g: sum(self.cells[(g, p)] for p in Grade) for g in Grade}
-        )
+    def human_histogram(self) -> dict[Grade, int]:
+        """Per-grade row sums: how often the human gave each grade."""
+        return {g: sum(self.cells[(g, p)] for p in Grade) for g in Grade}
 
-    def predicted_histogram(self) -> GradeHistogram:
-        return GradeHistogram(
-            {p: sum(self.cells[(g, p)] for g in Grade) for p in Grade}
-        )
+    def predicted_histogram(self) -> dict[Grade, int]:
+        """Per-grade column sums: how often the classifier gave each grade."""
+        return {p: sum(self.cells[(g, p)] for g in Grade) for p in Grade}
 
-
-def histogram(grades) -> GradeHistogram:
-    counts = {g: 0 for g in Grade}
-    for grade in grades:
-        counts[grade] += 1
-    return GradeHistogram(counts)
-
-
-def agreement(human, predicted) -> AgreementReport:
-    """Count positions where both sequences carry the identical grade."""
-    human = list(human)
-    predicted = list(predicted)
-    if len(human) != len(predicted):
-        raise LengthMismatch(len(human), len(predicted))
-    if not human:
-        raise ValueError("agreement needs at least one graded position")
-    same = sum(1 for h, p in zip(human, predicted) if h == p)
-    return AgreementReport(same, len(human))
+    def agreement(self) -> AgreementReport:
+        """The diagonal out of the matrix sum; ValueError when the matrix is empty."""
+        total = sum(self.cells.values())
+        if not total:
+            raise ValueError("agreement needs at least one graded position")
+        return AgreementReport(sum(self.cells[(g, g)] for g in Grade), total)
 
 
 def confusion(human, predicted) -> ConfusionMatrix:
@@ -72,9 +53,14 @@ def confusion(human, predicted) -> ConfusionMatrix:
     if len(human) != len(predicted):
         raise LengthMismatch(len(human), len(predicted))
     cells = {(h, p): 0 for h in Grade for p in Grade}
-    for h, p in zip(human, predicted):
-        cells[(h, p)] += 1
+    for pair in zip(human, predicted):
+        cells[pair] += 1
     return ConfusionMatrix(cells)
+
+
+def agreement(human, predicted) -> AgreementReport:
+    """Count positions where both sequences carry the identical grade."""
+    return confusion(human, predicted).agreement()
 
 
 def format_percentage(value) -> str:
@@ -92,14 +78,14 @@ def _report_percentage(report: AgreementReport) -> str:
 
 
 def render_report_csv(
-    human_hist: GradeHistogram,
-    predicted_hist: GradeHistogram,
+    human_hist: dict[Grade, int],
+    predicted_hist: dict[Grade, int],
     report: AgreementReport,
 ) -> str:
     lines = ["grade,human_count,predicted_count"]
     for grade in Grade:
         lines.append(
-            f"{grade.label},{human_hist.counts[grade]},{predicted_hist.counts[grade]}"
+            f"{grade.label},{human_hist[grade]},{predicted_hist[grade]}"
         )
     lines.append("same,total,percentage")
     lines.append(f"{report.same},{report.total},{_report_percentage(report)}")
@@ -113,8 +99,8 @@ def render_report_text(matrix: ConfusionMatrix, report: AgreementReport) -> str:
     lines = ["grade counts (human vs predicted)"]
     for grade in Grade:
         lines.append(
-            f"  {grade.label:<{width}}  human={human_hist.counts[grade]:<6d}"
-            f" predicted={predicted_hist.counts[grade]}"
+            f"  {grade.label:<{width}}  human={human_hist[grade]:<6d}"
+            f" predicted={predicted_hist[grade]}"
         )
     lines.append("")
     lines.append("confusion matrix (rows human, columns predicted)")

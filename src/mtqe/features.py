@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
-from .fileio import atomic_write_text, read_lines, split_row
+from .fileio import atomic_write_text, check_new_id, is_plain, read_lines, split_row
 from .grading import Grade
 from .lexicon import TranslationLexicon
 from .ngram import NgramModel, ngrams
@@ -116,6 +116,8 @@ _FORMATTERS = tuple(
     _format_int if i in _INT_INDEXES else _format_float for i in range(N_FEATURES)
 )
 _PARSERS = tuple(int if i in _INT_INDEXES else float for i in range(N_FEATURES))
+# The id cell and the integer feature cells of a row.
+_int_cells = itemgetter(0, *(1 + i for i in _INT_INDEXES))
 
 
 def write_features(rows, path) -> None:
@@ -144,8 +146,9 @@ def write_features(rows, path) -> None:
 def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     """Read a feature CSV written by :func:`write_features`.
 
-    A row of the wrong width, an unparseable cell or a non-finite value
-    raises MalformedRow with the row's 0-based index.
+    A row of the wrong width, an unparseable cell, a non-finite value or
+    an id seen on an earlier row raises MalformedRow with the row's
+    0-based index.
     """
     lines = read_lines(path)
     if not lines:
@@ -160,9 +163,14 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
         raise MalformedRow(None, f"unexpected feature header {lines[0]!r}")
     width = len(base) + (1 if labeled else 0)
     out: list[tuple[int, FeatureVector, Grade | None]] = []
+    seen = set()
     for row, line in enumerate(lines[1:]):
         cells = split_row(line, row, ",", width)
         try:
+            # The fileio number rule for every cell at once: a plain row,
+            # and no "+" (which int() takes) in the id or a count cell.
+            if not is_plain(line) or "+" in "".join(_int_cells(cells)):
+                raise ValueError("cells must be plain ASCII numbers")
             row_id = int(cells[0])
             values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
             grade = Grade.from_label(cells[1 + N_FEATURES]) if labeled else None
@@ -170,5 +178,6 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
             raise MalformedRow(row, str(exc)) from None
         if not all(map(math.isfinite, values)):
             raise MalformedRow(row, "non-finite feature value")
+        check_new_id(row_id, row, seen)
         out.append((row_id, FeatureVector(*values), grade))
     return out

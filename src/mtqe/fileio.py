@@ -2,9 +2,11 @@
 
 Every file is UTF-8 text split on LF alone.  Tabular files split a line
 into cells on one separator; model files open with a ``magic<TAB>version``
-signature followed by ``key<TAB>value`` header lines.  Outputs are written
-atomically and durably, so a failed run or a crash never leaves a partial
-file behind.
+signature followed by ``key<TAB>value`` header lines.  Every number read
+from a file is plain ASCII: an integer matches ``-?[0-9]+``, and a float
+cell has no whitespace and no ``_`` before ``float()`` reads it.  Outputs
+are written atomically and durably, so a failed run or a crash never
+leaves a partial file behind.
 """
 
 import os
@@ -34,12 +36,53 @@ def read_lines(path) -> list[str]:
     return lines
 
 
+def parse_int(text: str) -> int:
+    """``text`` as an integer if it matches ``-?[0-9]+``; ValueError otherwise.
+
+    ``int()`` alone also takes surrounding whitespace, ``_`` separators, a
+    ``+`` sign and non-ASCII digits, none of which a writer here emits.
+    """
+    if (text.isdigit() or text[:1] == "-" and text[1:].isdigit()) and text.isascii():
+        return int(text)
+    raise ValueError(f"invalid integer {text!r}")
+
+
+def parse_ints(cells) -> list[int]:
+    """:func:`parse_int` of every cell, with one check over all of them.
+
+    On cells of ASCII digits and ``-`` alone, ``int()`` takes just
+    ``-?[0-9]+``: it raises on a ``-`` out of place or on its own.
+    """
+    digits = "".join(cells).replace("-", "")
+    if digits.isdigit() and digits.isascii():
+        return [int(cell) for cell in cells]
+    raise ValueError("invalid integer in " + ", ".join(map(repr, cells)))
+
+
+def is_plain(text: str) -> bool:
+    """True when ``text`` is ASCII with no whitespace and no ``_``.
+
+    A float cell must be plain before ``float()`` or ``float.fromhex()``
+    reads it, since both take surrounding whitespace and ``float()`` also
+    takes ``_`` separators and non-ASCII digits.  On plain text, ``int()``
+    differs from :func:`parse_int` only in taking a ``+`` sign.
+    """
+    return text.isascii() and text.isprintable() and " " not in text and "_" not in text
+
+
 def split_row(line: str, row: int, sep: str, width: int) -> list[str]:
     """Split data row ``row`` (0-based) into exactly ``width`` cells."""
     cells = line.split(sep)
     if len(cells) != width:
         raise MalformedRow(row, f"expected {width} cells, got {len(cells)}")
     return cells
+
+
+def check_new_id(row_id: int, row: int, seen: set) -> None:
+    """Add ``row_id`` to ``seen``; MalformedRow when an earlier row had it."""
+    if row_id in seen:
+        raise MalformedRow(row, f"duplicate id {row_id}")
+    seen.add(row_id)
 
 
 def read_model_lines(path, magic: str, version: int) -> list[str]:
@@ -55,7 +98,7 @@ def read_model_lines(path, magic: str, version: int) -> list[str]:
     if len(first) != 2 or first[0] != magic:
         raise CorruptModel("missing model signature")
     try:
-        found = int(first[1])
+        found = parse_int(first[1])
     except ValueError:
         raise CorruptModel("non-integer format version") from None
     if found > version:
@@ -76,7 +119,7 @@ def header_value(lines, index: int, key: str) -> str:
 def header_int(lines, index: int, key: str) -> int:
     """:func:`header_value` parsed as an integer."""
     try:
-        return int(header_value(lines, index, key))
+        return parse_int(header_value(lines, index, key))
     except ValueError:
         raise CorruptModel(f"non-integer value in header line '{key}'") from None
 

@@ -13,7 +13,7 @@ from itertools import repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
-from .fileio import atomic_write_text, read_lines, split_row
+from .fileio import atomic_write_text, is_plain, read_lines, split_row
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -120,6 +120,8 @@ def load_lexicon(path) -> TranslationLexicon:
             continue
         source, target, text = split_row(line, row, "\t", 3)
         try:
+            if not is_plain(text):
+                raise ValueError
             score = float(text)
         except ValueError:
             raise MalformedRow(row, f"bad score {text!r}") from None

@@ -9,7 +9,6 @@ are strictly positive and sum to one for every context.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import Counter
 from itertools import islice
@@ -25,14 +24,6 @@ _MAGIC = "mtqe-ngram-lm"
 _FORMAT_VERSION = 1
 
 
-class FreqClass(enum.Enum):
-    """Corpus-frequency band of an n-gram relative to the type quartiles."""
-
-    LOW = "Low"
-    MID = "Mid"
-    HIGH = "High"
-
-
 def ngrams(tokens, n: int) -> list[tuple[str, ...]]:
     """All contiguous length-n windows of a token sequence, as tuples."""
     tokens = tuple(tokens)
@@ -46,58 +37,54 @@ def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
 
 
 class NgramModel:
-    """Counts, vocabulary, and type-frequency quartiles for orders 1..order.
+    """Counts for orders 1..order and the facts the queries read, derived from them.
 
-    Immutable after training; every query is pure, so concurrent readers
-    are safe.
+    Immutable after construction; every query is pure, so concurrent
+    readers are safe.
     """
 
-    def __init__(self, order, counts, quartiles):
+    def __init__(self, order, counts):
         self.order = order
         self.counts = counts  # {gram tuple: occurrences}
-        # {context tuple: number of counted grams extending it}; this equals
-        # sum_w counts[ctx + (w,)], which is what exact Laplace
-        # normalization requires (a context ending a padded sentence occurs
-        # but never continues, so its raw count would overstate the total).
+        # One pass over the counts derives the rest.  context_totals maps each
+        # full-order context to sum_w counts[ctx + (w,)], which is what exact
+        # Laplace normalization requires (a context ending a padded sentence
+        # occurs but never continues, so its raw count would overstate the
+        # total).  frequencies[n] holds the count of every length-n type.
         context_totals: dict[tuple[str, ...], int] = {}
         get = context_totals.get
+        frequencies: list[list[int]] = [[] for _ in range(order + 1)]
+        append = [values.append for values in frequencies]
+        words = [UNK, BOS, END]
         for gram, count in counts.items():
-            context = gram[:-1]
-            context_totals[context] = get(context, 0) + count
+            n = len(gram)
+            append[n](count)
+            if n == order:
+                context = gram[:-1]
+                context_totals[context] = get(context, 0) + count
+            if n == 1:
+                words.append(gram[0])
         self.context_totals = context_totals
         # The observed unigram types plus the reserved markers.
-        self.vocab = frozenset(gram[0] for gram in counts if len(gram) == 1) | {UNK, BOS, END}
-        self.quartiles = quartiles  # {n: (q1, q3)}
-
-    def cond_prob(self, word: str, context=()) -> float:
-        """Add-one estimate of P(word | context).
-
-        ``context`` may be any length up to order - 1; tokens outside the
-        vocabulary (in the word or the context) are mapped to UNK.  The
-        result is strictly inside (0, 1).
-        """
-        context = tuple(context)
-        if len(context) > self.order - 1:
-            raise ValueError(
-                f"context length {len(context)} exceeds order-1 = {self.order - 1}"
-            )
-        if word not in self.vocab:
-            word = UNK
-        context = tuple(t if t in self.vocab else UNK for t in context)
-        numerator = self.counts.get(context + (word,), 0) + 1
-        denominator = self.context_totals.get(context, 0) + len(self.vocab)
-        return numerator / denominator
+        self.vocab = frozenset(words)
+        # {n: (q1, q3)}, the nearest-rank quartiles of the length-n type
+        # frequencies, for every order that has a gram.
+        self.quartiles = {
+            n: (_nearest_rank(values, 25), _nearest_rank(values, 75))
+            for n, values in enumerate(map(sorted, frequencies))
+            if values
+        }
 
     def sentence_log_prob(self, tokens) -> float:
         """Mean natural-log probability per scored position (always <= 0).
 
-        Pads the sentence, sums ln cond_prob at the model's full order in
-        position order, and divides by the number of scored positions (token
-        count + 1, the end marker included).  An empty sentence scores the
-        end marker alone.
+        Pads the sentence (tokens outside the vocabulary become UNK), sums
+        the natural log of the add-one estimate P(word | context) over its
+        full-order windows in position order, and divides by the number of
+        scored positions (token count + 1, the end marker included).  An
+        empty sentence scores the end marker alone.
         """
-        # cond_prob's arithmetic, with OOV tokens mapped once per sentence:
-        # each full-order window of the padded sentence is context + word.
+        # Each full-order window of the padded sentence is context + word.
         vocab = self.vocab
         padded = [BOS] * (self.order - 1)
         padded += [t if t in vocab else UNK for t in tokens]
@@ -113,29 +100,12 @@ class NgramModel:
             total += log(numerator / denominator)
         return total / (len(padded) - self.order + 1)
 
-    def freq_class(self, gram) -> FreqClass:
-        """Low/Mid/High band of a gram's corpus frequency.
-
-        Low means frequency <= Q1 of the distinct-type frequencies at that
-        order (unseen grams are Low); High means frequency > Q3; the bands
-        are mutually exclusive by construction.
-        """
-        gram = tuple(gram)
-        if not 1 <= len(gram) <= self.order:
-            raise ValueError(f"gram length must be in 1..{self.order}, got {len(gram)}")
-        q1, q3 = self.quartiles[len(gram)]
-        frequency = self.counts.get(gram, 0)
-        if frequency <= q1:
-            return FreqClass.LOW
-        if frequency > q3:
-            return FreqClass.HIGH
-        return FreqClass.MID
-
     def band_counts(self, tokens, n: int) -> tuple[int, int]:
         """How many length-n windows of ``tokens`` are Low and how many High.
 
-        The same tallies as :meth:`freq_class` over ``ngrams(tokens, n)``,
-        made in one pass without building a FreqClass per gram.
+        Low means corpus frequency <= Q1 of the distinct-type frequencies at
+        that order (unseen grams are Low); High means frequency > Q3.  Q1 <=
+        Q3, so the bands are disjoint, and a gram in neither is Mid.
         """
         if not 1 <= n <= self.order:
             raise ValueError(f"gram length must be in 1..{self.order}, got {n}")
@@ -179,7 +149,7 @@ class NgramModel:
 
 
 def train_lm(sentences, order: int = 3) -> NgramModel:
-    """Count all 1..order grams over padded sentences and fix the quartiles.
+    """Count all 1..order grams over padded sentences.
 
     Args:
         sentences: sequence of token sequences for one corpus side.
@@ -198,15 +168,7 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
         padded = [BOS] * (order - 1) + sentence + [END]
         for n in range(1, order + 1):
             counts.update(ngrams(padded, n))
-    # frequencies[n]: the count of every distinct length-n gram.
-    frequencies: list[list[int]] = [[] for _ in range(order + 1)]
-    for gram, count in counts.items():
-        frequencies[len(gram)].append(count)
-    quartiles = {}
-    for n in range(1, order + 1):
-        values = sorted(frequencies[n])
-        quartiles[n] = (_nearest_rank(values, 25), _nearest_rank(values, 75))
-    return NgramModel(order, dict(counts), quartiles)
+    return NgramModel(order, dict(counts))
 
 
 def load_lm(path) -> NgramModel:
@@ -214,38 +176,33 @@ def load_lm(path) -> NgramModel:
 
     Queries on the loaded model are bit-identical to the original.  Raises
     VersionMismatch for files written by a newer format and CorruptModel
-    for truncated or malformed files, a gram listed twice included.
+    for truncated or malformed files, a gram listed twice included, and
+    for a ``vocab_size`` or quartile header line the counts do not give.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
     order = header_int(lines, 1, "order")
     if order < 1:
         raise CorruptModel(f"order must be >= 1, got {order}")
-    vocab_size = header_int(lines, 2, "vocab_size")
-    quartiles = {}
-    index = 3
-    for n in range(1, order + 1):
-        q1 = header_int(lines, index, f"q1_{n}")
-        q3 = header_int(lines, index + 1, f"q3_{n}")
-        quartiles[n] = (q1, q3)
-        index += 2
+    keys = ["vocab_size"] + [f"q{q}_{n}" for n in range(1, order + 1) for q in (1, 3)]
+    header = {key: header_int(lines, index, key) for index, key in enumerate(keys, start=2)}
+    index = 2 + len(keys)
     n_grams = header_int(lines, index, "ngrams")
     if n_grams < 0:
         raise CorruptModel(f"ngrams must be >= 0, got {n_grams}")
     index += 1
     counts = {}
     for line in islice(lines, index, index + n_grams):
-        cells = line.split("\t")
-        if len(cells) != 2:
-            raise CorruptModel(f"bad n-gram line {line!r}")
-        gram = tuple(cells[0].split(" "))
-        if not 1 <= len(gram) <= order or "" in gram:
-            raise CorruptModel(f"bad n-gram {cells[0]!r}")
         try:
-            count = int(cells[1])
+            gram_text, text = line.split("\t")
         except ValueError:
-            raise CorruptModel(f"non-integer count in {line!r}") from None
+            raise CorruptModel(f"bad n-gram line {line!r}") from None
+        gram = tuple(gram_text.split(" "))
+        if not 1 <= len(gram) <= order or "" in gram:
+            raise CorruptModel(f"bad n-gram {gram_text!r}")
+        # fileio.parse_int's rule for a count, inline, since it runs per gram.
+        count = int(text) if text.isdigit() and text.isascii() else 0
         if count < 1:
-            raise CorruptModel(f"count must be >= 1 in {line!r}")
+            raise CorruptModel(f"count must be a positive integer in {line!r}")
         counts[gram] = count
     if len(lines) < index + n_grams:
         raise CorruptModel("n-gram section truncated")
@@ -260,9 +217,11 @@ def load_lm(path) -> NgramModel:
     index += n_grams
     if index >= len(lines) or lines[index] != "end":
         raise CorruptModel("missing end marker")
-    model = NgramModel(order, counts, quartiles)
-    if len(model.vocab) != vocab_size:
-        raise CorruptModel(
-            f"vocab_size header says {vocab_size}, file contains {len(model.vocab)} types"
-        )
+    model = NgramModel(order, counts)
+    if len(model.quartiles) < order:
+        raise CorruptModel(f"some n-gram length in 1..{order} has no gram")
+    derived = [len(model.vocab)] + [q for n in range(1, order + 1) for q in model.quartiles[n]]
+    for (key, value), expected in zip(header.items(), derived):
+        if value != expected:
+            raise CorruptModel(f"header line '{key}' says {value}, the counts give {expected}")
     return model

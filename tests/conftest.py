@@ -6,7 +6,7 @@ import pytest
 from mtqe.cli import main as cli_main
 from mtqe.corpus import ParallelCorpus, SentencePair
 from mtqe.lexicon import TranslationLexicon
-from mtqe.ngram import BOS, END, NgramModel, _nearest_rank
+from mtqe.ngram import BOS, END, UNK, NgramModel
 
 EN_WORDS = [
     "the", "a", "boy", "girl", "house", "river", "runs", "walks", "sees",
@@ -52,26 +52,53 @@ def reference_counts(sentences, order):
 
 
 def reference_quartiles(counts, order):
-    """Nearest-rank Q1 and Q3 of each order's type frequencies, one pass per order."""
+    """Nearest-rank Q1 and Q3 of each order's type frequencies, one pass per order.
+
+    The p-th percentile of N sorted values is the one at 1-based rank
+    ceil(p * N / 100), here in integer arithmetic.
+    """
     quartiles = {}
     for n in range(1, order + 1):
         frequencies = sorted(c for gram, c in counts.items() if len(gram) == n)
-        quartiles[n] = (_nearest_rank(frequencies, 25), _nearest_rank(frequencies, 75))
+        ranks = (max(1, -(-p * len(frequencies) // 100)) for p in (25, 75))
+        quartiles[n] = tuple(frequencies[rank - 1] for rank in ranks)
     return quartiles
 
 
-def reference_context_totals(counts):
-    """sum_w counts[ctx + (w,)] for every context, summed in a Counter."""
+def reference_context_totals(counts, order):
+    """sum_w counts[ctx + (w,)] for every full-order context, summed in a Counter."""
     totals = Counter()
     for gram, count in counts.items():
-        totals[gram[:-1]] += count
+        if len(gram) == order:
+            totals[gram[:-1]] += count
     return dict(totals)
 
 
 def reference_lm(sentences, order):
-    """An NgramModel built from the reference counts and quartiles."""
+    """An NgramModel of the reference counts that carries the reference quartiles."""
     counts = reference_counts(sentences, order)
-    return NgramModel(order, counts, reference_quartiles(counts, order))
+    model = NgramModel(order, counts)
+    model.quartiles = reference_quartiles(counts, order)
+    return model
+
+
+def reference_cond_prob(model, word, context=()):
+    """Add-one P(word | context), its total summed from ``model.counts``.
+
+    Tokens outside the vocabulary map to UNK, in the word and the context.
+    """
+    vocab = model.vocab
+    context = tuple(t if t in vocab else UNK for t in context)
+    word = word if word in vocab else UNK
+    total = sum(model.counts.get(context + (w,), 0) for w in vocab)
+    return (model.counts.get(context + (word,), 0) + 1) / (total + len(vocab))
+
+
+def reference_band_counts(model, tokens, n):
+    """Low (<= Q1) and High (> Q3) tallies, applied gram by gram."""
+    q1, q3 = model.quartiles[n]
+    frequencies = [model.counts.get(gram, 0) for gram in index_windows(tokens, n)]
+    return sum(f <= q1 for f in frequencies), sum(f > q3 for f in frequencies)
 
 
 def brute_force_lexicon(corpus, threshold):

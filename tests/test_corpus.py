@@ -116,7 +116,7 @@ class TestLoadParallel:
         (tmp_path / "s.txt").write_text("", encoding="utf-8")
         (tmp_path / "t.txt").write_text("", encoding="utf-8")
         corpus = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert len(corpus) == 0
+        assert corpus.pairs == ()
 
     def test_invalid_encoding_reports_line(self, tmp_path):
         (tmp_path / "s.txt").write_bytes(b"fine\ncaf\xe9\n")

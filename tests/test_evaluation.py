@@ -9,7 +9,6 @@ from mtqe.evaluation import (
     agreement,
     confusion,
     format_percentage,
-    histogram,
     render_report_csv,
     render_report_text,
 )
@@ -38,25 +37,44 @@ def _expand(column):
     return grades
 
 
+def _tally(grades):
+    """Per-grade counts, every grade present: the reference histogram."""
+    return {g: grades.count(g) for g in Grade}
+
+
+def _histograms(human, predicted):
+    """Both histograms of the report CSV, read off the confusion matrix."""
+    matrix = confusion(human, predicted)
+    return matrix.human_histogram(), matrix.predicted_histogram()
+
+
 class TestHistogram:
+    """The confusion matrix's row and column sums are the grade histograms."""
+
     def test_transcribed_columns_total_1300(self):
         for column in list(CLASSIFIER_COLUMNS.values()) + list(HUMAN_COLUMNS.values()):
-            hist = histogram(_expand(column))
-            assert sum(hist.counts.values()) == 1300
-            for grade in Grade:
-                assert hist.counts[grade] == column[grade]
+            grades = _expand(column)
+            for hist in _histograms(grades, grades[::-1]):
+                assert sum(hist.values()) == 1300
+                for grade in Grade:
+                    assert hist[grade] == column[grade]
 
     def test_empty_input(self):
-        hist = histogram([])
-        assert sum(hist.counts.values()) == 0
-        assert all(count == 0 for count in hist.counts.values())
+        for hist in _histograms([], []):
+            assert sum(hist.values()) == 0
+            assert all(count == 0 for count in hist.values())
 
     @given(_grades, _grades)
     def test_additivity(self, first, second):
-        combined = histogram(first + second)
-        a, b = histogram(first), histogram(second)
+        combined = confusion(first + second, second + first)
+        a, b = confusion(first, first), confusion(second, second)
         for grade in Grade:
-            assert combined.counts[grade] == a.counts[grade] + b.counts[grade]
+            assert combined.human_histogram()[grade] == (
+                a.human_histogram()[grade] + b.human_histogram()[grade]
+            )
+            assert combined.predicted_histogram()[grade] == (
+                a.predicted_histogram()[grade] + b.predicted_histogram()[grade]
+            )
 
 
 class TestAgreement:
@@ -72,7 +90,7 @@ class TestAgreement:
             predicted = [Grade.POOR] * same + [Grade.GOOD] * (1300 - same)
             report = agreement(human, predicted)
             assert report.same == same
-            footer = render_report_csv(histogram(human), histogram(predicted), report)
+            footer = render_report_csv(*_histograms(human, predicted), report)
             assert footer.splitlines()[-1] == f"{same},1300,{expected}"
 
     def test_rounds_half_even_not_truncated(self):
@@ -80,7 +98,7 @@ class TestAgreement:
         human = [Grade.POOR] * 1300
         predicted = [Grade.POOR] * 771 + [Grade.GOOD] * 529
         report = agreement(human, predicted)
-        footer = render_report_csv(histogram(human), histogram(predicted), report)
+        footer = render_report_csv(*_histograms(human, predicted), report)
         assert footer.splitlines()[-1] == "771,1300,59.31"
         assert format_percentage(100.0 * 771 / 1300) == "59.31"
 
@@ -92,7 +110,7 @@ class TestAgreement:
         predicted = [Grade.POOR] * same + [Grade.GOOD] * (total - same)
         report = agreement(human, predicted)
         matrix = confusion(human, predicted)
-        footer = render_report_csv(histogram(human), histogram(predicted), report)
+        footer = render_report_csv(*_histograms(human, predicted), report)
         assert footer.splitlines()[-1] == f"{same},{total},{expected}"
         assert f"({expected}%)" in render_report_text(matrix, report)
         assert format_percentage(Fraction(100 * same, total)) == expected
@@ -137,10 +155,11 @@ class TestConfusion:
         report = agreement(a, b)
         diagonal = sum(matrix.cells[(g, g)] for g in Grade)
         total = sum(matrix.cells.values())
-        assert diagonal == report.same
-        assert total == report.total
-        assert matrix.human_histogram().counts == histogram(a).counts
-        assert matrix.predicted_histogram().counts == histogram(b).counts
+        assert diagonal == report.same == sum(1 for h, p in zip(a, b) if h == p)
+        assert total == report.total == n
+        assert matrix.agreement() == report
+        assert matrix.human_histogram() == _tally(a)
+        assert matrix.predicted_histogram() == _tally(b)
         percentage = format_percentage(Fraction(100 * diagonal, total))
         assert render_report_text(matrix, report).endswith(
             f"agreement: {diagonal} of {total} ({percentage}%)\n"
@@ -155,7 +174,7 @@ class TestReportRendering:
     def test_csv_layout(self):
         human = [Grade.POOR, Grade.GOOD, Grade.GOOD]
         predicted = [Grade.POOR, Grade.GOOD, Grade.AVERAGE]
-        text = render_report_csv(histogram(human), histogram(predicted), agreement(human, predicted))
+        text = render_report_csv(_tally(human), _tally(predicted), agreement(human, predicted))
         lines = text.splitlines()
         assert lines[0] == "grade,human_count,predicted_count"
         assert lines[1] == "Poor,1,1"

@@ -1,16 +1,19 @@
 """One file codec, one contract: every reader reports bad input the same way."""
 
 import os
+import re
 import stat
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtqe.bayes import load_model
 from mtqe.cli import _read_grade_file
 from mtqe.corpus import load_judgments, load_parallel
 from mtqe.errors import CorruptModel, InvalidEncoding, MalformedRow
 from mtqe.features import read_features
-from mtqe.fileio import atomic_write_text, read_lines
+from mtqe.fileio import atomic_write_text, parse_int, parse_ints, read_lines
 from mtqe.lexicon import load_lexicon
 from mtqe.ngram import load_lm
 
@@ -168,6 +171,122 @@ def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys):
     assert run_cli(*_extract(artifacts, tmp_path / "out", src_lm=bad)) == 2
     assert f"corrupt model file: duplicate n-gram {gram!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@given(st.text(alphabet="-+_ 0123456789٣²\t", max_size=6))
+def test_parse_int_takes_exactly_the_integer_grammar(text):
+    if re.fullmatch(r"-?[0-9]+", text):
+        assert parse_int(text) == int(text)
+        assert parse_ints(["-1", text, "0"]) == [-1, int(text), 0]
+    else:
+        with pytest.raises(ValueError):
+            parse_int(text)
+        with pytest.raises(ValueError):
+            parse_ints(["-1", text, "0"])
+
+
+# Forms int() and float() read as the number they spell but no writer
+# emits: surrounding whitespace, a "_" separator and a non-ASCII digit
+# (like " 24", "2_4" and "٣").
+LENIENT = {
+    " 24": lambda cell: f" {cell} ",
+    "2_4": lambda cell: f"0_{cell}",
+    "٣": lambda cell: cell[:-1] + chr(ord("٠") + int(cell[-1])),
+}
+
+# case: (reader, line index, cell separator, cell index, location in the message)
+NUMERIC_CELLS = {
+    "judgment id": ("judgments", 1, "\t", 0, "row 0"),
+    "judgment score": ("judgments", 1, "\t", 1, "row 0"),
+    "feature id": ("features", 1, ",", 0, "row 0"),
+    "feature count": ("features", 1, ",", 1, "row 0"),
+    "feature value": ("features", 1, ",", 3, "row 0"),
+    "lexicon score": ("lexicon", 0, "\t", 2, "row 0"),
+    "grade id": ("grades", 1, ",", 0, "row 0"),
+    "lm version": ("lm", 0, "\t", 1, "format version"),
+    "lm header": ("lm", 1, "\t", 1, "'order'"),
+    "lm count": ("lm", 10, "\t", 1, "count"),
+    "model version": ("model", 0, "\t", 1, "format version"),
+    "model header": ("model", 2, "\t", 1, "'classes'"),
+    "model float": ("model", 1, "\t", 1, "'variance_floor'"),
+}
+
+
+FLOAT_CELLS = {"feature value", "lexicon score", "model float"}
+
+
+@pytest.mark.parametrize(
+    "case, form",
+    [(case, form) for case in sorted(NUMERIC_CELLS) for form in sorted(LENIENT)]
+    # int() also takes a "+" sign; an integer matches -?[0-9]+.
+    + [(case, "+24") for case in sorted(NUMERIC_CELLS.keys() - FLOAT_CELLS)],
+)
+def test_lenient_number_is_located(case, form, artifacts, tmp_path, capsys):
+    name, index, sep, position, where = NUMERIC_CELLS[case]
+    artifact, read, argv, _ = READERS[name]
+    bad = tmp_path / f"lenient-{artifacts[artifact].name}"
+    edit = LENIENT.get(form, lambda cell: f"+{cell}")
+
+    def change(line):
+        cells = line.decode("utf-8").split(sep)
+        cells[position] = edit(cells[position])
+        return sep.join(cells).encode("utf-8")
+
+    _rewrite_line(artifacts[artifact], bad, index, change)
+    with pytest.raises((MalformedRow, CorruptModel)) as info:
+        read(bad, artifacts)
+    assert where in str(info.value)
+    capsys.readouterr()
+    assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("space", ["\v", "\f", "\r"], ids=repr)
+def test_hex_float_with_trailing_whitespace_is_corrupt(space, artifacts, tmp_path):
+    # float.fromhex() takes surrounding ASCII whitespace; the means line
+    # splits on spaces, so only the other whitespace characters reach it.
+    bad = tmp_path / "spaced.model"
+    _rewrite_line(artifacts["model"], bad, 5, lambda line: line + space.encode())
+    with pytest.raises(CorruptModel, match="bad float in 'means' line"):
+        load_model(bad)
+
+
+def _repeat_first_id(source, target):
+    # Data row 1 takes row 0's id, so the ids read 0, 0, 2, ...
+    lines = read_lines(source)
+    cells = lines[2].split(",")
+    cells[0] = lines[1].split(",")[0]
+    lines[2] = ",".join(cells)
+    target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return target
+
+
+@pytest.mark.parametrize("name", ["features", "grades"])
+def test_repeated_id_is_located(name, artifacts, tmp_path, capsys):
+    artifact, read, argv, _ = READERS[name]
+    bad = _repeat_first_id(artifacts[artifact], tmp_path / f"repeated-{artifacts[artifact].name}")
+    with pytest.raises(MalformedRow) as info:
+        read(bad, artifacts)
+    assert info.value.row == 1
+    assert "duplicate id 0" in str(info.value)
+    capsys.readouterr()
+    assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
+    assert "malformed row 1: duplicate id 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_rejects_ids_repeated_in_both_files(artifacts, tmp_path, capsys):
+    # Both files list the same ids, so only the repetition is wrong.
+    human = _repeat_first_id(artifacts["features"], tmp_path / "human.csv")
+    predicted = _repeat_first_id(artifacts["predictions"], tmp_path / "predicted.csv")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--human", human, "--predicted", predicted,
+                   "--out", tmp_path / "report.csv") == 2
+    captured = capsys.readouterr()
+    assert "malformed row 1: duplicate id 0" in captured.err
+    assert "agreement" not in captured.out
+    assert not (tmp_path / "report.csv").exists()
 
 
 def _mode(path):

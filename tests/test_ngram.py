@@ -1,16 +1,18 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtqe.errors import CorruptModel, EmptyCorpus, VersionMismatch
+from mtqe.fileio import read_lines
 from mtqe.ngram import (
     BOS,
     END,
     UNK,
-    FreqClass,
     _nearest_rank,
     load_lm,
     ngrams,
@@ -19,6 +21,8 @@ from mtqe.ngram import (
 
 from conftest import (
     index_windows,
+    reference_band_counts,
+    reference_cond_prob,
     reference_context_totals,
     reference_counts,
     reference_quartiles,
@@ -34,19 +38,14 @@ _queries = st.lists(st.sampled_from(["a", "b", "c", "z", BOS, END, UNK]), max_si
 
 
 def _reference_sentence_log_prob(model, sentence):
-    """ln cond_prob summed in position order over the padded sentence."""
+    """ln reference_cond_prob summed in position order over the padded sentence."""
     padded = [BOS] * (model.order - 1) + list(sentence) + [END]
     total = 0.0
     positions = 0
     for i in range(model.order - 1, len(padded)):
-        total += math.log(model.cond_prob(padded[i], padded[i - model.order + 1 : i]))
+        total += math.log(reference_cond_prob(model, padded[i], padded[i - model.order + 1 : i]))
         positions += 1
     return total / positions
-
-
-def _reference_band_counts(model, sentence, n):
-    bands = [model.freq_class(gram) for gram in index_windows(sentence, n)]
-    return bands.count(FreqClass.LOW), bands.count(FreqClass.HIGH)
 
 
 class TestTraining:
@@ -67,8 +66,8 @@ class TestTraining:
         model = train_lm([["x", "y"]], order=1)
         q1, q3 = model.quartiles[1]
         assert q1 == q3 == 1
-        assert model.freq_class(("x",)) is FreqClass.LOW
-        assert model.freq_class(("y",)) is not FreqClass.HIGH
+        assert model.band_counts(["x"], 1) == (1, 0)  # Low
+        assert model.band_counts(["y"], 1)[1] == 0  # not High
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -89,7 +88,7 @@ class TestTraining:
     @given(_sentences, st.integers(min_value=1, max_value=4))
     def test_context_totals_equal_counter_reference(self, sentences, order):
         model = train_lm(sentences, order)
-        assert model.context_totals == reference_context_totals(model.counts)
+        assert model.context_totals == reference_context_totals(model.counts, order)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -100,21 +99,16 @@ class TestCondProb:
     def test_laplace_estimate(self):
         model = train_lm([["a", "b"], ["a", "c"]], order=1)
         assert len(model.vocab) == 6
-        assert model.cond_prob("a") == (2 + 1) / (6 + 6)
+        assert reference_cond_prob(model, "a") == (2 + 1) / (6 + 6)
 
     def test_unseen_word_maps_to_unk(self):
         model = train_lm([["a", "b"], ["a", "c"]], order=1)
-        assert model.cond_prob("z") == (0 + 1) / (6 + 6)
-        assert model.cond_prob("z") == model.cond_prob(UNK)
+        assert reference_cond_prob(model, "z") == (0 + 1) / (6 + 6)
+        assert reference_cond_prob(model, "z") == reference_cond_prob(model, UNK)
 
     def test_normalizes_over_vocab(self):
         model = train_lm([["a", "b"], ["a", "c"]], order=1)
-        assert sum(model.cond_prob(w) for w in model.vocab) == pytest.approx(1.0, abs=1e-9)
-
-    def test_context_too_long(self):
-        model = train_lm([["a", "b"]], order=2)
-        with pytest.raises(ValueError):
-            model.cond_prob("a", ("a", "b"))
+        assert sum(reference_cond_prob(model, w) for w in model.vocab) == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=60)
     @given(_sentences, st.integers(min_value=1, max_value=3))
@@ -122,13 +116,13 @@ class TestCondProb:
         model = train_lm(sentences, order)
         contexts = {()} | {g for g in model.counts if len(g) < order}
         for context in contexts:
-            total = sum(model.cond_prob(w, context) for w in model.vocab)
+            total = sum(reference_cond_prob(model, w, context) for w in model.vocab)
             assert abs(total - 1.0) <= 1e-9
 
     def test_monotone_in_event_count(self):
         base = [["a", "b"], ["a", "c"], ["b", "c"]]
-        before = train_lm(base, 2).cond_prob("b", ("a",))
-        after = train_lm(base + [["a", "b"]], 2).cond_prob("b", ("a",))
+        before = reference_cond_prob(train_lm(base, 2), "b", ("a",))
+        after = reference_cond_prob(train_lm(base + [["a", "b"]], 2), "b", ("a",))
         assert after >= before
 
 
@@ -136,8 +130,9 @@ class TestSentenceLogProb:
     def test_constant_chain_equals_log_p(self):
         # One one-token sentence: P(a) = P(END) = 2/6, so the mean is ln(1/3).
         model = train_lm([["a"]], order=1)
-        assert model.cond_prob("a") == model.cond_prob(END) == pytest.approx(1 / 3)
-        assert model.sentence_log_prob(["a"]) == math.log(model.cond_prob("a"))
+        p = reference_cond_prob(model, "a")
+        assert p == reference_cond_prob(model, END) == pytest.approx(1 / 3)
+        assert model.sentence_log_prob(["a"]) == math.log(p)
 
     def test_matches_explicit_chain_rule_product(self):
         rng = random.Random(3)
@@ -149,7 +144,7 @@ class TestSentenceLogProb:
             product = 1.0
             positions = 0
             for i in range(2, len(padded)):
-                product *= model.cond_prob(padded[i], tuple(padded[i - 2 : i]))
+                product *= reference_cond_prob(model, padded[i], tuple(padded[i - 2 : i]))
                 positions += 1
             oracle = math.log(product) / positions
             assert model.sentence_log_prob(sentence) == pytest.approx(oracle, abs=1e-12)
@@ -170,7 +165,7 @@ class TestSentenceLogProb:
 
     def test_empty_sentence_scores_end_alone(self):
         model = train_lm([["a", "b"]], order=3)
-        expected = math.log(model.cond_prob(END, (BOS, BOS)))
+        expected = math.log(reference_cond_prob(model, END, (BOS, BOS)))
         assert model.sentence_log_prob([]) == expected
 
 
@@ -178,33 +173,30 @@ class TestFreqClass:
     def test_nearest_rank_quartiles(self):
         assert _nearest_rank([1, 2, 4, 8], 25) == 1
         assert _nearest_rank([1, 2, 4, 8], 75) == 4
+        # Ranks ceil(1.25) = 2 and ceil(3.75) = 4, not 1 and 3.
+        assert _nearest_rank([1, 2, 3, 4, 5], 25) == 2
+        assert _nearest_rank([1, 2, 3, 4, 5], 75) == 4
 
     def test_bands_on_skewed_counts(self):
         # Type frequencies {a:8, b:4, c:2, END:1} give Q1=1 and Q3=4.
         model = train_lm([["a"] * 8 + ["b"] * 4 + ["c"] * 2], order=1)
+        # band_counts of one token: (1, 0) is Low, (0, 1) High, (0, 0) Mid.
         assert model.quartiles[1] == (1, 4)
-        assert model.freq_class(("a",)) is FreqClass.HIGH
-        assert model.freq_class(("b",)) is FreqClass.MID
-        assert model.freq_class(("c",)) is FreqClass.MID
-        assert model.freq_class((END,)) is FreqClass.LOW
+        assert model.band_counts(["a"], 1) == (0, 1)
+        assert model.band_counts(["b"], 1) == (0, 0)
+        assert model.band_counts(["c"], 1) == (0, 0)
+        assert model.band_counts([END], 1) == (1, 0)
 
     def test_unseen_gram_is_low(self):
         model = train_lm([["a", "b"]], order=2)
-        assert model.freq_class(("z", "q")) is FreqClass.LOW
-
-    def test_gram_length_bounds(self):
-        model = train_lm([["a", "b"]], order=2)
-        with pytest.raises(ValueError):
-            model.freq_class(())
-        with pytest.raises(ValueError):
-            model.freq_class(("a", "b", "c"))
+        assert model.band_counts(["z", "q"], 2) == (1, 0)
 
     @settings(max_examples=60)
     @given(_sentences, _queries)
     def test_band_counts_equal_freq_class_tallies(self, corpus, sentence):
         model = train_lm(corpus, 3)
         for n in (1, 2, 3):
-            expected = _reference_band_counts(model, sentence, n)
+            expected = reference_band_counts(model, sentence, n)
             assert model.band_counts(sentence, n) == expected
             assert model.band_counts(tuple(sentence), n) == expected
 
@@ -304,7 +296,57 @@ class TestPersistence:
         with pytest.raises(CorruptModel, match="ngrams must be >= 0"):
             load_lm(tmp_path / "neg.lm")
 
+    def test_order_without_grams_is_corrupt(self, tmp_path):
+        # The quartile lines of an order with no gram follow from nothing.
+        model = self._random_model()
+        path = tmp_path / "m.lm"
+        model.save(path)
+        lines = read_lines(path)
+        header = next(i for i, line in enumerate(lines) if line.startswith("ngrams\t"))
+        kept = [line for line in lines[header + 1 : -1] if line.count(" ") < 2]
+        lines[header:] = [f"ngrams\t{len(kept)}", *kept, "end"]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel, match="has no gram"):
+            load_lm(path)
+
     def test_garbage_file(self, tmp_path):
         (tmp_path / "x.lm").write_text("not a model\n", encoding="utf-8")
         with pytest.raises(CorruptModel):
             load_lm(tmp_path / "x.lm")
+
+
+class TestDerivedHeaders:
+    """``vocab_size`` and the quartile lines must be what the counts give."""
+
+    @settings(max_examples=60)
+    @given(_sentences, st.integers(min_value=1, max_value=4), st.data())
+    def test_edited_header_is_corrupt(self, sentences, order, data):
+        keys = ["vocab_size"] + [f"q{q}_{n}" for n in range(1, order + 1) for q in (1, 3)]
+        key = data.draw(st.sampled_from(keys), label="key")
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            train_lm(sentences, order).save(path)
+            lines = read_lines(path)
+            index = next(i for i, line in enumerate(lines) if line.startswith(f"{key}\t"))
+            value = int(lines[index].split("\t")[1])
+            edited = data.draw(
+                st.one_of(st.integers(0, 12), st.integers(min_value=0)).filter(lambda v: v != value),
+                label="edited",
+            )
+            lines[index] = f"{key}\t{edited}"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(CorruptModel, match=f"header line '{key}' says {edited},"):
+                load_lm(path)
+
+    @settings(max_examples=60)
+    @given(_sentences, st.integers(min_value=1, max_value=4))
+    def test_unedited_file_round_trips(self, sentences, order):
+        model = train_lm(sentences, order)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            model.save(path)
+            loaded = load_lm(path)
+        assert loaded.counts == model.counts
+        assert loaded.vocab == model.vocab
+        assert loaded.context_totals == model.context_totals
+        assert loaded.quartiles == model.quartiles
