@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import N_FEATURES, FeatureVector
-from .fileio import atomic_write_text, header_int, header_value, is_plain, read_model_lines
+from .fileio import header_int, header_value, is_plain, read_model_lines, write_model_lines
 from .grading import Grade
 
 # The effective variance floor is the larger of these two terms:
@@ -93,18 +93,13 @@ class NaiveBayesModel:
 
     def save(self, path) -> None:
         """Write the model as versioned UTF-8 text with hex floats."""
-        lines = [
-            f"{_MAGIC}\t{_FORMAT_VERSION}",
-            f"variance_floor\t{self.variance_floor.hex()}",
-            f"classes\t{len(self.classes)}",
-        ]
+        lines = [f"variance_floor\t{self.variance_floor.hex()}", f"classes\t{len(self.classes)}"]
         for y in self.classes:
             lines.append(f"class\t{y.label}")
             lines.append(f"prior\t{self.priors[y].hex()}")
             lines.append("means\t" + " ".join(v.hex() for v in self.means[y]))
             lines.append("variances\t" + " ".join(v.hex() for v in self.variances[y]))
-        lines.append("end")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_model_lines(path, _MAGIC, _FORMAT_VERSION, lines)
 
 
 def _population_moments(vectors, index):
@@ -174,17 +169,17 @@ def load_model(path) -> NaiveBayesModel:
     (0, 1], a variance or variance floor <= 0, or a non-finite value.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
-    (variance_floor,) = _hex_floats(lines, 1, "variance_floor", 1)
+    (variance_floor,) = _hex_floats(lines, 0, "variance_floor", 1)
     if variance_floor <= 0.0:
         raise CorruptModel(f"variance floor {variance_floor} must be > 0")
-    n_classes = header_int(lines, 2, "classes")
+    n_classes = header_int(lines, 1, "classes")
     if not 1 <= n_classes <= len(Grade):
         raise CorruptModel(f"class count {n_classes} outside 1..{len(Grade)}")
     classes = []
     priors = {}
     means = {}
     variances = {}
-    index = 3
+    index = 2
     for _ in range(n_classes):
         label = header_value(lines, index, "class")
         try:
@@ -201,8 +196,8 @@ def load_model(path) -> NaiveBayesModel:
             raise CorruptModel(f"variance {min(variances[grade])} must be > 0")
         classes.append(grade)
         index += 4
-    if index >= len(lines) or lines[index] != "end":
-        raise CorruptModel("missing end marker")
+    if index != len(lines):
+        raise CorruptModel(f"line {lines[index]!r} follows the last class")
     if classes != sorted(classes):
         raise CorruptModel("classes are not in ascending grade order")
     if len(set(classes)) != len(classes):

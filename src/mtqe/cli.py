@@ -15,13 +15,13 @@ from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
 from .corpus import SIDES, load_judgments, load_parallel, stats_from_sentences, tokenize
 from .errors import LengthMismatch, MalformedRow, QEError
 from .evaluation import confusion, render_report_csv, render_report_text
-from .features import extract_features, read_features, write_features
-from .fileio import atomic_write_text, check_new_id, parse_int, read_lines, split_row
+from .features import FEATURE_HEADERS, extract_features, read_features, write_features
+from .fileio import atomic_write_lines, check_new_id, parse_int, read_lines, read_table
 from .grading import Grade, judgment_grade
 from .lexicon import DEFAULT_THRESHOLD, build_lexicon, load_lexicon
 from .ngram import load_lm, train_lm
 
-MIN_ORDER = 1
+MIN_ORDER = 3  # extract needs the trigram frequency bands
 MAX_ORDER = 5
 
 
@@ -107,30 +107,25 @@ def _cmd_predict(args) -> int:
     lines = ["id,grade"]
     for row_id, vector, _ in sorted(rows, key=lambda row: row[0]):
         lines.append(f"{row_id},{model.predict(vector).predicted.label}")
-    atomic_write_text(args.out, "\n".join(lines) + "\n")
+    atomic_write_lines(args.out, lines)
     print(f"predicted {len(rows)} rows")
     return 0
 
 
 def _read_grade_file(path) -> list[tuple[int, Grade]]:
-    """Accept either an ``id,grade`` CSV or a labeled feature CSV, no id twice."""
-    lines = read_lines(path)
-    if lines and lines[0] == "id,grade":
-        rows = []
-        seen = set()
-        for row, line in enumerate(lines[1:]):
-            cells = split_row(line, row, ",", 2)
-            try:
-                row_id, grade = parse_int(cells[0]), Grade.from_label(cells[1])
-            except ValueError as exc:
-                raise MalformedRow(row, str(exc)) from None
-            check_new_id(row_id, row, seen)
-            rows.append((row_id, grade))
-    else:
-        feature_rows = read_features(path)
-        if any(grade is None for _, _, grade in feature_rows):
-            raise ValueError(f"{path} carries no grades")
-        rows = [(row_id, grade) for row_id, _, grade in feature_rows]
+    """``(id, grade)`` rows, by id, of an ``id,grade`` or labeled feature CSV.
+
+    A row's first cell is its id and its last cell its grade; no id twice.
+    """
+    rows = []
+    seen = set()
+    for row, _, cells in read_table(path, ",", ("id,grade", FEATURE_HEADERS[1])):
+        try:
+            row_id, grade = parse_int(cells[0]), Grade.from_label(cells[-1])
+        except ValueError as exc:
+            raise MalformedRow(row, str(exc)) from None
+        check_new_id(row_id, row, seen)
+        rows.append((row_id, grade))
     return sorted(rows, key=lambda row: row[0])
 
 
@@ -147,12 +142,8 @@ def _cmd_evaluate(args) -> int:
     predicted = [grade for _, grade in predicted_rows]
     matrix = confusion(human, predicted)
     report = matrix.agreement()
-    atomic_write_text(
-        args.out,
-        render_report_csv(
-            matrix.human_histogram(), matrix.predicted_histogram(), report
-        ),
-    )
+    table = render_report_csv(matrix.human_histogram(), matrix.predicted_histogram(), report)
+    atomic_write_lines(args.out, table.splitlines())
     print(render_report_text(matrix, report), end="")
     return 0
 
@@ -167,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("build-lm", help="train an n-gram language model from one corpus side")
     p.add_argument("--corpus", required=True, help="text file, one sentence per line")
     p.add_argument("--side", required=True, choices=SIDES, help="tokenization side")
-    p.add_argument("--order", type=_order_flag, default=3, help="n-gram order, 1..5 (default 3)")
+    p.add_argument("--order", type=_order_flag, default=3, help="n-gram order, 3..5 (default 3)")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=_cmd_build_lm)
 

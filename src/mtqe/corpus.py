@@ -12,7 +12,7 @@ import unicodedata
 from dataclasses import dataclass
 
 from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore
-from .fileio import check_new_id, parse_ints, read_lines, split_row
+from .fileio import check_new_id, parse_ints, read_lines, read_table
 
 SOURCE = "source"
 TARGET = "target"
@@ -25,7 +25,7 @@ _EXTRA_PUNCTUATION = frozenset("।॥")
 
 JUDGMENT_PARAMS = 10
 JUDGMENT_MAX = 4
-_JUDGMENT_HEADER = ("id",) + tuple(f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1))
+_JUDGMENT_HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1)])
 
 
 def is_punctuation_char(ch: str) -> bool:
@@ -163,13 +163,9 @@ def load_judgments(path) -> list[HumanJudgment]:
     OutOfRangeScore with the 0-based data-row index and 1-based parameter
     number.  Structural problems and a repeated id raise MalformedRow.
     """
-    lines = read_lines(path)
-    if not lines or tuple(lines[0].split("\t")) != _JUDGMENT_HEADER:
-        raise MalformedRow(None, "expected header 'id\\tp1\\t...\\tp10'")
     judgments = []
     seen = set()
-    for row, line in enumerate(lines[1:]):
-        cells = split_row(line, row, "\t", 1 + JUDGMENT_PARAMS)
+    for row, _, cells in read_table(path, "\t", (_JUDGMENT_HEADER,)):
         try:
             values = parse_ints(cells)
         except ValueError:

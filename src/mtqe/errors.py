@@ -90,7 +90,7 @@ class MixedLabeling(QEError):
 
 
 class VersionMismatch(QEError):
-    """A model file was written by a newer format version."""
+    """A model file's format version is outside 1..the supported version."""
 
     def __init__(self, found: int, supported: int):
         super().__init__(

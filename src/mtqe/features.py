@@ -8,13 +8,15 @@ from operator import attrgetter, itemgetter
 
 from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
-from .fileio import atomic_write_text, check_new_id, is_plain, read_lines, split_row
+from .fileio import atomic_write_lines, check_new_id, is_plain, read_table
 from .grading import Grade
 from .lexicon import TranslationLexicon
 from .ngram import NgramModel, ngrams
 
 N_FEATURES = 16
 FEATURE_COLUMNS = tuple(f"f{i}" for i in range(1, N_FEATURES + 1))
+# The header of an unlabeled and of a labeled feature CSV.
+FEATURE_HEADERS = tuple("id," + ",".join(FEATURE_COLUMNS) + tail for tail in ("", ",grade"))
 _INT_INDEXES = (0, 1, 14, 15)  # f1, f2, f15, f16 are counts
 
 
@@ -125,22 +127,24 @@ def write_features(rows, path) -> None:
 
     The header is ``id,f1,...,f16`` with a trailing ``grade`` column when
     rows are labeled.  Floats carry six decimal places.  Mixing labeled and
-    unlabeled rows raises MixedLabeling.
+    unlabeled rows raises MixedLabeling, and an id given twice raises
+    MalformedRow, as :func:`read_features` would, before any file is written.
     """
     rows = sorted(rows, key=lambda row: row[0])
     flags = [grade is not None for _, _, grade in rows]
     if any(flags) and not all(flags):
         raise MixedLabeling()
     labeled = bool(rows) and flags[0]
-    header = "id," + ",".join(FEATURE_COLUMNS) + (",grade" if labeled else "")
-    lines = [header]
-    for row_id, vector, grade in rows:
+    lines = [FEATURE_HEADERS[labeled]]
+    seen = set()
+    for row, (row_id, vector, grade) in enumerate(rows):
+        check_new_id(row_id, row, seen)
         cells = [str(row_id)]
         cells.extend(fmt(v) for fmt, v in zip(_FORMATTERS, vector.values()))
         if labeled:
             cells.append(grade.label)
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_lines(path, lines)
 
 
 def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
@@ -150,22 +154,9 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     an id seen on an earlier row raises MalformedRow with the row's
     0-based index.
     """
-    lines = read_lines(path)
-    if not lines:
-        raise MalformedRow(None, "empty feature file")
-    base = ["id", *FEATURE_COLUMNS]
-    header = lines[0].split(",")
-    if header == base:
-        labeled = False
-    elif header == base + ["grade"]:
-        labeled = True
-    else:
-        raise MalformedRow(None, f"unexpected feature header {lines[0]!r}")
-    width = len(base) + (1 if labeled else 0)
     out: list[tuple[int, FeatureVector, Grade | None]] = []
     seen = set()
-    for row, line in enumerate(lines[1:]):
-        cells = split_row(line, row, ",", width)
+    for row, line, cells in read_table(path, ",", FEATURE_HEADERS):
         try:
             # The fileio number rule for every cell at once: a plain row,
             # and no "+" (which int() takes) in the id or a count cell.
@@ -173,7 +164,7 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
                 raise ValueError("cells must be plain ASCII numbers")
             row_id = int(cells[0])
             values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
-            grade = Grade.from_label(cells[1 + N_FEATURES]) if labeled else None
+            grade = Grade.from_label(cells[-1]) if len(cells) > 1 + N_FEATURES else None
         except ValueError as exc:
             raise MalformedRow(row, str(exc)) from None
         if not all(map(math.isfinite, values)):

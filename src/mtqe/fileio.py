@@ -1,16 +1,19 @@
 """The mtqe file format in one place: how every file is read and written.
 
-Every file is UTF-8 text split on LF alone.  Tabular files split a line
-into cells on one separator; model files open with a ``magic<TAB>version``
-signature followed by ``key<TAB>value`` header lines.  Every number read
-from a file is plain ASCII: an integer matches ``-?[0-9]+``, and a float
-cell has no whitespace and no ``_`` before ``float()`` reads it.  Outputs
-are written atomically and durably, so a failed run or a crash never
-leaves a partial file behind.
+Every file is UTF-8 text split on LF alone, and every line written ends
+with one LF.  Tabular files split a line into cells on one separator, and
+a table opens with a header line naming its columns.  Model files open
+with a ``magic<TAB>version`` signature, followed by ``key<TAB>value``
+header lines, and close with an ``end`` line.  Every number read from a
+file is plain ASCII: an integer matches ``-?[0-9]+``, and a float cell has
+no whitespace and no ``_`` before ``float()`` reads it.  Outputs are
+written atomically and durably, so a failed run or a crash never leaves a
+partial file behind.
 """
 
 import os
 import stat
+from itertools import chain, islice
 
 from .errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
 
@@ -85,11 +88,29 @@ def check_new_id(row_id: int, row: int, seen: set) -> None:
     seen.add(row_id)
 
 
-def read_model_lines(path, magic: str, version: int) -> list[str]:
-    """Lines of a model file whose ``magic<TAB>version`` signature checks out.
+def read_table(path, sep: str, headers):
+    """Data rows of a table whose header line is one of ``headers``.
 
-    Raises CorruptModel for an empty file or a missing signature and
-    VersionMismatch for a file written by a format newer than ``version``.
+    Yields ``(row, line, cells)`` for each data row, ``row`` counted from 0
+    and ``cells`` the line split on ``sep`` into exactly as many cells as
+    the header has.  A missing or unknown header raises
+    ``MalformedRow(None, ...)`` quoting the header found.
+    """
+    lines = read_lines(path)
+    if not lines or lines[0] not in headers:
+        found = repr(lines[0]) if lines else "an empty file"
+        raise MalformedRow(None, f"expected {' or '.join(map(repr, headers))}, got {found}")
+    width = lines[0].count(sep) + 1
+    for row, line in enumerate(islice(lines, 1, None)):
+        yield row, line, split_row(line, row, sep, width)
+
+
+def read_model_lines(path, magic: str, version: int) -> list[str]:
+    """The lines between a model file's signature and its closing ``end``.
+
+    Raises CorruptModel for an empty file, a missing signature or a last
+    line other than ``end``, and VersionMismatch for a format version
+    outside 1..``version``.
     """
     lines = read_lines(path)
     if not lines:
@@ -101,9 +122,17 @@ def read_model_lines(path, magic: str, version: int) -> list[str]:
         found = parse_int(first[1])
     except ValueError:
         raise CorruptModel("non-integer format version") from None
-    if found > version:
+    if not 1 <= found <= version:
         raise VersionMismatch(found, version)
+    if lines[-1] != "end":
+        raise CorruptModel(f"the last line must be 'end', got {lines[-1]!r}")
+    del lines[0], lines[-1]  # in place, since a slice would copy every line
     return lines
+
+
+def write_model_lines(path, magic: str, version: int, lines) -> None:
+    """Write ``lines`` between a ``magic<TAB>version`` signature and ``end``."""
+    atomic_write_lines(path, chain([f"{magic}\t{version}"], lines, ["end"]))
 
 
 def header_value(lines, index: int, key: str) -> str:
@@ -124,11 +153,12 @@ def header_int(lines, index: int, key: str) -> int:
         raise CorruptModel(f"non-integer value in header line '{key}'") from None
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` via a temp file, fsync and atomic rename.
+def atomic_write_lines(path, lines) -> None:
+    """Write each of ``lines`` with one LF to ``path``, atomically and durably.
 
-    The directory is fsynced after the rename, so the rename itself is
-    durable too.
+    The text goes to a temp file, is fsynced, and is renamed over
+    ``path``; the directory is fsynced after the rename, so the rename
+    itself is durable too.
 
     A new file gets mode ``0o666`` less the umask, like any file the
     process creates; an existing file keeps its mode.
@@ -144,7 +174,8 @@ def atomic_write_text(path, text: str) -> None:
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            # The empty last item ends the last line; no lines give an empty file.
+            handle.write("\n".join(chain(lines, [""])))
             handle.flush()
             if mode is not None:
                 os.fchmod(handle.fileno(), mode)

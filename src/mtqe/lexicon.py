@@ -13,7 +13,7 @@ from itertools import repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
-from .fileio import atomic_write_text, is_plain, read_lines, split_row
+from .fileio import atomic_write_lines, is_plain, read_lines, split_row
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -43,7 +43,7 @@ class TranslationLexicon:
             targets = self.entries[source]
             for target in sorted(targets):
                 lines.append(f"{source}\t{target}\t{targets[target]!r}")
-        atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        atomic_write_lines(path, lines)
 
 
 def _dice_band(ns: int, threshold: float, limit: int) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import islice
 
 from .errors import CorruptModel, EmptyCorpus
-from .fileio import atomic_write_text, header_int, read_model_lines
+from .fileio import header_int, read_model_lines, write_model_lines
 
 UNK = "<unk>"
 BOS = "<s>"
@@ -131,11 +131,7 @@ class NgramModel:
 
     def save(self, path) -> None:
         """Write the model as versioned, line-oriented UTF-8 text."""
-        lines = [
-            f"{_MAGIC}\t{_FORMAT_VERSION}",
-            f"order\t{self.order}",
-            f"vocab_size\t{len(self.vocab)}",
-        ]
+        lines = [f"order\t{self.order}", f"vocab_size\t{len(self.vocab)}"]
         for n in range(1, self.order + 1):
             q1, q3 = self.quartiles[n]
             lines.append(f"q1_{n}\t{q1}")
@@ -144,8 +140,7 @@ class NgramModel:
         lines.append(f"ngrams\t{len(grams)}")
         for gram in grams:
             lines.append(" ".join(gram) + f"\t{self.counts[gram]}")
-        lines.append("end")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_model_lines(path, _MAGIC, _FORMAT_VERSION, lines)
 
 
 def train_lm(sentences, order: int = 3) -> NgramModel:
@@ -180,12 +175,12 @@ def load_lm(path) -> NgramModel:
     for a ``vocab_size`` or quartile header line the counts do not give.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
-    order = header_int(lines, 1, "order")
+    order = header_int(lines, 0, "order")
     if order < 1:
         raise CorruptModel(f"order must be >= 1, got {order}")
     keys = ["vocab_size"] + [f"q{q}_{n}" for n in range(1, order + 1) for q in (1, 3)]
-    header = {key: header_int(lines, index, key) for index, key in enumerate(keys, start=2)}
-    index = 2 + len(keys)
+    header = {key: header_int(lines, index, key) for index, key in enumerate(keys, start=1)}
+    index = 1 + len(keys)
     n_grams = header_int(lines, index, "ngrams")
     if n_grams < 0:
         raise CorruptModel(f"ngrams must be >= 0, got {n_grams}")
@@ -204,8 +199,10 @@ def load_lm(path) -> NgramModel:
         if count < 1:
             raise CorruptModel(f"count must be a positive integer in {line!r}")
         counts[gram] = count
-    if len(lines) < index + n_grams:
-        raise CorruptModel("n-gram section truncated")
+    if len(lines) != index + n_grams:
+        raise CorruptModel(
+            f"header line 'ngrams' says {n_grams}, the file has {len(lines) - index} gram lines"
+        )
     if len(counts) < n_grams:
         # A repeated gram overwrote an earlier count; name the first one.
         seen = set()
@@ -214,9 +211,6 @@ def load_lm(path) -> NgramModel:
             if text in seen:
                 raise CorruptModel(f"duplicate n-gram {text!r}")
             seen.add(text)
-    index += n_grams
-    if index >= len(lines) or lines[index] != "end":
-        raise CorruptModel("missing end marker")
     model = NgramModel(order, counts)
     if len(model.quartiles) < order:
         raise CorruptModel(f"some n-gram length in 1..{order} has no gram")

@@ -47,10 +47,13 @@ class TestBuildLm:
         assert "absent.txt" in capsys.readouterr().err
 
     def test_order_out_of_range(self, tmp_path, small_data, capsys):
-        code = run_cli("build-lm", "--corpus", small_data["src"], "--side", "source",
-                       "--order", "7", "--out", tmp_path / "x.lm")
-        assert code == 2
-        assert "1..5" in capsys.readouterr().err
+        # extract takes no model below order 3, so build-lm writes none.
+        for order in ("2", "7"):
+            code = run_cli("build-lm", "--corpus", small_data["src"], "--side", "source",
+                           "--order", order, "--out", tmp_path / "x.lm")
+            assert code == 2
+            assert "3..5" in capsys.readouterr().err
+            assert not (tmp_path / "x.lm").exists()
 
 
 class TestBuildLexicon:
@@ -186,6 +189,32 @@ class TestTrainPredictEvaluate:
         assert run_cli("train", "--features", labeled, "--out", model_path) == 2
         assert "row 0" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def test_evaluate_reads_only_id_and_grade(self, tmp_path, small_data, capsys):
+        models = TestExtract()._models(tmp_path, small_data)
+        base = ["extract", "--pairs-src", small_data["src"], "--pairs-tgt", small_data["tgt"],
+                "--src-lm", models["src_lm"], "--tgt-lm", models["tgt_lm"],
+                "--lexicon", models["lexicon"]]
+        labeled, plain = tmp_path / "labeled.csv", tmp_path / "plain.csv"
+        assert run_cli(*base, "--judgments", small_data["judgments"], "--out", labeled) == 0
+        assert run_cli(*base, "--out", plain) == 0
+        # The feature cells are for train and predict to check, not evaluate.
+        lines = labeled.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[3] = "nan"
+        _write_lines(labeled, [lines[0], ",".join(cells)] + lines[2:])
+        capsys.readouterr()
+        assert run_cli("evaluate", "--human", labeled, "--predicted", labeled,
+                       "--out", tmp_path / "r.csv") == 0
+        assert "agreement: 20 of 20" in capsys.readouterr().out
+        # An unlabeled feature CSV has no grade column, so its header is refused.
+        header = plain.read_text(encoding="utf-8").splitlines()[0]
+        out = tmp_path / "x.csv"
+        assert run_cli("evaluate", "--human", plain, "--predicted", labeled, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "malformed header: expected 'id,grade' or " in err
+        assert f"got {header!r}" in err
+        assert not out.exists()
 
     def test_evaluate_id_mismatch(self, tmp_path, capsys):
         _write_lines(tmp_path / "a.csv", ["id,grade", "0,Good", "1,Poor"])

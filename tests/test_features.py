@@ -238,6 +238,15 @@ class TestFeatureFile:
         with pytest.raises(MixedLabeling):
             write_features(rows, tmp_path / "f.csv")
 
+    def test_repeated_id_rejected_before_writing(self, tmp_path):
+        # read_features would refuse the file, so it is never written.
+        rows = self._rows(labeled=True)
+        rows.append((rows[0][0], rows[1][1], Grade.POOR))
+        with pytest.raises(MalformedRow, match="duplicate id 0") as info:
+            write_features(rows, tmp_path / "f.csv")
+        assert info.value.row == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("id,oops\n", encoding="utf-8")

@@ -3,19 +3,22 @@
 import os
 import re
 import stat
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtqe.bayes import load_model
+from mtqe.bayes import NaiveBayesModel, load_model
 from mtqe.cli import _read_grade_file
 from mtqe.corpus import load_judgments, load_parallel
-from mtqe.errors import CorruptModel, InvalidEncoding, MalformedRow
-from mtqe.features import read_features
-from mtqe.fileio import atomic_write_text, parse_int, parse_ints, read_lines
-from mtqe.lexicon import load_lexicon
-from mtqe.ngram import load_lm
+from mtqe.errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
+from mtqe.features import N_FEATURES, FeatureVector, read_features, write_features
+from mtqe.fileio import atomic_write_lines, parse_int, parse_ints, read_lines
+from mtqe.grading import Grade
+from mtqe.lexicon import TranslationLexicon, load_lexicon
+from mtqe.ngram import load_lm, train_lm
 
 from conftest import run_cli, run_toy_pipeline
 
@@ -173,6 +176,52 @@ def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _signed(version):
+    return lambda lines: [lines[0].split("\t")[0] + f"\t{version}", *lines[1:]]
+
+
+# A model file ends at its "end" line and has a format version of at least 1.
+ENVELOPE_EDITS = {
+    "line after end": lambda lines: lines + ["garbage"],
+    "class after end": lambda lines: lines + ["class\tPoor"],
+    "version 0": _signed(0),
+    "version -3": _signed(-3),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(ENVELOPE_EDITS))
+@pytest.mark.parametrize("name", ["lm", "model"])
+def test_model_envelope_is_enforced(name, edit, artifacts, tmp_path, capsys):
+    artifact, read, argv, _ = READERS[name]
+    bad = tmp_path / f"edited-{artifacts[artifact].name}"
+    lines = ENVELOPE_EDITS[edit](read_lines(artifacts[artifact]))
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises((CorruptModel, VersionMismatch)):
+        read(bad, artifacts)
+    capsys.readouterr()
+    assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
+    assert "model file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# The last line must be "end", and the loader must read every line before it.
+BODY_EDITS = {
+    "no end line": lambda lines: lines[:-1] + ["fin"],
+    "unread line before end": lambda lines: lines[:-1] + ["class\tPoor", "end"],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BODY_EDITS))
+@pytest.mark.parametrize("name", ["lm", "model"])
+def test_model_body_ends_at_end(name, edit, artifacts, tmp_path):
+    artifact, read, _, _ = READERS[name]
+    bad = tmp_path / f"edited-{artifacts[artifact].name}"
+    lines = BODY_EDITS[edit](read_lines(artifacts[artifact]))
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptModel):
+        read(bad, artifacts)
+
+
 @given(st.text(alphabet="-+_ 0123456789٣²\t", max_size=6))
 def test_parse_int_takes_exactly_the_integer_grammar(text):
     if re.fullmatch(r"-?[0-9]+", text):
@@ -297,7 +346,7 @@ def _mode(path):
 def test_new_output_takes_umask_mode(tmp_path, umask):
     old = os.umask(umask)
     try:
-        atomic_write_text(tmp_path / "out.txt", "x\n")
+        atomic_write_lines(tmp_path / "out.txt", ["x"])
     finally:
         os.umask(old)
     assert _mode(tmp_path / "out.txt") == 0o666 & ~umask
@@ -310,7 +359,7 @@ def test_rewritten_output_keeps_its_mode(tmp_path, mode):
     os.chmod(path, mode)
     old = os.umask(0o077)
     try:
-        atomic_write_text(path, "new\n")
+        atomic_write_lines(path, ["new"])
     finally:
         os.umask(old)
     assert _mode(path) == mode
@@ -336,6 +385,65 @@ def test_output_is_fsynced_before_rename(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fsync", fsync)
     monkeypatch.setattr(os, "replace", replace)
     text = "line\n" * 1000
-    atomic_write_text(tmp_path / "out.txt", text)
+    atomic_write_lines(tmp_path / "out.txt", text.splitlines())
     assert events == [("fsync", len(text)), ("replace", "out.txt"), ("fsync", "directory")]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+# Round trips: every format with a writer rewrites what it reads byte for byte.
+
+def _rewrites_same_bytes(write, read, value):
+    with tempfile.TemporaryDirectory() as directory:
+        first, second = Path(directory) / "first", Path(directory) / "second"
+        write(value, first)
+        write(read(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+# Any text a cell may hold: no separator, no LF and no lone surrogate.
+_words = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=" \t\n"),
+                 min_size=1, max_size=4)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.lists(_words, max_size=6), min_size=1, max_size=6), st.integers(1, 4))
+def test_lm_round_trip(sentences, order):
+    _rewrites_same_bytes(lambda model, path: model.save(path), load_lm,
+                         train_lm(sentences, order))
+
+
+@settings(max_examples=40)
+@given(st.dictionaries(_words, st.dictionaries(_words, st.floats(0.0, 1.0, exclude_min=True))))
+def test_lexicon_round_trip(entries):
+    _rewrites_same_bytes(lambda lexicon, path: lexicon.save(path), load_lexicon,
+                         TranslationLexicon(entries))
+
+
+_vectors = st.builds(
+    lambda values: FeatureVector(*values),
+    st.tuples(*(st.integers(0, 10**9) if i in (0, 1, 14, 15) else _finite
+                for i in range(N_FEATURES))),
+)
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(st.integers(-2**63, 2**63), _vectors), max_size=5,
+                unique_by=lambda row: row[0]),
+       st.one_of(st.none(), st.sampled_from(Grade)))
+def test_feature_csv_round_trip(rows, grade):
+    # grade None writes an unlabeled file, and no rows a header-only one.
+    _rewrites_same_bytes(write_features, read_features,
+                         [(row_id, vector, grade) for row_id, vector in rows])
+
+
+@settings(max_examples=40)
+@given(st.sets(st.sampled_from(Grade), min_size=1), st.data())
+def test_nb_model_round_trip(classes, data):
+    classes = sorted(classes)
+    priors = {y: data.draw(st.floats(0.0, 1.0, exclude_min=True)) for y in classes}
+    means = {y: data.draw(st.tuples(*[_finite] * N_FEATURES)) for y in classes}
+    variances = {y: data.draw(st.tuples(*[_positive] * N_FEATURES)) for y in classes}
+    model = NaiveBayesModel(classes, priors, means, variances, data.draw(_positive))
+    _rewrites_same_bytes(lambda model, path: model.save(path), load_model, model)
