@@ -10,8 +10,8 @@ from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
 from .fileio import atomic_write_lines, check_new_id, is_plain, read_table
 from .grading import Grade
-from .lexicon import TranslationLexicon
-from .ngram import NgramModel, ngrams
+from .lexicon import TranslationCounts
+from .ngram import NgramModel
 
 N_FEATURES = 16
 FEATURE_COLUMNS = tuple(f"f{i}" for i in range(1, N_FEATURES + 1))
@@ -67,7 +67,7 @@ def extract_features(
     pair: SentencePair,
     src_lm: NgramModel,
     tgt_lm: NgramModel,
-    lexicon: TranslationLexicon,
+    lexicon: TranslationCounts,
 ) -> FeatureVector:
     """Compute the full feature vector for one sentence pair.
 
@@ -99,7 +99,7 @@ def extract_features(
         pct_high_freq_bigrams=high_bi,
         pct_high_freq_trigrams=high_tri,
         pct_low_freq_trigrams=low_tri,
-        pct_unigrams_seen=100.0 * src_lm.seen_fraction(ngrams(source, 1)),
+        pct_unigrams_seen=100.0 * src_lm.seen_fraction(source, 1),
         src_punct_count=sum(1 for t in source if is_punctuation_token(t)),
         tgt_punct_count=sum(1 for t in target if is_punctuation_token(t)),
     )

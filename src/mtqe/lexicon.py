@@ -13,16 +13,16 @@ from itertools import repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
-from .fileio import atomic_write_lines, is_plain, read_lines, split_row
+from .fileio import atomic_write_lines, read_lines
 
 DEFAULT_THRESHOLD = 0.2
 
 
-class TranslationLexicon:
-    """Source token -> {target token: association score}."""
+class TranslationCounts:
+    """Source token -> number of lexicon targets, all that feature f7 reads."""
 
-    def __init__(self, entries: dict[str, dict[str, float]]):
-        self.entries = entries
+    def __init__(self, sizes: dict[str, int]):
+        self.sizes = sizes
 
     def translations_per_word(self, source_tokens) -> float:
         """Mean lexicon-entry count over the sentence's source tokens.
@@ -33,8 +33,17 @@ class TranslationLexicon:
         source_tokens = list(source_tokens)
         if not source_tokens:
             return 0.0
-        total = sum(len(self.entries.get(token, ())) for token in source_tokens)
+        get = self.sizes.get
+        total = sum(get(token, 0) for token in source_tokens)
         return total / len(source_tokens)
+
+
+class TranslationLexicon(TranslationCounts):
+    """Source token -> {target token: association score}."""
+
+    def __init__(self, entries: dict[str, dict[str, float]]):
+        super().__init__({source: len(targets) for source, targets in entries.items()})
+        self.entries = entries
 
     def save(self, path) -> None:
         """Write entries as a sorted TSV of source, target, score."""
@@ -108,27 +117,47 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
     return TranslationLexicon(entries)
 
 
-def load_lexicon(path) -> TranslationLexicon:
-    """Load a lexicon TSV written by :meth:`TranslationLexicon.save`.
+def load_lexicon(path) -> TranslationCounts:
+    """The per-source target counts of a lexicon TSV written by :meth:`TranslationLexicon.save`.
 
     Any external file with ``source<TAB>target<TAB>score`` rows, scores in
-    (0, 1] and no (source, target) pair twice is accepted.
+    (0, 1] and no (source, target) pair twice is accepted.  In save order a
+    repeated pair lies on adjacent lines; from the first row out of that
+    order on, a set of the pairs read finds it instead.
     """
-    entries: dict[str, dict[str, float]] = {}
-    for row, line in enumerate(read_lines(path)):
+    lines = read_lines(path)
+    sizes: dict[str, int] = {}
+    get = sizes.get
+    previous = ()  # sorts before every (source, target) pair
+    pairs = None  # every pair read, once a row leaves save order
+    for row, line in enumerate(lines):
         if line == "":
             continue
-        source, target, text = split_row(line, row, "\t", 3)
+        cells = line.split("\t")
+        if len(cells) != 3:
+            raise MalformedRow(row, f"expected 3 cells, got {len(cells)}")
+        source, target, text = cells
+        # fileio.is_plain, inline, since it runs per row.
         try:
-            if not is_plain(text):
+            if not text.isascii() or not text.isprintable() or " " in text or "_" in text:
                 raise ValueError
             score = float(text)
         except ValueError:
             raise MalformedRow(row, f"bad score {text!r}") from None
         if not 0.0 < score <= 1.0:
             raise MalformedRow(row, f"score {score} outside (0, 1]")
-        targets = entries.setdefault(source, {})
-        if target in targets:
-            raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")
-        targets[target] = score
-    return TranslationLexicon(entries)
+        pair = (source, target)
+        if pairs is None:
+            if pair > previous:
+                previous = pair
+            elif pair == previous:
+                raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")
+            else:
+                # Every earlier row was in strictly rising order, so unique.
+                pairs = {tuple(earlier.split("\t")[:2]) for earlier in lines[:row] if earlier}
+        if pairs is not None:
+            if pair in pairs:
+                raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")
+            pairs.add(pair)
+        sizes[source] = get(source, 0) + 1
+    return TranslationCounts(sizes)

@@ -5,13 +5,25 @@ marker, and every window of length 1..order over the padded stream is
 counted.  Conditional probabilities are Laplace estimates over the full
 vocabulary (observed tokens plus the reserved UNK/BOS/END markers), so they
 are strictly positive and sum to one for every context.
+
+Grams are stored as integers.  Each vocabulary token has an id in 1..|V|,
+assigned in code-point order, and a gram is its ids read as the digits of a
+number in base B = |V| + 2, first token most significant:
+``((id1 * B) + id2) * B + id3``.  No id is 0, so a length-n gram lies in
+[B**(n-1), B**n) and grams of different lengths never share a key.  The
+spare digit B - 1 stands for a token outside the vocabulary; no counted
+gram holds it, so a window with such a token is unseen.  The context of a
+full-order gram is ``key // B``, and the empty context is 0.  Sorting keys
+padded with zero digits to ``order`` digits gives token-tuple order, which
+is the order ``save`` writes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
-from itertools import islice
+from itertools import islice, repeat
 
 from .errors import CorruptModel, EmptyCorpus
 from .fileio import header_int, read_model_lines, write_model_lines
@@ -24,49 +36,52 @@ _MAGIC = "mtqe-ngram-lm"
 _FORMAT_VERSION = 1
 
 
-def ngrams(tokens, n: int) -> list[tuple[str, ...]]:
-    """All contiguous length-n windows of a token sequence, as tuples."""
-    tokens = tuple(tokens)
-    return list(zip(*[tokens[i:] for i in range(n)]))
-
-
 def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
     # Nearest-rank percentile: the value at rank ceil(p/100 * N), 1-based.
     rank = max(1, math.ceil(percentile * len(sorted_values) / 100))
     return sorted_values[rank - 1]
 
 
+def _base(vocab) -> int:
+    """The radix of the packed keys: the ids, 0 and the spare digit B - 1."""
+    return len(vocab) + 2
+
+
+def _vocabulary(tokens) -> dict[str, int]:
+    """``{token: id}`` for the tokens and the reserved markers, ids 1.. in code-point order.
+
+    The dict iterates in id order, which ``save`` relies on.
+    """
+    return {token: i for i, token in enumerate(sorted({*tokens, UNK, BOS, END}), start=1)}
+
+
 class NgramModel:
-    """Counts for orders 1..order and the facts the queries read, derived from them.
+    """Packed gram counts for orders 1..order and the facts the queries read.
+
+    ``vocab`` maps each token to its id, ``counts`` each packed gram to its
+    occurrences, and ``context_totals`` each packed full-order context to
+    sum_w counts[context + (w,)], which is what exact Laplace normalization
+    requires (a context ending a padded sentence occurs but never continues,
+    so its raw count would overstate the total).  ``frequencies[n]`` holds
+    the count of every length-n type, in any order.
 
     Immutable after construction; every query is pure, so concurrent
     readers are safe.
     """
 
-    def __init__(self, order, counts):
+    def __init__(self, order, vocab, counts, context_totals, frequencies):
         self.order = order
-        self.counts = counts  # {gram tuple: occurrences}
-        # One pass over the counts derives the rest.  context_totals maps each
-        # full-order context to sum_w counts[ctx + (w,)], which is what exact
-        # Laplace normalization requires (a context ending a padded sentence
-        # occurs but never continues, so its raw count would overstate the
-        # total).  frequencies[n] holds the count of every length-n type.
-        context_totals: dict[tuple[str, ...], int] = {}
-        get = context_totals.get
-        frequencies: list[list[int]] = [[] for _ in range(order + 1)]
-        append = [values.append for values in frequencies]
-        words = [UNK, BOS, END]
-        for gram, count in counts.items():
-            n = len(gram)
-            append[n](count)
-            if n == order:
-                context = gram[:-1]
-                context_totals[context] = get(context, 0) + count
-            if n == 1:
-                words.append(gram[0])
+        self.vocab = vocab
+        self.counts = counts
         self.context_totals = context_totals
-        # The observed unigram types plus the reserved markers.
-        self.vocab = frozenset(words)
+        base = _base(vocab)
+        self._base = base
+        self._powers = [base**n for n in range(order + 1)]
+        # The context of a sentence's first full-order window: order - 1
+        # begin markers.
+        self._begin = 0
+        for _ in range(order - 1):
+            self._begin = self._begin * base + vocab[BOS]
         # {n: (q1, q3)}, the nearest-rank quartiles of the length-n type
         # frequencies, for every order that has a gram.
         self.quartiles = {
@@ -84,21 +99,23 @@ class NgramModel:
         scored positions (token count + 1, the end marker included).  An
         empty sentence scores the end marker alone.
         """
-        # Each full-order window of the padded sentence is context + word.
         vocab = self.vocab
-        padded = [BOS] * (self.order - 1)
-        padded += [t if t in vocab else UNK for t in tokens]
-        padded.append(END)
-        counts = self.counts
-        context_totals = self.context_totals
+        ids = list(map(vocab.get, tokens, repeat(vocab[UNK])))
+        ids.append(vocab[END])
+        base = self._base
+        context_span = self._powers[self.order - 1]
+        key = self._begin
+        get_count = self.counts.get
+        get_total = self.context_totals.get
         size = len(vocab)
         log = math.log
         total = 0.0
-        for gram in ngrams(padded, self.order):
-            numerator = counts.get(gram, 0) + 1
-            denominator = context_totals.get(gram[:-1], 0) + size
+        for word in ids:
+            key = key % context_span * base + word
+            numerator = get_count(key, 0) + 1
+            denominator = get_total(key // base, 0) + size
             total += log(numerator / denominator)
-        return total / (len(padded) - self.order + 1)
+        return total / len(ids)
 
     def band_counts(self, tokens, n: int) -> tuple[int, int]:
         """How many length-n windows of ``tokens`` are Low and how many High.
@@ -113,33 +130,73 @@ class NgramModel:
         get = self.counts.get
         low = 0
         high = 0
-        for gram in ngrams(tokens, n):
-            frequency = get(gram, 0)
+        for key in self._windows(tokens, n):
+            frequency = get(key, 0)
             if frequency <= q1:
                 low += 1
             elif frequency > q3:
                 high += 1
         return low, high
 
-    def seen_fraction(self, grams) -> float:
-        """Fraction of the given grams that occur in the corpus (0 for none given)."""
-        grams = [tuple(g) for g in grams]
-        if not grams:
+    def seen_fraction(self, tokens, n: int) -> float:
+        """Fraction of the length-n windows of ``tokens`` that occur in the corpus.
+
+        A sentence shorter than n has no window and scores 0.
+        """
+        keys = self._windows(tokens, n)
+        if not keys:
             return 0.0
-        seen = sum(1 for g in grams if g in self.counts)
-        return seen / len(grams)
+        return sum(map(self.counts.__contains__, keys)) / len(keys)
+
+    def _windows(self, tokens, n: int) -> list[int]:
+        """The packed key of every length-n window of ``tokens``, in order.
+
+        A token outside the vocabulary is the spare digit, so its windows
+        are unseen.
+        """
+        base = self._base
+        ids = list(map(self.vocab.get, tokens, repeat(base - 1)))
+        if n == 1:
+            return ids
+        span = self._powers[n - 1]
+        key = 0
+        for word in ids[: n - 1]:
+            key = key * base + word
+        keys = []
+        for word in islice(ids, n - 1, None):
+            key = key % span * base + word
+            keys.append(key)
+        return keys
 
     def save(self, path) -> None:
         """Write the model as versioned, line-oriented UTF-8 text."""
-        lines = [f"order\t{self.order}", f"vocab_size\t{len(self.vocab)}"]
-        for n in range(1, self.order + 1):
+        order = self.order
+        lines = [f"order\t{order}", f"vocab_size\t{len(self.vocab)}"]
+        for n in range(1, order + 1):
             q1, q3 = self.quartiles[n]
             lines.append(f"q1_{n}\t{q1}")
             lines.append(f"q3_{n}\t{q3}")
-        grams = sorted(self.counts)
-        lines.append(f"ngrams\t{len(grams)}")
-        for gram in grams:
-            lines.append(" ".join(gram) + f"\t{self.counts[gram]}")
+        counts = self.counts
+        lines.append(f"ngrams\t{len(counts)}")
+        base = self._base
+        powers = self._powers
+        # A key below B**n has at most n digits; padding it with zero digits
+        # to ``order`` digits sorts it in token-tuple order.
+        bounds = powers[1:order]
+        scales = powers[order - 1 :: -1]
+
+        def padded(key):
+            return key * scales[bisect_right(bounds, key)]
+
+        words = ["", *self.vocab]
+        for key in sorted(counts, key=padded):
+            count = counts[key]
+            tokens = []
+            while key:
+                key, digit = divmod(key, base)
+                tokens.append(words[digit])
+            tokens.reverse()
+            lines.append(" ".join(tokens) + f"\t{count}")
         write_model_lines(path, _MAGIC, _FORMAT_VERSION, lines)
 
 
@@ -158,12 +215,32 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     sentences = [list(s) for s in sentences]
     if not sentences:
         raise EmptyCorpus()
-    counts: Counter = Counter()
+    tokens = set()
     for sentence in sentences:
-        padded = [BOS] * (order - 1) + sentence + [END]
-        for n in range(1, order + 1):
-            counts.update(ngrams(padded, n))
-    return NgramModel(order, dict(counts))
+        tokens.update(sentence)
+    vocab = _vocabulary(tokens)
+    base = _base(vocab)
+    start = [vocab[BOS]] * (order - 1)
+    end = vocab[END]
+    by_length = [Counter() for _ in range(order)]
+    for sentence in sentences:
+        ids = start + list(map(vocab.__getitem__, sentence))
+        ids.append(end)
+        keys = ids
+        by_length[0].update(keys)
+        for n in range(1, order):
+            keys = [key * base + word for key, word in zip(keys, islice(ids, n, None))]
+            by_length[n].update(keys)
+    counts = {}
+    for counter in by_length:
+        counts.update(counter)
+    context_totals: dict[int, int] = {}
+    get = context_totals.get
+    for key, count in by_length[-1].items():
+        context = key // base
+        context_totals[context] = get(context, 0) + count
+    frequencies = [[], *(list(counter.values()) for counter in by_length)]
+    return NgramModel(order, vocab, counts, context_totals, frequencies)
 
 
 def load_lm(path) -> NgramModel:
@@ -171,8 +248,9 @@ def load_lm(path) -> NgramModel:
 
     Queries on the loaded model are bit-identical to the original.  Raises
     VersionMismatch for files written by a newer format and CorruptModel
-    for truncated or malformed files, a gram listed twice included, and
-    for a ``vocab_size`` or quartile header line the counts do not give.
+    for truncated or malformed files, a gram listed twice or holding a
+    token with no unigram line included, and for a ``vocab_size`` or
+    quartile header line the counts do not give.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
     order = header_int(lines, 0, "order")
@@ -185,36 +263,59 @@ def load_lm(path) -> NgramModel:
     if n_grams < 0:
         raise CorruptModel(f"ngrams must be >= 0, got {n_grams}")
     index += 1
+    if len(lines) != index + n_grams:
+        raise CorruptModel(
+            f"header line 'ngrams' says {n_grams}, the file has {len(lines) - index} gram lines"
+        )
+    del lines[:index]  # in place, since a slice would copy every line
+    # The unigram lines give the vocabulary, and with it every id; a
+    # malformed line among them is rejected by the parse below.
+    unigrams = {line.partition("\t")[0] for line in lines if " " not in line}
+    vocab = _vocabulary(unigrams)
+    # Only a token with a unigram line may appear in a gram.
+    ids = {token: vocab[token] for token in unigrams}
+    base = _base(vocab)
     counts = {}
-    for line in islice(lines, index, index + n_grams):
+    context_totals: dict[int, int] = {}
+    get_total = context_totals.get
+    frequencies: list[list[int]] = [[] for _ in range(order + 1)]
+    append = [values.append for values in frequencies]
+    for line in lines:
         try:
             gram_text, text = line.split("\t")
         except ValueError:
             raise CorruptModel(f"bad n-gram line {line!r}") from None
-        gram = tuple(gram_text.split(" "))
-        if not 1 <= len(gram) <= order or "" in gram:
+        tokens = gram_text.split(" ")
+        n = len(tokens)
+        if n > order or "" in tokens:
             raise CorruptModel(f"bad n-gram {gram_text!r}")
         # fileio.parse_int's rule for a count, inline, since it runs per gram.
         count = int(text) if text.isdigit() and text.isascii() else 0
         if count < 1:
             raise CorruptModel(f"count must be a positive integer in {line!r}")
-        counts[gram] = count
-    if len(lines) != index + n_grams:
-        raise CorruptModel(
-            f"header line 'ngrams' says {n_grams}, the file has {len(lines) - index} gram lines"
-        )
+        key = 0
+        try:
+            for token in tokens:
+                key = key * base + ids[token]
+        except KeyError:
+            raise CorruptModel(f"n-gram {gram_text!r} has a token with no unigram line") from None
+        counts[key] = count
+        append[n](count)
+        if n == order:
+            context = key // base
+            context_totals[context] = get_total(context, 0) + count
     if len(counts) < n_grams:
         # A repeated gram overwrote an earlier count; name the first one.
         seen = set()
-        for line in islice(lines, index, index + n_grams):
+        for line in lines:
             text = line.split("\t")[0]
             if text in seen:
                 raise CorruptModel(f"duplicate n-gram {text!r}")
             seen.add(text)
-    model = NgramModel(order, counts)
+    model = NgramModel(order, vocab, counts, context_totals, frequencies)
     if len(model.quartiles) < order:
         raise CorruptModel(f"some n-gram length in 1..{order} has no gram")
-    derived = [len(model.vocab)] + [q for n in range(1, order + 1) for q in model.quartiles[n]]
+    derived = [len(vocab)] + [q for n in range(1, order + 1) for q in model.quartiles[n]]
     for (key, value), expected in zip(header.items(), derived):
         if value != expected:
             raise CorruptModel(f"header line '{key}' says {value}, the counts give {expected}")

@@ -1,12 +1,15 @@
+import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
 from mtqe.cli import main as cli_main
 from mtqe.corpus import ParallelCorpus, SentencePair
+from mtqe.fileio import read_lines
 from mtqe.lexicon import TranslationLexicon
-from mtqe.ngram import BOS, END, UNK, NgramModel
+from mtqe.ngram import BOS, END, UNK
 
 EN_WORDS = [
     "the", "a", "boy", "girl", "house", "river", "runs", "walks", "sees",
@@ -74,31 +77,109 @@ def reference_context_totals(counts, order):
     return dict(totals)
 
 
+@dataclass(frozen=True)
+class TupleLM:
+    """An n-gram model keyed by token tuples, the layout the references read."""
+
+    order: int
+    vocab: frozenset
+    counts: dict  # {gram tuple: occurrences}
+    context_totals: dict  # {full-order context tuple: sum of its continuations}
+    quartiles: dict  # {n: (q1, q3)}
+
+
+def decode_lm(model):
+    """``model`` as a TupleLM: every packed key read back as its token tuple.
+
+    A key is the token ids in base len(vocab) + 2, first token most
+    significant; the key 0 is the empty tuple.
+    """
+    words = {i: token for token, i in model.vocab.items()}
+    base = len(model.vocab) + 2
+
+    def decode(key):
+        tokens = []
+        while key:
+            key, digit = divmod(key, base)
+            tokens.append(words[digit])
+        return tuple(reversed(tokens))
+
+    return TupleLM(
+        model.order,
+        frozenset(model.vocab),
+        {decode(key): count for key, count in model.counts.items()},
+        {decode(key): total for key, total in model.context_totals.items()},
+        dict(model.quartiles),
+    )
+
+
 def reference_lm(sentences, order):
-    """An NgramModel of the reference counts that carries the reference quartiles."""
+    """The TupleLM of the reference counts, totals and quartiles."""
     counts = reference_counts(sentences, order)
-    model = NgramModel(order, counts)
-    model.quartiles = reference_quartiles(counts, order)
-    return model
+    vocab = frozenset({gram[0] for gram in counts if len(gram) == 1} | {UNK, BOS, END})
+    return TupleLM(
+        order,
+        vocab,
+        counts,
+        reference_context_totals(counts, order),
+        reference_quartiles(counts, order),
+    )
 
 
-def reference_cond_prob(model, word, context=()):
-    """Add-one P(word | context), its total summed from ``model.counts``.
+def save_reference_lm(lm, path):
+    """Write a TupleLM in the LM file format, grams in token-tuple order."""
+    lines = ["mtqe-ngram-lm\t1", f"order\t{lm.order}", f"vocab_size\t{len(lm.vocab)}"]
+    for n in range(1, lm.order + 1):
+        lines += [f"q1_{n}\t{lm.quartiles[n][0]}", f"q3_{n}\t{lm.quartiles[n][1]}"]
+    lines.append(f"ngrams\t{len(lm.counts)}")
+    lines += [" ".join(gram) + f"\t{lm.counts[gram]}" for gram in sorted(lm.counts)]
+    lines.append("end")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_cond_prob(lm, word, context=()):
+    """Add-one P(word | context) of a TupleLM, its total summed from ``lm.counts``.
 
     Tokens outside the vocabulary map to UNK, in the word and the context.
     """
-    vocab = model.vocab
+    vocab = lm.vocab
     context = tuple(t if t in vocab else UNK for t in context)
     word = word if word in vocab else UNK
-    total = sum(model.counts.get(context + (w,), 0) for w in vocab)
-    return (model.counts.get(context + (word,), 0) + 1) / (total + len(vocab))
+    total = sum(lm.counts.get(context + (w,), 0) for w in vocab)
+    return (lm.counts.get(context + (word,), 0) + 1) / (total + len(vocab))
 
 
-def reference_band_counts(model, tokens, n):
+def reference_sentence_log_prob(lm, sentence):
+    """ln reference_cond_prob summed in position order over the padded sentence."""
+    padded = [BOS] * (lm.order - 1) + list(sentence) + [END]
+    total = 0.0
+    positions = 0
+    for i in range(lm.order - 1, len(padded)):
+        total += math.log(reference_cond_prob(lm, padded[i], padded[i - lm.order + 1 : i]))
+        positions += 1
+    return total / positions
+
+
+def reference_band_counts(lm, tokens, n):
     """Low (<= Q1) and High (> Q3) tallies, applied gram by gram."""
-    q1, q3 = model.quartiles[n]
-    frequencies = [model.counts.get(gram, 0) for gram in index_windows(tokens, n)]
+    q1, q3 = lm.quartiles[n]
+    frequencies = [lm.counts.get(gram, 0) for gram in index_windows(tokens, n)]
     return sum(f <= q1 for f in frequencies), sum(f > q3 for f in frequencies)
+
+
+def reference_seen_fraction(lm, tokens, n):
+    """The share of the length-n windows that ``lm.counts`` holds (0 for none)."""
+    grams = index_windows(tokens, n)
+    return sum(gram in lm.counts for gram in grams) / len(grams) if grams else 0.0
+
+
+def read_lexicon_entries(path):
+    """Every row of a lexicon TSV, scores included, as a TranslationLexicon."""
+    entries = {}
+    for line in read_lines(path):
+        source, target, score = line.split("\t")
+        entries.setdefault(source, {})[target] = float(score)
+    return TranslationLexicon(entries)
 
 
 def brute_force_lexicon(corpus, threshold):

@@ -13,7 +13,9 @@ from mtqe.grading import Grade, judgment_grade
 from mtqe.lexicon import build_lexicon
 from mtqe.ngram import load_lm, train_lm
 
-from conftest import EN_WORDS, make_corpus, reference_cond_prob, run_cli, run_toy_pipeline
+from conftest import (
+    EN_WORDS, decode_lm, make_corpus, reference_cond_prob, run_cli, run_toy_pipeline,
+)
 
 
 @contextmanager
@@ -67,7 +69,7 @@ def test_criterion_2_language_model_normalization():
             rng.choices(EN_WORDS[:25], k=rng.randint(2, 10)) for _ in range(50)
         ]
         for order in (1, 2, 3):
-            model = train_lm(sentences, order)
+            model = decode_lm(train_lm(sentences, order))
             contexts = {()} | {gram for gram in model.counts if len(gram) < order}
             for context in contexts:
                 total = math.fsum(reference_cond_prob(model, w, context) for w in model.vocab)
@@ -205,12 +207,13 @@ def test_criterion_8_determinism_and_persistence(tmp_path):
         lm.save(lm_path)
         lm_loaded = load_lm(lm_path)
         vocabulary = sorted(lm.vocab) + ["neverseen"]
+        decoded, decoded_loaded = decode_lm(lm), decode_lm(lm_loaded)
         for _ in range(1000):
             sentence = [rng.choice(vocabulary) for _ in range(rng.randint(0, 8))]
             assert lm_loaded.sentence_log_prob(sentence) == lm.sentence_log_prob(sentence)
             word = rng.choice(vocabulary)
             context = tuple(rng.choice(vocabulary) for _ in range(2))
-            assert reference_cond_prob(lm_loaded, word, context) == reference_cond_prob(lm, word, context)
+            assert reference_cond_prob(decoded_loaded, word, context) == reference_cond_prob(decoded, word, context)
 
         rows = read_features(tmp_path / "out-first" / "features.csv")
         nb = train_nb([(vector, grade) for _, vector, grade in rows])

@@ -14,8 +14,10 @@ from mtqe.ngram import load_lm
 
 from conftest import (
     brute_force_lexicon,
+    read_lexicon_entries,
     reference_lm,
     run_cli,
+    save_reference_lm,
     run_toy_pipeline,
     write_toy_dataset,
 )
@@ -67,7 +69,8 @@ class TestBuildLexicon:
         code = run_cli("build-lexicon", "--pairs-src", small_data["src"],
                        "--pairs-tgt", small_data["tgt"], *flags, "--out", out)
         assert code == 0
-        entries = sum(len(targets) for targets in load_lexicon(out).entries.values())
+        entries = sum(len(targets) for targets in read_lexicon_entries(out).entries.values())
+        assert sum(load_lexicon(out).sizes.values()) == entries
         assert capsys.readouterr().out == f"lexicon entries={entries} threshold={threshold}\n"
 
 
@@ -280,7 +283,7 @@ class TestWriteStageBytes:
             proc = _run_module("build-lm", "--corpus", data[key], "--side", side, "--out", out)
             assert proc.returncode == 0, proc.stderr
             sentences = [tokenize(line, side) for line in read_lines(data[key])]
-            reference_lm(sentences, 3).save(tmp_path / f"reference-{key}.lm")
+            save_reference_lm(reference_lm(sentences, 3), tmp_path / f"reference-{key}.lm")
             assert out.read_bytes() == (tmp_path / f"reference-{key}.lm").read_bytes()
 
     @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0.05])

@@ -20,7 +20,7 @@ from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, load_lexicon
 from mtqe.ngram import load_lm, train_lm
 
-from conftest import run_cli, run_toy_pipeline
+from conftest import read_lexicon_entries, run_cli, run_toy_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +173,27 @@ def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(*_extract(artifacts, tmp_path / "out", src_lm=bad)) == 2
     assert f"corrupt model file: duplicate n-gram {gram!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gram_with_unknown_token_is_corrupt(artifacts, tmp_path, capsys):
+    # The last token of a trigram becomes one no unigram line lists; the
+    # header lines still match the counts.
+    lines = read_lines(artifacts["src_lm"])
+    index = next(i for i, line in enumerate(lines) if line.count(" ") == 2)
+    gram, count = lines[index].split("\t")
+    gram = gram.rsplit(" ", 1)[0] + " neverseen"
+    lines[index] = f"{gram}\t{count}"
+    bad = tmp_path / "unknown-token.lm"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(CorruptModel) as info:
+        load_lm(bad)
+    assert f"n-gram {gram!r} has a token with no unigram line" in str(info.value)
+    capsys.readouterr()
+    assert run_cli(*_extract(artifacts, tmp_path / "out", src_lm=bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"corrupt model file: n-gram {gram!r}" in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -417,8 +438,14 @@ def test_lm_round_trip(sentences, order):
 @settings(max_examples=40)
 @given(st.dictionaries(_words, st.dictionaries(_words, st.floats(0.0, 1.0, exclude_min=True))))
 def test_lexicon_round_trip(entries):
-    _rewrites_same_bytes(lambda lexicon, path: lexicon.save(path), load_lexicon,
-                         TranslationLexicon(entries))
+    # load_lexicon keeps only the per-source counts, so the full reader
+    # rewrites the file, and the counts must be the file's.
+    lexicon = TranslationLexicon(entries)
+    _rewrites_same_bytes(lambda lexicon, path: lexicon.save(path), read_lexicon_entries, lexicon)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "lexicon.tsv"
+        lexicon.save(path)
+        assert load_lexicon(path).sizes == {s: len(t) for s, t in entries.items() if t}
 
 
 _vectors = st.builds(

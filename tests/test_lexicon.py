@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from mtqe.errors import EmptyCorpus, MalformedRow
 from mtqe.lexicon import TranslationLexicon, _dice_band, build_lexicon, load_lexicon
 
-from conftest import brute_force_lexicon, make_corpus
+from conftest import brute_force_lexicon, make_corpus, read_lexicon_entries
 
 _tokens = st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=5)
 _corpus_lists = st.lists(
@@ -169,13 +171,58 @@ class TestLexiconFile:
         lexicon = build_lexicon(corpus, 0.2)
         path = tmp_path / "lex.tsv"
         lexicon.save(path)
-        loaded = load_lexicon(path)
-        assert loaded.entries == lexicon.entries
+        assert read_lexicon_entries(path).entries == lexicon.entries
+        assert load_lexicon(path).sizes == {s: len(t) for s, t in lexicon.entries.items()}
 
     def test_empty_lexicon_round_trip(self, tmp_path):
         path = tmp_path / "lex.tsv"
         TranslationLexicon({}).save(path)
-        assert load_lexicon(path).entries == {}
+        assert read_lexicon_entries(path).entries == {}
+        assert load_lexicon(path).sizes == {}
+
+    @settings(max_examples=50, deadline=None)
+    @given(_wide_corpus_lists, st.randoms(use_true_random=False))
+    def test_shuffled_rows_load_the_same_counts(self, pair_lists, rng):
+        lexicon = build_lexicon(_corpus(pair_lists), 0.1)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "lex.tsv"
+            lexicon.save(path)
+            expected = load_lexicon(path).sizes
+            lines = path.read_text(encoding="utf-8").splitlines()
+            rng.shuffle(lines)
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            assert load_lexicon(path).sizes == expected
+        assert expected == {s: len(t) for s, t in lexicon.entries.items()}
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["a\tx\t0.5", "b\ty\t0.5", "a\tx\t0.25"],
+            ["b\ty\t0.5", "a\tx\t0.5", "c\tz\t0.5", "a\tx\t0.5"],
+            ["a\tx\t0.5", "a\ty\t0.5", "b\tx\t0.5", "a\ty\t1.0"],
+        ],
+        ids=["leaves-order-at-repeat", "out-of-order-earlier", "same-source"],
+    )
+    def test_non_adjacent_repeat_is_located(self, tmp_path, rows):
+        path = tmp_path / "lex.tsv"
+        path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        source, target, _ = rows[-1].split("\t")
+        with pytest.raises(MalformedRow, match=f"duplicate entry {source!r} -> {target!r}") as info:
+            load_lexicon(path)
+        assert info.value.row == len(rows) - 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(_wide_corpus_lists, st.lists(st.sampled_from("abcdefghijklz"), max_size=8))
+    def test_loaded_counts_give_the_built_lexicons_f7(self, pair_lists, sentence):
+        lexicon = build_lexicon(_corpus(pair_lists), 0.1)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "lex.tsv"
+            lexicon.save(path)
+            loaded = load_lexicon(path)
+        total = sum(len(lexicon.entries.get(token, {})) for token in sentence)
+        expected = (total / len(sentence) if sentence else 0.0).hex()
+        assert lexicon.translations_per_word(sentence).hex() == expected
+        assert loaded.translations_per_word(sentence).hex() == expected
 
     def test_malformed_rows(self, tmp_path):
         path = tmp_path / "lex.tsv"

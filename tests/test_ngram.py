@@ -15,17 +15,19 @@ from mtqe.ngram import (
     UNK,
     _nearest_rank,
     load_lm,
-    ngrams,
     train_lm,
 )
 
 from conftest import (
-    index_windows,
+    decode_lm,
     reference_band_counts,
     reference_cond_prob,
     reference_context_totals,
     reference_counts,
+    reference_lm,
     reference_quartiles,
+    reference_seen_fraction,
+    reference_sentence_log_prob,
 )
 
 _sentences = st.lists(
@@ -37,30 +39,25 @@ _sentences = st.lists(
 _queries = st.lists(st.sampled_from(["a", "b", "c", "z", BOS, END, UNK]), max_size=8)
 
 
-def _reference_sentence_log_prob(model, sentence):
-    """ln reference_cond_prob summed in position order over the padded sentence."""
-    padded = [BOS] * (model.order - 1) + list(sentence) + [END]
-    total = 0.0
-    positions = 0
-    for i in range(model.order - 1, len(padded)):
-        total += math.log(reference_cond_prob(model, padded[i], padded[i - model.order + 1 : i]))
-        positions += 1
-    return total / positions
-
-
 class TestTraining:
     def test_unigram_counts_include_end_marker(self):
         model = train_lm([["a", "b"], ["a", "c"]], order=1)
         expected = {("a",): 2, ("b",): 1, ("c",): 1, (END,): 2}
-        assert model.counts == expected
-        assert model.vocab == {"a", "b", "c", UNK, BOS, END}
+        assert decode_lm(model).counts == expected
+        assert set(model.vocab) == {"a", "b", "c", UNK, BOS, END}
 
     def test_order3_pads_with_bos(self):
-        model = train_lm([["a", "b"]], order=3)
-        assert model.counts[(BOS, BOS, "a")] == 1
-        assert model.counts[(BOS, "a", "b")] == 1
-        assert model.counts[("a", "b", END)] == 1
-        assert model.counts[(BOS,)] == 2
+        counts = decode_lm(train_lm([["a", "b"]], order=3)).counts
+        assert counts[(BOS, BOS, "a")] == 1
+        assert counts[(BOS, "a", "b")] == 1
+        assert counts[("a", "b", END)] == 1
+        assert counts[(BOS,)] == 2
+
+    @given(_sentences, st.integers(min_value=1, max_value=4))
+    def test_ids_count_up_in_code_point_order(self, sentences, order):
+        vocab = train_lm(sentences, order).vocab
+        assert list(vocab.values()) == list(range(1, len(vocab) + 1))
+        assert list(vocab) == sorted(vocab)
 
     def test_degenerate_quartiles(self):
         model = train_lm([["x", "y"]], order=1)
@@ -76,18 +73,18 @@ class TestTraining:
     @settings(max_examples=60)
     @given(_sentences, st.integers(min_value=1, max_value=4))
     def test_counts_equal_index_loop_reference(self, sentences, order):
-        assert train_lm(sentences, order).counts == reference_counts(sentences, order)
+        assert decode_lm(train_lm(sentences, order)).counts == reference_counts(sentences, order)
 
     @settings(max_examples=60)
     @given(_sentences, st.integers(min_value=1, max_value=4))
     def test_quartiles_equal_per_order_reference(self, sentences, order):
-        model = train_lm(sentences, order)
+        model = decode_lm(train_lm(sentences, order))
         assert model.quartiles == reference_quartiles(model.counts, order)
 
     @settings(max_examples=60)
     @given(_sentences, st.integers(min_value=1, max_value=4))
     def test_context_totals_equal_counter_reference(self, sentences, order):
-        model = train_lm(sentences, order)
+        model = decode_lm(train_lm(sentences, order))
         assert model.context_totals == reference_context_totals(model.counts, order)
 
     def test_bad_order(self):
@@ -97,23 +94,23 @@ class TestTraining:
 
 class TestCondProb:
     def test_laplace_estimate(self):
-        model = train_lm([["a", "b"], ["a", "c"]], order=1)
+        model = decode_lm(train_lm([["a", "b"], ["a", "c"]], order=1))
         assert len(model.vocab) == 6
         assert reference_cond_prob(model, "a") == (2 + 1) / (6 + 6)
 
     def test_unseen_word_maps_to_unk(self):
-        model = train_lm([["a", "b"], ["a", "c"]], order=1)
+        model = decode_lm(train_lm([["a", "b"], ["a", "c"]], order=1))
         assert reference_cond_prob(model, "z") == (0 + 1) / (6 + 6)
         assert reference_cond_prob(model, "z") == reference_cond_prob(model, UNK)
 
     def test_normalizes_over_vocab(self):
-        model = train_lm([["a", "b"], ["a", "c"]], order=1)
+        model = decode_lm(train_lm([["a", "b"], ["a", "c"]], order=1))
         assert sum(reference_cond_prob(model, w) for w in model.vocab) == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=60)
     @given(_sentences, st.integers(min_value=1, max_value=3))
     def test_normalization_for_every_stored_context(self, sentences, order):
-        model = train_lm(sentences, order)
+        model = decode_lm(train_lm(sentences, order))
         contexts = {()} | {g for g in model.counts if len(g) < order}
         for context in contexts:
             total = sum(reference_cond_prob(model, w, context) for w in model.vocab)
@@ -121,8 +118,8 @@ class TestCondProb:
 
     def test_monotone_in_event_count(self):
         base = [["a", "b"], ["a", "c"], ["b", "c"]]
-        before = reference_cond_prob(train_lm(base, 2), "b", ("a",))
-        after = reference_cond_prob(train_lm(base + [["a", "b"]], 2), "b", ("a",))
+        before = reference_cond_prob(decode_lm(train_lm(base, 2)), "b", ("a",))
+        after = reference_cond_prob(decode_lm(train_lm(base + [["a", "b"]], 2)), "b", ("a",))
         assert after >= before
 
 
@@ -130,21 +127,22 @@ class TestSentenceLogProb:
     def test_constant_chain_equals_log_p(self):
         # One one-token sentence: P(a) = P(END) = 2/6, so the mean is ln(1/3).
         model = train_lm([["a"]], order=1)
-        p = reference_cond_prob(model, "a")
-        assert p == reference_cond_prob(model, END) == pytest.approx(1 / 3)
+        p = reference_cond_prob(decode_lm(model), "a")
+        assert p == reference_cond_prob(decode_lm(model), END) == pytest.approx(1 / 3)
         assert model.sentence_log_prob(["a"]) == math.log(p)
 
     def test_matches_explicit_chain_rule_product(self):
         rng = random.Random(3)
         corpus = [[rng.choice("abcd") for _ in range(rng.randint(1, 6))] for _ in range(12)]
         model = train_lm(corpus, 3)
+        decoded = decode_lm(model)
         for _ in range(25):
             sentence = [rng.choice("abcdz") for _ in range(rng.randint(0, 7))]
             padded = [BOS, BOS] + sentence + [END]
             product = 1.0
             positions = 0
             for i in range(2, len(padded)):
-                product *= reference_cond_prob(model, padded[i], tuple(padded[i - 2 : i]))
+                product *= reference_cond_prob(decoded, padded[i], tuple(padded[i - 2 : i]))
                 positions += 1
             oracle = math.log(product) / positions
             assert model.sentence_log_prob(sentence) == pytest.approx(oracle, abs=1e-12)
@@ -160,12 +158,12 @@ class TestSentenceLogProb:
     @given(_sentences, st.integers(min_value=1, max_value=4), _queries)
     def test_equals_cond_prob_log_sum_bit_for_bit(self, corpus, order, sentence):
         model = train_lm(corpus, order)
-        expected = _reference_sentence_log_prob(model, sentence)
+        expected = reference_sentence_log_prob(decode_lm(model), sentence)
         assert model.sentence_log_prob(sentence) == expected
 
     def test_empty_sentence_scores_end_alone(self):
         model = train_lm([["a", "b"]], order=3)
-        expected = math.log(reference_cond_prob(model, END, (BOS, BOS)))
+        expected = math.log(reference_cond_prob(decode_lm(model), END, (BOS, BOS)))
         assert model.sentence_log_prob([]) == expected
 
 
@@ -196,7 +194,7 @@ class TestFreqClass:
     def test_band_counts_equal_freq_class_tallies(self, corpus, sentence):
         model = train_lm(corpus, 3)
         for n in (1, 2, 3):
-            expected = reference_band_counts(model, sentence, n)
+            expected = reference_band_counts(decode_lm(model), sentence, n)
             assert model.band_counts(sentence, n) == expected
             assert model.band_counts(tuple(sentence), n) == expected
 
@@ -218,25 +216,45 @@ class TestFreqClass:
 class TestSeenFraction:
     def test_ratios(self):
         model = train_lm([["a", "b", "c"]], order=1)
-        seen = [("a",), ("b",), ("c",)]
-        assert model.seen_fraction(seen) == 1.0
-        assert model.seen_fraction([("z",), ("q",)]) == 0.0
-        assert model.seen_fraction(seen + [("z",)]) == 0.75
-        assert model.seen_fraction([]) == 0.0
+        seen = ["a", "b", "c"]
+        assert model.seen_fraction(seen, 1) == 1.0
+        assert model.seen_fraction(["z", "q"], 1) == 0.0
+        assert model.seen_fraction(seen + ["z"], 1) == 0.75
+        assert model.seen_fraction([], 1) == 0.0
+
+    def test_windows_longer_than_the_sentence(self):
+        model = train_lm([["a", "b", "c"]], order=3)
+        assert model.seen_fraction(["a", "b"], 2) == 1.0
+        assert model.seen_fraction(["a", "b"], 3) == 0.0
 
 
-class TestNgramsHelper:
-    def test_windows(self):
-        assert ngrams(["a", "b", "c"], 2) == [("a", "b"), ("b", "c")]
-        assert ngrams(["a"], 2) == []
-        assert ngrams([], 1) == []
+# Tokens the file format allows: the reserved markers spelled as corpus
+# tokens, control characters, and a token extending another.  "z" is
+# never in a corpus, so queries hold a token outside the vocabulary.
+_special_tokens = st.sampled_from(["a", "b", "c", UNK, BOS, END, "\x00", "\x1f", "a\x00", "\r", "\x85"])
+_special_sentences = st.lists(st.lists(_special_tokens, max_size=6), min_size=1, max_size=8)
+_special_queries = st.lists(st.one_of(_special_tokens, st.just("z")), max_size=8)
 
-    @given(_queries, st.integers(min_value=1, max_value=5))
-    def test_equals_index_loop(self, tokens, n):
-        expected = index_windows(tokens, n)
-        assert ngrams(tokens, n) == expected
-        assert ngrams(tuple(tokens), n) == expected
-        assert ngrams(iter(tokens), n) == expected
+
+class TestQueriesEqualReferences:
+    """Every query, on a trained and on a loaded model, equals the tuple-keyed references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_special_sentences, st.integers(min_value=1, max_value=5), _special_queries)
+    def test_bit_for_bit(self, sentences, order, query):
+        reference = reference_lm(sentences, order)
+        trained = train_lm(sentences, order)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            trained.save(path)
+            loaded = load_lm(path)
+        log_prob = reference_sentence_log_prob(reference, query).hex()
+        for model in (trained, loaded):
+            assert model.sentence_log_prob(query).hex() == log_prob
+            for n in range(1, order + 1):
+                assert model.band_counts(query, n) == reference_band_counts(reference, query, n)
+                seen = reference_seen_fraction(reference, query, n).hex()
+                assert model.seen_fraction(query, n).hex() == seen
 
 
 class TestPersistence:
@@ -251,10 +269,8 @@ class TestPersistence:
         model.save(path)
         loaded = load_lm(path)
         assert loaded.order == model.order
-        assert loaded.counts == model.counts
-        assert loaded.context_totals == model.context_totals
+        assert decode_lm(loaded) == decode_lm(model)
         assert loaded.vocab == model.vocab
-        assert loaded.quartiles == model.quartiles
         rng = random.Random(1)
         for _ in range(200):
             sentence = [rng.choice("abcdefz") for _ in range(rng.randint(0, 6))]
@@ -309,6 +325,16 @@ class TestPersistence:
         with pytest.raises(CorruptModel, match="has no gram"):
             load_lm(path)
 
+    def test_gram_with_a_token_without_unigram_line_is_corrupt(self, tmp_path):
+        path = tmp_path / "m.lm"
+        train_lm([["a", "b"]], 2).save(path)
+        lines = read_lines(path)
+        index = lines.index("a b\t1")
+        lines[index] = "a q\t1"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel, match="n-gram 'a q' has a token with no unigram line"):
+            load_lm(path)
+
     def test_garbage_file(self, tmp_path):
         (tmp_path / "x.lm").write_text("not a model\n", encoding="utf-8")
         with pytest.raises(CorruptModel):
@@ -346,7 +372,5 @@ class TestDerivedHeaders:
             path = Path(directory) / "m.lm"
             model.save(path)
             loaded = load_lm(path)
-        assert loaded.counts == model.counts
+        assert decode_lm(loaded) == decode_lm(model)
         assert loaded.vocab == model.vocab
-        assert loaded.context_totals == model.context_totals
-        assert loaded.quartiles == model.quartiles
