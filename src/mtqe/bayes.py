@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CorruptModel, EmptyTrainingSet
-from .features import N_FEATURES, FeatureVector
+from .features import N_FEATURES
 from .fileio import header_int, header_value, is_plain, read_model_lines, write_model_lines
 from .grading import Grade
 
@@ -36,9 +36,7 @@ class Posterior:
 
 
 def _as_values(x) -> tuple[float, ...]:
-    if isinstance(x, FeatureVector):
-        return x.values()
-    values = tuple(float(v) for v in x)
+    values = tuple(map(float, x))
     if len(values) != N_FEATURES:
         raise ValueError(f"expected {N_FEATURES} feature values, got {len(values)}")
     return values

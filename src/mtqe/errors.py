@@ -18,8 +18,6 @@ class LineCountMismatch(QEError):
             f"parallel files are not line-aligned: "
             f"{n_source} source lines vs {n_target} target lines"
         )
-        self.n_source = n_source
-        self.n_target = n_target
 
 
 class InvalidEncoding(QEError):
@@ -28,8 +26,6 @@ class InvalidEncoding(QEError):
     def __init__(self, line_no: int, path=None):
         where = f"{path}:{line_no}" if path is not None else f"line {line_no}"
         super().__init__(f"invalid UTF-8 at {where}")
-        self.line_no = line_no
-        self.path = path
 
 
 class MalformedRow(QEError):
@@ -42,7 +38,6 @@ class MalformedRow(QEError):
     def __init__(self, row, detail: str = ""):
         where = "header" if row is None else f"row {row}"
         super().__init__(f"malformed {where}" + (f": {detail}" if detail else ""))
-        self.row = row
 
 
 class OutOfRangeScore(QEError, ValueError):
@@ -55,7 +50,6 @@ class OutOfRangeScore(QEError, ValueError):
     def __init__(self, row: int | None, col: int, value: int):
         where = "" if row is None else f" in row {row}"
         super().__init__(f"judgment parameter p{col}{where} is {value}, outside 0..4")
-        self.row = row
         self.col = col
         self.value = value
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter, itemgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
@@ -20,8 +20,7 @@ FEATURE_HEADERS = tuple("id," + ",".join(FEATURE_COLUMNS) + tail for tail in (""
 _INT_INDEXES = (0, 1, 14, 15)  # f1, f2, f15, f16 are counts
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     """One row of the classifier's input, field order matching f1..f16."""
 
     src_token_count: int            # f1
@@ -43,10 +42,7 @@ class FeatureVector:
 
     def values(self) -> tuple[float, ...]:
         """The 16 feature values as floats, in f1..f16 order."""
-        return tuple(map(float, _fields_of(self)))
-
-
-_fields_of = attrgetter(*(field.name for field in fields(FeatureVector)))
+        return tuple(map(float, self))
 
 
 def _low_high_pct(model: NgramModel, tokens, n: int) -> tuple[float, float]:

@@ -13,7 +13,7 @@ from itertools import repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
-from .fileio import atomic_write_lines, read_lines
+from .fileio import atomic_write_lines, is_plain, read_lines, split_row
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -133,13 +133,9 @@ def load_lexicon(path) -> TranslationCounts:
     for row, line in enumerate(lines):
         if line == "":
             continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise MalformedRow(row, f"expected 3 cells, got {len(cells)}")
-        source, target, text = cells
-        # fileio.is_plain, inline, since it runs per row.
+        source, target, text = split_row(line, row, "\t", 3)
         try:
-            if not text.isascii() or not text.isprintable() or " " in text or "_" in text:
+            if not is_plain(text):
                 raise ValueError
             score = float(text)
         except ValueError:

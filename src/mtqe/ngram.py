@@ -6,16 +6,16 @@ counted.  Conditional probabilities are Laplace estimates over the full
 vocabulary (observed tokens plus the reserved UNK/BOS/END markers), so they
 are strictly positive and sum to one for every context.
 
-Grams are stored as integers.  Each vocabulary token has an id in 1..|V|,
-assigned in code-point order, and a gram is its ids read as the digits of a
-number in base B = |V| + 2, first token most significant:
-``((id1 * B) + id2) * B + id3``.  No id is 0, so a length-n gram lies in
-[B**(n-1), B**n) and grams of different lengths never share a key.  The
-spare digit B - 1 stands for a token outside the vocabulary; no counted
-gram holds it, so a window with such a token is unseen.  The context of a
-full-order gram is ``key // B``, and the empty context is 0.  Sorting keys
-padded with zero digits to ``order`` digits gives token-tuple order, which
-is the order ``save`` writes.
+Grams are stored as integers, in one dict per gram length.  Each
+vocabulary token has an id in 1..|V|, assigned in code-point order, and a
+gram is its ids read as the digits of a number in base B = |V| + 1, first
+token most significant: ``((id1 * B) + id2) * B + id3``.  A token outside
+the vocabulary is digit 0; no counted gram holds it, so a window with such
+a token is unseen in its length's dict.  The context of a full-order gram
+is ``key // B``, and the empty context is 0.  No id is 0, so a length-n
+gram lies in [B**(n-1), B**n), and sorting keys padded with zero digits to
+``order`` digits gives token-tuple order, which is the order ``save``
+writes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from .errors import CorruptModel, EmptyCorpus
 from .fileio import header_int, read_model_lines, write_model_lines
@@ -42,11 +42,6 @@ def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
     return sorted_values[rank - 1]
 
 
-def _base(vocab) -> int:
-    """The radix of the packed keys: the ids, 0 and the spare digit B - 1."""
-    return len(vocab) + 2
-
-
 def _vocabulary(tokens) -> dict[str, int]:
     """``{token: id}`` for the tokens and the reserved markers, ids 1.. in code-point order.
 
@@ -58,23 +53,24 @@ def _vocabulary(tokens) -> dict[str, int]:
 class NgramModel:
     """Packed gram counts for orders 1..order and the facts the queries read.
 
-    ``vocab`` maps each token to its id, ``counts`` each packed gram to its
-    occurrences, and ``context_totals`` each packed full-order context to
-    sum_w counts[context + (w,)], which is what exact Laplace normalization
-    requires (a context ending a padded sentence occurs but never continues,
-    so its raw count would overstate the total).  ``frequencies[n]`` holds
-    the count of every length-n type, in any order.
+    ``vocab`` maps each token to its id, and ``counts[n - 1]`` each packed
+    length-n gram to its occurrences; every length has a gram.  The
+    constructor derives the rest: ``context_totals`` maps each packed
+    full-order context to sum_w counts[context + (w,)], which is what exact
+    Laplace normalization requires (a context ending a padded sentence
+    occurs but never continues, so its raw count would overstate the
+    total), and ``quartiles[n]`` is the nearest-rank (Q1, Q3) of the
+    length-n type frequencies.
 
     Immutable after construction; every query is pure, so concurrent
     readers are safe.
     """
 
-    def __init__(self, order, vocab, counts, context_totals, frequencies):
+    def __init__(self, order, vocab, counts):
         self.order = order
         self.vocab = vocab
         self.counts = counts
-        self.context_totals = context_totals
-        base = _base(vocab)
+        base = len(vocab) + 1
         self._base = base
         self._powers = [base**n for n in range(order + 1)]
         # The context of a sentence's first full-order window: order - 1
@@ -82,12 +78,13 @@ class NgramModel:
         self._begin = 0
         for _ in range(order - 1):
             self._begin = self._begin * base + vocab[BOS]
-        # {n: (q1, q3)}, the nearest-rank quartiles of the length-n type
-        # frequencies, for every order that has a gram.
+        self.context_totals = totals = {}
+        for key, count in counts[-1].items():
+            context = key // base
+            totals[context] = totals.get(context, 0) + count
         self.quartiles = {
             n: (_nearest_rank(values, 25), _nearest_rank(values, 75))
-            for n, values in enumerate(map(sorted, frequencies))
-            if values
+            for n, values in enumerate((sorted(grams.values()) for grams in counts), start=1)
         }
 
     def sentence_log_prob(self, tokens) -> float:
@@ -105,7 +102,7 @@ class NgramModel:
         base = self._base
         context_span = self._powers[self.order - 1]
         key = self._begin
-        get_count = self.counts.get
+        get_count = self.counts[-1].get
         get_total = self.context_totals.get
         size = len(vocab)
         log = math.log
@@ -127,7 +124,7 @@ class NgramModel:
         if not 1 <= n <= self.order:
             raise ValueError(f"gram length must be in 1..{self.order}, got {n}")
         q1, q3 = self.quartiles[n]
-        get = self.counts.get
+        get = self.counts[n - 1].get
         low = 0
         high = 0
         for key in self._windows(tokens, n):
@@ -146,16 +143,16 @@ class NgramModel:
         keys = self._windows(tokens, n)
         if not keys:
             return 0.0
-        return sum(map(self.counts.__contains__, keys)) / len(keys)
+        return sum(map(self.counts[n - 1].__contains__, keys)) / len(keys)
 
     def _windows(self, tokens, n: int) -> list[int]:
         """The packed key of every length-n window of ``tokens``, in order.
 
-        A token outside the vocabulary is the spare digit, so its windows
-        are unseen.
+        A token outside the vocabulary is digit 0, so its windows are
+        unseen.
         """
         base = self._base
-        ids = list(map(self.vocab.get, tokens, repeat(base - 1)))
+        ids = list(map(self.vocab.get, tokens, repeat(0)))
         if n == 1:
             return ids
         span = self._powers[n - 1]
@@ -177,7 +174,7 @@ class NgramModel:
             lines.append(f"q1_{n}\t{q1}")
             lines.append(f"q3_{n}\t{q3}")
         counts = self.counts
-        lines.append(f"ngrams\t{len(counts)}")
+        lines.append(f"ngrams\t{sum(map(len, counts))}")
         base = self._base
         powers = self._powers
         # A key below B**n has at most n digits; padding it with zero digits
@@ -189,14 +186,14 @@ class NgramModel:
             return key * scales[bisect_right(bounds, key)]
 
         words = ["", *self.vocab]
-        for key in sorted(counts, key=padded):
-            count = counts[key]
+        for key in sorted(chain(*counts), key=padded):
             tokens = []
-            while key:
-                key, digit = divmod(key, base)
+            rest = key
+            while rest:
+                rest, digit = divmod(rest, base)
                 tokens.append(words[digit])
             tokens.reverse()
-            lines.append(" ".join(tokens) + f"\t{count}")
+            lines.append(" ".join(tokens) + f"\t{counts[len(tokens) - 1][key]}")
         write_model_lines(path, _MAGIC, _FORMAT_VERSION, lines)
 
 
@@ -219,7 +216,7 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     for sentence in sentences:
         tokens.update(sentence)
     vocab = _vocabulary(tokens)
-    base = _base(vocab)
+    base = len(vocab) + 1
     start = [vocab[BOS]] * (order - 1)
     end = vocab[END]
     by_length = [Counter() for _ in range(order)]
@@ -231,16 +228,7 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
         for n in range(1, order):
             keys = [key * base + word for key, word in zip(keys, islice(ids, n, None))]
             by_length[n].update(keys)
-    counts = {}
-    for counter in by_length:
-        counts.update(counter)
-    context_totals: dict[int, int] = {}
-    get = context_totals.get
-    for key, count in by_length[-1].items():
-        context = key // base
-        context_totals[context] = get(context, 0) + count
-    frequencies = [[], *(list(counter.values()) for counter in by_length)]
-    return NgramModel(order, vocab, counts, context_totals, frequencies)
+    return NgramModel(order, vocab, by_length)
 
 
 def load_lm(path) -> NgramModel:
@@ -274,12 +262,8 @@ def load_lm(path) -> NgramModel:
     vocab = _vocabulary(unigrams)
     # Only a token with a unigram line may appear in a gram.
     ids = {token: vocab[token] for token in unigrams}
-    base = _base(vocab)
-    counts = {}
-    context_totals: dict[int, int] = {}
-    get_total = context_totals.get
-    frequencies: list[list[int]] = [[] for _ in range(order + 1)]
-    append = [values.append for values in frequencies]
+    base = len(vocab) + 1
+    counts: list[dict[int, int]] = [{} for _ in range(order)]
     for line in lines:
         try:
             gram_text, text = line.split("\t")
@@ -299,23 +283,14 @@ def load_lm(path) -> NgramModel:
                 key = key * base + ids[token]
         except KeyError:
             raise CorruptModel(f"n-gram {gram_text!r} has a token with no unigram line") from None
-        counts[key] = count
-        append[n](count)
-        if n == order:
-            context = key // base
-            context_totals[context] = get_total(context, 0) + count
-    if len(counts) < n_grams:
-        # A repeated gram overwrote an earlier count; name the first one.
-        seen = set()
-        for line in lines:
-            text = line.split("\t")[0]
-            if text in seen:
-                raise CorruptModel(f"duplicate n-gram {text!r}")
-            seen.add(text)
-    model = NgramModel(order, vocab, counts, context_totals, frequencies)
-    if len(model.quartiles) < order:
+        grams = counts[n - 1]
+        if key in grams:
+            raise CorruptModel(f"duplicate n-gram {gram_text!r}")
+        grams[key] = count
+    if not all(counts):
         raise CorruptModel(f"some n-gram length in 1..{order} has no gram")
-    derived = [len(vocab)] + [q for n in range(1, order + 1) for q in model.quartiles[n]]
+    model = NgramModel(order, vocab, counts)
+    derived = [len(vocab), *chain.from_iterable(model.quartiles.values())]
     for (key, value), expected in zip(header.items(), derived):
         if value != expected:
             raise CorruptModel(f"header line '{key}' says {value}, the counts give {expected}")

@@ -91,11 +91,12 @@ class TupleLM:
 def decode_lm(model):
     """``model`` as a TupleLM: every packed key read back as its token tuple.
 
-    A key is the token ids in base len(vocab) + 2, first token most
-    significant; the key 0 is the empty tuple.
+    ``model.counts[n - 1]`` holds the length-n grams, each key the token
+    ids in base len(vocab) + 1, first token most significant; the key 0 is
+    the empty tuple.
     """
     words = {i: token for token, i in model.vocab.items()}
-    base = len(model.vocab) + 2
+    base = len(model.vocab) + 1
 
     def decode(key):
         tokens = []
@@ -107,7 +108,7 @@ def decode_lm(model):
     return TupleLM(
         model.order,
         frozenset(model.vocab),
-        {decode(key): count for key, count in model.counts.items()},
+        {decode(key): count for grams in model.counts for key, count in grams.items()},
         {decode(key): total for key, total in model.context_totals.items()},
         dict(model.quartiles),
     )

@@ -1,12 +1,15 @@
-"""The names ``bench/`` imports from mtqe modules must all exist.
+"""``bench/`` must keep working against the mtqe modules.
 
 The benchmark scripts import inside functions, so a removed name would
-only fail when that code path runs (``--trace 1``); this checks them all
-statically.
+only fail when that code path runs (``--trace 1``); the first tests check
+them all statically, and the last runs a traced bench pass end to end.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,16 @@ def test_bench_names_exist(module):
     loaded = importlib.import_module(module)
     missing = sorted(name for name in IMPORTS[module] if not hasattr(loaded, name))
     assert missing == []
+
+
+def test_traced_bench_run_succeeds():
+    # --trace 1 runs bench/layers.py in process, which reads model
+    # attributes and checks its outputs against the CLI's bytes; the tiny
+    # scale keeps the run to a few seconds.
+    argv = [sys.executable, "bench/run.py", "--workload", "grade", "--seed", "3",
+            "--seconds", "0.1", "--trace", "1", "--scale", "0.02"]
+    done = subprocess.run(argv, cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["failed"] == 0, done.stderr
+    assert result["correct"]

@@ -107,7 +107,7 @@ def test_invalid_utf8_names_path_and_line(name, artifacts, tmp_path, capsys):
     _rewrite_line(artifacts[artifact], bad, 1, lambda line: line + b"\xff")
     with pytest.raises(InvalidEncoding) as info:
         read(bad, artifacts)
-    assert (info.value.path, info.value.line_no) == (bad, 2)
+    assert str(info.value) == f"invalid UTF-8 at {bad}:2"
     capsys.readouterr()
     assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
     assert f"invalid UTF-8 at {bad}:2" in capsys.readouterr().err
@@ -124,7 +124,7 @@ def test_short_row_is_located(name, artifacts, tmp_path):
         read(bad, artifacts)
     if isinstance(info.value, MalformedRow):
         header_lines = 0 if name == "lexicon" else 1
-        assert info.value.row == index - header_lines
+        assert str(info.value).startswith(f"malformed row {index - header_lines}: ")
     else:
         key = read_lines(bad)[index].split("\t")[0]
         assert key in str(info.value)
@@ -149,22 +149,26 @@ def test_repeated_lexicon_entry_is_located(artifacts, tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(MalformedRow) as info:
         load_lexicon(bad)
-    assert info.value.row == 1
-    assert f"duplicate entry {source!r} -> {target!r}" in str(info.value)
+    assert str(info.value) == f"malformed row 1: duplicate entry {source!r} -> {target!r}"
     capsys.readouterr()
     assert run_cli(*_extract(artifacts, tmp_path / "out", lexicon=bad)) == 2
     assert "malformed row 1: duplicate entry" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys):
-    # The header counts the repeated line, so only the repetition is wrong.
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys, n):
+    # The first length-n gram comes back just before the closing line,
+    # away from its first line; the header counts the repeated line, so
+    # only the repetition is wrong.
     lines = read_lines(artifacts["src_lm"])
     header = next(i for i, line in enumerate(lines) if line.startswith("ngrams\t"))
     n_grams = int(lines[header].split("\t")[1])
-    gram, count = lines[header + 1].split("\t")
+    first = next(i for i in range(header + 1, len(lines)) if lines[i].count(" ") == n - 1)
+    assert first < len(lines) - 2  # not the last gram line
+    gram, count = lines[first].split("\t")
     lines[header] = f"ngrams\t{n_grams + 1}"
-    lines.insert(header + 2, f"{gram}\t{int(count) + 1}")
+    lines.insert(-1, f"{gram}\t{int(count) + 1}")
     bad = tmp_path / "repeated.lm"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorruptModel) as info:
@@ -338,8 +342,7 @@ def test_repeated_id_is_located(name, artifacts, tmp_path, capsys):
     bad = _repeat_first_id(artifacts[artifact], tmp_path / f"repeated-{artifacts[artifact].name}")
     with pytest.raises(MalformedRow) as info:
         read(bad, artifacts)
-    assert info.value.row == 1
-    assert "duplicate id 0" in str(info.value)
+    assert str(info.value) == "malformed row 1: duplicate id 0"
     capsys.readouterr()
     assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
     assert "malformed row 1: duplicate id 0" in capsys.readouterr().err

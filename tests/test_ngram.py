@@ -307,7 +307,7 @@ class TestPersistence:
         path = tmp_path / "m.lm"
         model.save(path)
         text = path.read_text(encoding="utf-8")
-        text = text.replace(f"ngrams\t{len(model.counts)}\n", f"ngrams\t{n_grams}\n")
+        text = text.replace(f"ngrams\t{sum(map(len, model.counts))}\n", f"ngrams\t{n_grams}\n")
         (tmp_path / "neg.lm").write_text(text, encoding="utf-8")
         with pytest.raises(CorruptModel, match="ngrams must be >= 0"):
             load_lm(tmp_path / "neg.lm")
