@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
-from .corpus import SIDES, load_judgments, load_parallel, stats_from_sentences, tokenize
+from .corpus import SIDES, load_judgments, load_parallel, tokenize
 from .errors import LengthMismatch, MalformedRow, QEError
 from .evaluation import confusion, render_report_csv, render_report_text
 from .features import FEATURE_HEADERS, extract_features, read_features, write_features
@@ -41,7 +42,9 @@ def _cmd_build_lm(args) -> int:
     sentences = [tokenize(line, args.side) for line in read_lines(args.corpus)]
     model = train_lm(sentences, args.order)
     model.save(args.out)
-    print(stats_from_sentences(sentences))
+    words = sum(map(len, sentences))
+    types = len(set(chain.from_iterable(sentences)))
+    print(f"sentences={len(sentences)} words={words} unique_words={types}")
     return 0
 
 
@@ -49,8 +52,7 @@ def _cmd_build_lexicon(args) -> int:
     corpus = load_parallel(args.pairs_src, args.pairs_tgt)
     lexicon = build_lexicon(corpus, args.threshold)
     lexicon.save(args.out)
-    entries = sum(len(targets) for targets in lexicon.entries.values())
-    print(f"lexicon entries={entries} threshold={args.threshold}")
+    print(f"lexicon entries={sum(lexicon.sizes.values())} threshold={args.threshold}")
     return 0
 
 
@@ -73,11 +75,7 @@ def _cmd_extract(args) -> int:
         # Every id is in range and unique, so the count is the coverage.
         covered = len(judgments)
         if covered != len(corpus.pairs):
-            raise LengthMismatch(
-                len(corpus.pairs),
-                covered,
-                f"judgments cover {covered} of {len(corpus.pairs)} sentence pairs",
-            )
+            raise LengthMismatch(f"judgments cover {covered} of {len(corpus.pairs)} sentence pairs")
         grades = {pair.id: judgment_grade(judgments[pair.id]) for pair in corpus.pairs}
     rows = []
     for pair in corpus.pairs:
@@ -133,11 +131,7 @@ def _cmd_evaluate(args) -> int:
     human_rows = _read_grade_file(args.human)
     predicted_rows = _read_grade_file(args.predicted)
     if [i for i, _ in human_rows] != [i for i, _ in predicted_rows]:
-        raise LengthMismatch(
-            len(human_rows),
-            len(predicted_rows),
-            "grade files do not cover the same sentence ids",
-        )
+        raise LengthMismatch("grade files do not cover the same sentence ids")
     human = [grade for _, grade in human_rows]
     predicted = [grade for _, grade in predicted_rows]
     matrix = confusion(human, predicted)

@@ -1,4 +1,4 @@
-"""Tokenization, parallel-corpus and judgment ingestion, corpus statistics.
+"""Tokenization, parallel-corpus and judgment ingestion.
 
 A token is a plain string with no internal whitespace.  The tokenizer
 splits on whitespace and then peels leading and trailing punctuation off
@@ -124,21 +124,6 @@ class HumanJudgment:
                 raise OutOfRangeScore(None, col, value)
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    """Sentence, token, and distinct-token counts for one corpus side."""
-
-    sentences: int
-    words: int
-    unique_words: int
-
-    def __str__(self) -> str:
-        return (
-            f"sentences={self.sentences} words={self.words} "
-            f"unique_words={self.unique_words}"
-        )
-
-
 def load_parallel(source_path, target_path) -> ParallelCorpus:
     """Load two line-aligned text files into a tokenized parallel corpus.
 
@@ -178,14 +163,3 @@ def load_judgments(path) -> list[HumanJudgment]:
             raise OutOfRangeScore(row, exc.col, exc.value) from None
     return judgments
 
-
-def stats_from_sentences(sentences) -> CorpusStats:
-    """Token and type counts over a sequence of token sequences."""
-    words = 0
-    types: set[str] = set()
-    count = 0
-    for sentence in sentences:
-        count += 1
-        words += len(sentence)
-        types.update(sentence)
-    return CorpusStats(count, words, len(types))

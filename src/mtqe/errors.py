@@ -23,9 +23,8 @@ class LineCountMismatch(QEError):
 class InvalidEncoding(QEError):
     """A line of an input file is not valid UTF-8."""
 
-    def __init__(self, line_no: int, path=None):
-        where = f"{path}:{line_no}" if path is not None else f"line {line_no}"
-        super().__init__(f"invalid UTF-8 at {where}")
+    def __init__(self, line_no: int, path):
+        super().__init__(f"invalid UTF-8 at {path}:{line_no}")
 
 
 class MalformedRow(QEError):
@@ -70,10 +69,6 @@ class EmptyTrainingSet(QEError):
 
 class LengthMismatch(QEError):
     """Two sequences that must align item-by-item do not."""
-
-    def __init__(self, expected: int, got: int, detail: str = ""):
-        msg = detail or f"sequences do not align: {expected} vs {got} items"
-        super().__init__(msg)
 
 
 class MixedLabeling(QEError):

@@ -51,7 +51,7 @@ def confusion(human, predicted) -> ConfusionMatrix:
     human = list(human)
     predicted = list(predicted)
     if len(human) != len(predicted):
-        raise LengthMismatch(len(human), len(predicted))
+        raise LengthMismatch(f"sequences do not align: {len(human)} vs {len(predicted)} items")
     cells = {(h, p): 0 for h in Grade for p in Grade}
     for pair in zip(human, predicted):
         cells[pair] += 1

@@ -45,18 +45,14 @@ class FeatureVector(NamedTuple):
         return tuple(map(float, self))
 
 
-def _low_high_pct(model: NgramModel, tokens, n: int) -> tuple[float, float]:
-    n_grams = len(tokens) - n + 1
-    if n_grams <= 0:
+def _low_high_pct(windows: int, low: int, high: int) -> tuple[float, float]:
+    if windows <= 0:
         return 0.0, 0.0
-    n_low, n_high = model.band_counts(tokens, n)
-    low = 100.0 * n_low / n_grams
-    if n_low + n_high == n_grams:
+    low_pct = 100.0 * low / windows
+    if low + high == windows:
         # Complement keeps low + high from creeping past 100 in float.
-        high = 100.0 - low
-    else:
-        high = 100.0 * n_high / n_grams
-    return low, high
+        return low_pct, 100.0 - low_pct
+    return low_pct, 100.0 * high / windows
 
 
 def extract_features(
@@ -78,9 +74,10 @@ def extract_features(
     target = tuple(pair.target)
     src_count = len(source)
     tgt_count = len(target)
-    low_uni, high_uni = _low_high_pct(src_lm, source, 1)
-    low_bi, high_bi = _low_high_pct(src_lm, source, 2)
-    low_tri, high_tri = _low_high_pct(src_lm, source, 3)
+    (uni, bi, tri), seen = src_lm.bands(source, 3)
+    low_uni, high_uni = _low_high_pct(src_count, *uni)
+    low_bi, high_bi = _low_high_pct(src_count - 1, *bi)
+    low_tri, high_tri = _low_high_pct(src_count - 2, *tri)
     return FeatureVector(
         src_token_count=src_count,
         tgt_token_count=tgt_count,
@@ -95,7 +92,7 @@ def extract_features(
         pct_high_freq_bigrams=high_bi,
         pct_high_freq_trigrams=high_tri,
         pct_low_freq_trigrams=low_tri,
-        pct_unigrams_seen=100.0 * src_lm.seen_fraction(source, 1),
+        pct_unigrams_seen=100.0 * (seen / src_count) if src_count else 0.0,
         src_punct_count=sum(1 for t in source if is_punctuation_token(t)),
         tgt_punct_count=sum(1 for t in target if is_punctuation_token(t)),
     )

@@ -6,6 +6,10 @@ counted.  Conditional probabilities are Laplace estimates over the full
 vocabulary (observed tokens plus the reserved UNK/BOS/END markers), so they
 are strictly positive and sum to one for every context.
 
+A model answers two queries on a sentence: ``sentence_log_prob``, its mean
+log-probability, and ``bands``, the frequency-band tallies of its 1..k
+grams and its count of seen unigrams, from one id mapping of the sentence.
+
 Grams are stored as integers, in one dict per gram length.  Each
 vocabulary token has an id in 1..|V|, assigned in code-point order, and a
 gram is its ids read as the digits of a number in base B = |V| + 1, first
@@ -50,6 +54,19 @@ def _vocabulary(tokens) -> dict[str, int]:
     return {token: i for i, token in enumerate(sorted({*tokens, UNK, BOS, END}), start=1)}
 
 
+def _window_keys(ids, longest: int, base: int):
+    """Yield the packed keys of the length-1..longest windows of ``ids``, one list per length.
+
+    The length-n keys extend each length-(n - 1) key by the id that follows
+    its window.
+    """
+    keys = ids
+    yield keys
+    for n in range(2, longest + 1):
+        keys = [key * base + word for key, word in zip(keys, islice(ids, n - 1, None))]
+        yield keys
+
+
 class NgramModel:
     """Packed gram counts for orders 1..order and the facts the queries read.
 
@@ -62,6 +79,7 @@ class NgramModel:
     total), and ``quartiles[n]`` is the nearest-rank (Q1, Q3) of the
     length-n type frequencies.
 
+    The queries are ``sentence_log_prob`` (f4/f5) and ``bands`` (f8-f14).
     Immutable after construction; every query is pure, so concurrent
     readers are safe.
     """
@@ -114,56 +132,36 @@ class NgramModel:
             total += log(numerator / denominator)
         return total / len(ids)
 
-    def band_counts(self, tokens, n: int) -> tuple[int, int]:
-        """How many length-n windows of ``tokens`` are Low and how many High.
+    def bands(self, tokens, longest: int) -> tuple[list[tuple[int, int]], int]:
+        """Low and High tallies of the length-1..longest windows, and the seen unigrams.
 
-        Low means corpus frequency <= Q1 of the distinct-type frequencies at
-        that order (unseen grams are Low); High means frequency > Q3.  Q1 <=
-        Q3, so the bands are disjoint, and a gram in neither is Mid.
+        Maps ``tokens`` to ids once (a token outside the vocabulary is digit
+        0, so its windows are unseen) and returns ``([(low, high) per n],
+        seen)``: for each length n, how many windows are Low (corpus
+        frequency <= Q1 of the distinct length-n type frequencies; unseen
+        grams are Low) and how many High (frequency > Q3), and how many
+        tokens occur as corpus unigrams.  Q1 <= Q3, so the bands are
+        disjoint, and a gram in neither is Mid.  A sentence shorter than n
+        has no length-n window and tallies (0, 0).
         """
-        if not 1 <= n <= self.order:
-            raise ValueError(f"gram length must be in 1..{self.order}, got {n}")
-        q1, q3 = self.quartiles[n]
-        get = self.counts[n - 1].get
-        low = 0
-        high = 0
-        for key in self._windows(tokens, n):
-            frequency = get(key, 0)
-            if frequency <= q1:
-                low += 1
-            elif frequency > q3:
-                high += 1
-        return low, high
-
-    def seen_fraction(self, tokens, n: int) -> float:
-        """Fraction of the length-n windows of ``tokens`` that occur in the corpus.
-
-        A sentence shorter than n has no window and scores 0.
-        """
-        keys = self._windows(tokens, n)
-        if not keys:
-            return 0.0
-        return sum(map(self.counts[n - 1].__contains__, keys)) / len(keys)
-
-    def _windows(self, tokens, n: int) -> list[int]:
-        """The packed key of every length-n window of ``tokens``, in order.
-
-        A token outside the vocabulary is digit 0, so its windows are
-        unseen.
-        """
-        base = self._base
+        if not 1 <= longest <= self.order:
+            raise ValueError(f"gram length must be in 1..{self.order}, got {longest}")
         ids = list(map(self.vocab.get, tokens, repeat(0)))
-        if n == 1:
-            return ids
-        span = self._powers[n - 1]
-        key = 0
-        for word in ids[: n - 1]:
-            key = key * base + word
-        keys = []
-        for word in islice(ids, n - 1, None):
-            key = key % span * base + word
-            keys.append(key)
-        return keys
+        tallies = []
+        for keys, grams, (q1, q3) in zip(
+            _window_keys(ids, longest, self._base), self.counts, self.quartiles.values()
+        ):
+            get = grams.get
+            low = 0
+            high = 0
+            for key in keys:
+                frequency = get(key, 0)
+                if frequency <= q1:
+                    low += 1
+                elif frequency > q3:
+                    high += 1
+            tallies.append((low, high))
+        return tallies, sum(map(self.counts[0].__contains__, ids))
 
     def save(self, path) -> None:
         """Write the model as versioned, line-oriented UTF-8 text."""
@@ -223,11 +221,8 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     for sentence in sentences:
         ids = start + list(map(vocab.__getitem__, sentence))
         ids.append(end)
-        keys = ids
-        by_length[0].update(keys)
-        for n in range(1, order):
-            keys = [key * base + word for key, word in zip(keys, islice(ids, n, None))]
-            by_length[n].update(keys)
+        for grams, keys in zip(by_length, _window_keys(ids, order, base)):
+            grams.update(keys)
     return NgramModel(order, vocab, by_length)
 
 

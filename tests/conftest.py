@@ -174,6 +174,12 @@ def reference_seen_fraction(lm, tokens, n):
     return sum(gram in lm.counts for gram in grams) / len(grams) if grams else 0.0
 
 
+# Tokens the file format allows: the reserved markers spelled as corpus
+# tokens, control characters, and a token extending another.  "z" is not
+# among them, so a query holding "z" holds a token outside the vocabulary.
+SPECIAL_TOKENS = ["a", "b", "c", UNK, BOS, END, "\x00", "\x1f", "a\x00", "\r", "\x85"]
+
+
 def read_lexicon_entries(path):
     """Every row of a lexicon TSV, scores included, as a TranslationLexicon."""
     entries = {}

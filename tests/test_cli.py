@@ -40,7 +40,12 @@ class TestBuildLm:
         assert code == 0
         assert out.exists()
         assert load_lm(out).order == 3
-        assert "sentences=20" in capsys.readouterr().out
+        # The toy corpus is lowercase and separates every token by one space.
+        words = " ".join(read_lines(small_data["src"])).split(" ")
+        assert len(set(words)) < len(words)
+        assert capsys.readouterr().out == (
+            f"sentences=20 words={len(words)} unique_words={len(set(words))}\n"
+        )
 
     def test_missing_file_names_path(self, tmp_path, capsys):
         code = run_cli("build-lm", "--corpus", tmp_path / "absent.txt",
@@ -112,7 +117,7 @@ class TestExtract:
                        "--tgt-lm", models["tgt_lm"], "--lexicon", models["lexicon"],
                        "--judgments", tmp_path / "short.tsv", "--out", tmp_path / "f.csv")
         assert code == 2
-        assert "cover" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: judgments cover 19 of 20 sentence pairs\n"
 
     @pytest.mark.parametrize("stray_id", [99999, 20, -1])
     def test_judgment_id_outside_corpus(self, tmp_path, small_data, capsys, stray_id):
@@ -225,6 +230,7 @@ class TestTrainPredictEvaluate:
         code = run_cli("evaluate", "--human", tmp_path / "a.csv",
                        "--predicted", tmp_path / "b.csv", "--out", tmp_path / "r.csv")
         assert code == 2
+        assert capsys.readouterr().err == "error: grade files do not cover the same sentence ids\n"
 
     def test_evaluate_published_fixture(self, tmp_path):
         human = ["id,grade"] + [f"{i},Poor" for i in range(1300)]

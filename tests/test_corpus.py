@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from mtqe.corpus import (
     SOURCE,
     TARGET,
-    CorpusStats,
     HumanJudgment,
     is_punctuation_char,
     is_punctuation_token,
     load_judgments,
     load_parallel,
-    stats_from_sentences,
     tokenize,
 )
 from mtqe.errors import (
@@ -23,7 +21,7 @@ from mtqe.errors import (
     OutOfRangeScore,
 )
 
-from conftest import make_corpus
+from conftest import run_cli
 
 _CHARS = list("abcXY zq.?!,()-'।॥") + ["लड़", "का", "दौ"]
 _text = st.text(alphabet=st.sampled_from("".join(_CHARS)), max_size=40)
@@ -195,32 +193,22 @@ class TestLoadJudgments:
 
 
 class TestCorpusStats:
-    def test_hand_counted(self):
-        corpus = make_corpus([["a", "b"], ["a", "c"]], [["x"], ["y"]])
-        stats = stats_from_sentences(pair.source for pair in corpus)
-        assert (stats.sentences, stats.words, stats.unique_words) == (2, 4, 3)
+    """The counts line `build-lm` prints for the side it trained on."""
 
-    def test_empty_corpus(self):
-        corpus = make_corpus([], [])
-        assert stats_from_sentences(pair.target for pair in corpus) == CorpusStats(0, 0, 0)
+    def _build_lm_stdout(self, tmp_path, capsys, text):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text(text, encoding="utf-8")
+        code = run_cli("build-lm", "--corpus", corpus, "--side", SOURCE,
+                       "--out", tmp_path / "c.lm")
+        assert code == 0
+        return capsys.readouterr().out
 
-    def test_reporting_format(self):
-        # Shape check only: the published training corpus is not distributed.
-        stats = CorpusStats(3300, 55014, 8956)
-        assert stats.unique_words <= stats.words
-        assert str(stats) == "sentences=3300 words=55014 unique_words=8956"
+    def test_hand_counted(self, tmp_path, capsys):
+        out = self._build_lm_stdout(tmp_path, capsys, "a b\na c\n")
+        assert out == "sentences=2 words=4 unique_words=3\n"
 
-    @given(
-        st.lists(
-            st.lists(st.sampled_from("abcde"), max_size=6),
-            max_size=8,
-        )
-    )
-    def test_unique_never_exceeds_words(self, sentences):
-        stats = stats_from_sentences(sentences)
-        assert stats.unique_words <= stats.words
-        flat = [token for sentence in sentences for token in sentence]
-        if len(set(flat)) == len(flat):
-            assert stats.unique_words == stats.words
-        else:
-            assert stats.unique_words < stats.words
+    def test_reporting_format(self, tmp_path, capsys):
+        # Counts are of tokens after tokenization: case folded, punctuation
+        # peeled into tokens of its own, runs of spaces collapsed.
+        out = self._build_lm_stdout(tmp_path, capsys, "Hello, world.\nhello  world\n")
+        assert out == "sentences=2 words=6 unique_words=4\n"

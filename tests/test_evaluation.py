@@ -166,7 +166,7 @@ class TestConfusion:
         )
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(LengthMismatch, match=r"^sequences do not align: 1 vs 0 items$"):
             confusion([Grade.POOR], [])
 
 

@@ -1,7 +1,9 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtqe.corpus import SentencePair
@@ -15,9 +17,15 @@ from mtqe.features import (
 )
 from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, build_lexicon
-from mtqe.ngram import train_lm
+from mtqe.ngram import load_lm, train_lm
 
-from conftest import make_corpus
+from conftest import (
+    SPECIAL_TOKENS,
+    make_corpus,
+    reference_band_counts,
+    reference_lm,
+    reference_seen_fraction,
+)
 
 _rng = random.Random(5)
 _SRC_SENTS = [[_rng.choice("abcdef") for _ in range(_rng.randint(2, 7))] + ["."] for _ in range(25)]
@@ -173,6 +181,44 @@ class TestProperties:
         assert after.src_punct_count == before.src_punct_count + 1
         assert after.tgt_token_count == before.tgt_token_count
         assert after.tgt_punct_count == before.tgt_punct_count
+
+
+def _reference_low_high_pct(reference, tokens, n):
+    """f8-f13's arithmetic on the tuple-keyed band tallies of the length-n windows."""
+    windows = len(tokens) - n + 1
+    if windows <= 0:
+        return 0.0, 0.0
+    low, high = reference_band_counts(reference, tokens, n)
+    low_pct = 100.0 * low / windows
+    return low_pct, (100.0 - low_pct if low + high == windows else 100.0 * high / windows)
+
+
+_special_corpora = st.lists(st.lists(st.sampled_from(SPECIAL_TOKENS), max_size=6), min_size=1, max_size=8)
+# "z" is outside every vocabulary; sentences of 0-2 tokens have no trigram.
+_query_tokens = st.sampled_from([*SPECIAL_TOKENS, "z"])
+_special_sources = st.one_of(st.lists(_query_tokens, max_size=2), st.lists(_query_tokens, max_size=8))
+
+
+class TestSourceBands:
+    """f8-f14 on a trained and on a loaded model equal the tuple-keyed references."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_special_corpora, st.integers(min_value=3, max_value=5), _special_sources)
+    # Two Low unigrams and one High: the complement 100 - 200/3 is not 100/3 in float.
+    @example([["a", "a", "a", "b"]], 3, ["z", "a", "c"])
+    def test_bit_for_bit(self, sentences, order, source):
+        reference = reference_lm(sentences, order)
+        uni, bi, tri = (_reference_low_high_pct(reference, source, n) for n in (1, 2, 3))
+        seen = 100.0 * reference_seen_fraction(reference, source, 1)
+        expected = [*uni, *bi, tri[1], tri[0], seen]
+        trained = train_lm(sentences, order)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            trained.save(path)
+            loaded = load_lm(path)
+        for model in (trained, loaded):
+            vector = extract_features(_pair(source, ["x"]), model, model, LEXICON)
+            assert [v.hex() for v in vector.values()[7:14]] == [v.hex() for v in expected]
 
 
 class TestFeatureFile:

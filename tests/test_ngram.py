@@ -19,6 +19,7 @@ from mtqe.ngram import (
 )
 
 from conftest import (
+    SPECIAL_TOKENS,
     decode_lm,
     reference_band_counts,
     reference_cond_prob,
@@ -37,6 +38,16 @@ _sentences = st.lists(
 )
 # Query sentences: seen words, an unseen word and the reserved markers.
 _queries = st.lists(st.sampled_from(["a", "b", "c", "z", BOS, END, UNK]), max_size=8)
+
+
+def _check_bands(model, reference, tokens):
+    """``model.bands`` at every length equals the per-length references."""
+    tallies = [reference_band_counts(reference, tokens, n) for n in range(1, model.order + 1)]
+    share = reference_seen_fraction(reference, tokens, 1).hex()
+    for longest in range(1, model.order + 1):
+        got, seen = model.bands(tokens, longest)
+        assert got == tallies[:longest]
+        assert (seen / len(tokens) if tokens else 0.0).hex() == share
 
 
 class TestTraining:
@@ -63,8 +74,8 @@ class TestTraining:
         model = train_lm([["x", "y"]], order=1)
         q1, q3 = model.quartiles[1]
         assert q1 == q3 == 1
-        assert model.band_counts(["x"], 1) == (1, 0)  # Low
-        assert model.band_counts(["y"], 1)[1] == 0  # not High
+        assert model.bands(["x"], 1) == ([(1, 0)], 1)  # Low, and seen
+        assert model.bands(["y"], 1)[0][0][1] == 0  # not High
 
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
@@ -178,31 +189,29 @@ class TestFreqClass:
     def test_bands_on_skewed_counts(self):
         # Type frequencies {a:8, b:4, c:2, END:1} give Q1=1 and Q3=4.
         model = train_lm([["a"] * 8 + ["b"] * 4 + ["c"] * 2], order=1)
-        # band_counts of one token: (1, 0) is Low, (0, 1) High, (0, 0) Mid.
+        # The tally of one token: (1, 0) is Low, (0, 1) High, (0, 0) Mid.
         assert model.quartiles[1] == (1, 4)
-        assert model.band_counts(["a"], 1) == (0, 1)
-        assert model.band_counts(["b"], 1) == (0, 0)
-        assert model.band_counts(["c"], 1) == (0, 0)
-        assert model.band_counts([END], 1) == (1, 0)
+        assert model.bands(["a"], 1) == ([(0, 1)], 1)
+        assert model.bands(["b"], 1) == ([(0, 0)], 1)
+        assert model.bands(["c"], 1) == ([(0, 0)], 1)
+        assert model.bands([END], 1) == ([(1, 0)], 1)
 
     def test_unseen_gram_is_low(self):
         model = train_lm([["a", "b"]], order=2)
-        assert model.band_counts(["z", "q"], 2) == (1, 0)
+        assert model.bands(["z", "q"], 2) == ([(2, 0), (1, 0)], 0)
 
     @settings(max_examples=60)
     @given(_sentences, _queries)
     def test_band_counts_equal_freq_class_tallies(self, corpus, sentence):
         model = train_lm(corpus, 3)
-        for n in (1, 2, 3):
-            expected = reference_band_counts(decode_lm(model), sentence, n)
-            assert model.band_counts(sentence, n) == expected
-            assert model.band_counts(tuple(sentence), n) == expected
+        _check_bands(model, decode_lm(model), sentence)
+        _check_bands(model, decode_lm(model), tuple(sentence))
 
     def test_band_counts_gram_length_bounds(self):
         model = train_lm([["a", "b"]], order=2)
         for n in (0, 3):
             with pytest.raises(ValueError):
-                model.band_counts(["a", "b", "c"], n)
+                model.bands(["a", "b", "c"], n)
 
     @settings(max_examples=40)
     @given(_sentences, st.integers(min_value=1, max_value=3))
@@ -217,21 +226,19 @@ class TestSeenFraction:
     def test_ratios(self):
         model = train_lm([["a", "b", "c"]], order=1)
         seen = ["a", "b", "c"]
-        assert model.seen_fraction(seen, 1) == 1.0
-        assert model.seen_fraction(["z", "q"], 1) == 0.0
-        assert model.seen_fraction(seen + ["z"], 1) == 0.75
-        assert model.seen_fraction([], 1) == 0.0
+        assert model.bands(seen, 1)[1] == 3
+        assert model.bands(["z", "q"], 1)[1] == 0
+        assert model.bands(seen + ["z"], 1)[1] == 3
+        assert model.bands([], 1) == ([(0, 0)], 0)
 
     def test_windows_longer_than_the_sentence(self):
+        # Every gram occurs once but the unigram BOS (twice): Q1 = Q3 = 1 at each length.
         model = train_lm([["a", "b", "c"]], order=3)
-        assert model.seen_fraction(["a", "b"], 2) == 1.0
-        assert model.seen_fraction(["a", "b"], 3) == 0.0
+        assert model.bands(["a", "b"], 3) == ([(2, 0), (1, 0), (0, 0)], 2)
+        assert model.bands([], 3) == ([(0, 0), (0, 0), (0, 0)], 0)
 
 
-# Tokens the file format allows: the reserved markers spelled as corpus
-# tokens, control characters, and a token extending another.  "z" is
-# never in a corpus, so queries hold a token outside the vocabulary.
-_special_tokens = st.sampled_from(["a", "b", "c", UNK, BOS, END, "\x00", "\x1f", "a\x00", "\r", "\x85"])
+_special_tokens = st.sampled_from(SPECIAL_TOKENS)
 _special_sentences = st.lists(st.lists(_special_tokens, max_size=6), min_size=1, max_size=8)
 _special_queries = st.lists(st.one_of(_special_tokens, st.just("z")), max_size=8)
 
@@ -251,10 +258,7 @@ class TestQueriesEqualReferences:
         log_prob = reference_sentence_log_prob(reference, query).hex()
         for model in (trained, loaded):
             assert model.sentence_log_prob(query).hex() == log_prob
-            for n in range(1, order + 1):
-                assert model.band_counts(query, n) == reference_band_counts(reference, query, n)
-                seen = reference_seen_fraction(reference, query, n).hex()
-                assert model.seen_fraction(query, n).hex() == seen
+            _check_bands(model, reference, query)
 
 
 class TestPersistence:
