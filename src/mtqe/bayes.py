@@ -9,7 +9,7 @@ to a floor so every score is finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CorruptModel, EmptyTrainingSet
 from .features import N_FEATURES
@@ -27,8 +27,7 @@ _FORMAT_VERSION = 1
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class Posterior:
+class Posterior(NamedTuple):
     """Per-class joint log scores and the tie-broken argmax."""
 
     log_joint: dict[Grade, float]
@@ -118,8 +117,8 @@ def train_nb(rows, variance_floor: float = ABSOLUTE_VARIANCE_FLOOR) -> NaiveBaye
     Raises:
         EmptyTrainingSet: when no rows are given.
     """
-    if variance_floor <= 0.0:
-        raise ValueError(f"variance_floor must be > 0, got {variance_floor}")
+    if not 0.0 < variance_floor < math.inf:
+        raise ValueError(f"variance_floor must be > 0 and finite, got {variance_floor}")
     data = [(_as_values(x), y) for x, y in rows]
     if not data:
         raise EmptyTrainingSet()

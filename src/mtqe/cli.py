@@ -13,11 +13,11 @@ import sys
 from itertools import chain
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
-from .corpus import SIDES, load_judgments, load_parallel, tokenize
+from .corpus import SIDES, load_judgments, load_parallel, read_corpus
 from .errors import LengthMismatch, MalformedRow, QEError
 from .evaluation import confusion, render_report_csv, render_report_text
 from .features import FEATURE_HEADERS, extract_features, read_features, write_features
-from .fileio import atomic_write_lines, check_new_id, parse_int, read_lines, read_table
+from .fileio import atomic_write_lines, check_new_id, parse_int, read_table
 from .grading import Grade, judgment_grade
 from .lexicon import DEFAULT_THRESHOLD, build_lexicon, load_lexicon
 from .ngram import load_lm, train_lm
@@ -39,7 +39,7 @@ def _order_flag(text: str) -> int:
 
 
 def _cmd_build_lm(args) -> int:
-    sentences = [tokenize(line, args.side) for line in read_lines(args.corpus)]
+    sentences = read_corpus(args.corpus, args.side)
     model = train_lm(sentences, args.order)
     model.save(args.out)
     words = sum(map(len, sentences))
@@ -61,28 +61,27 @@ def _cmd_extract(args) -> int:
     src_lm = load_lm(args.src_lm)
     tgt_lm = load_lm(args.tgt_lm)
     lexicon = load_lexicon(args.lexicon)
-    grades = None
+    grades = [None] * len(corpus)  # by pair id; None leaves the rows unlabelled
     if args.judgments is not None:
-        judgments = {}
-        for row, judgment in enumerate(load_judgments(args.judgments)):
-            if not 0 <= judgment.sentence_id < len(corpus.pairs):
+        judgments = load_judgments(args.judgments)
+        for row, judgment in enumerate(judgments):
+            if not 0 <= judgment.sentence_id < len(corpus):
                 raise MalformedRow(
                     row,
                     f"judgment id {judgment.sentence_id} is not a sentence pair id; "
-                    f"the corpus has {len(corpus.pairs)} pairs",
+                    f"the corpus has {len(corpus)} pairs",
                 )
-            judgments[judgment.sentence_id] = judgment
+            grades[judgment.sentence_id] = judgment_grade(judgment)
         # Every id is in range and unique, so the count is the coverage.
         covered = len(judgments)
-        if covered != len(corpus.pairs):
-            raise LengthMismatch(f"judgments cover {covered} of {len(corpus.pairs)} sentence pairs")
-        grades = {pair.id: judgment_grade(judgments[pair.id]) for pair in corpus.pairs}
-    rows = []
-    for pair in corpus.pairs:
-        vector = extract_features(pair, src_lm, tgt_lm, lexicon)
-        rows.append((pair.id, vector, grades[pair.id] if grades is not None else None))
+        if covered != len(corpus):
+            raise LengthMismatch(f"judgments cover {covered} of {len(corpus)} sentence pairs")
+    rows = [
+        (pair.id, extract_features(pair, src_lm, tgt_lm, lexicon), grade)
+        for pair, grade in zip(corpus, grades)
+    ]
     write_features(rows, args.out)
-    print(f"features rows={len(rows)} labeled={grades is not None}")
+    print(f"features rows={len(rows)} labeled={args.judgments is not None}")
     return 0
 
 

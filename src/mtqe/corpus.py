@@ -9,10 +9,11 @@ target-side text is kept as written.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore
+from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore, ReservedToken
 from .fileio import check_new_id, parse_ints, read_lines, read_table
+from .ngram import BOS, END, UNK
 
 SOURCE = "source"
 TARGET = "target"
@@ -26,6 +27,7 @@ _EXTRA_PUNCTUATION = frozenset("।॥")
 JUDGMENT_PARAMS = 10
 JUDGMENT_MAX = 4
 _JUDGMENT_HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1)])
+_MARKERS = (UNK, BOS, END)
 
 
 def is_punctuation_char(ch: str) -> bool:
@@ -83,8 +85,7 @@ def tokenize(text: str, side: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class SentencePair:
+class SentencePair(NamedTuple):
     """One source sentence and its translation, both tokenized."""
 
     id: int
@@ -92,53 +93,46 @@ class SentencePair:
     target: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ParallelCorpus:
-    """Ordered sentence pairs with ids 0..n-1."""
-
-    pairs: tuple[SentencePair, ...]
-
-    def __post_init__(self):
-        for position, pair in enumerate(self.pairs):
-            if pair.id != position:
-                raise ValueError(
-                    f"pair ids must be 0..n-1 in order; position {position} has id {pair.id}"
-                )
-
-    def __iter__(self):
-        return iter(self.pairs)
+# A parallel corpus is a tuple of SentencePairs, pair i at position i with id i.
+ParallelCorpus = tuple
 
 
-@dataclass(frozen=True)
-class HumanJudgment:
-    """Ten 0..4 parameter scores for one translated sentence."""
+class HumanJudgment(NamedTuple):
+    """Ten parameter scores for one translated sentence; load_judgments checks each is 0..4."""
 
     sentence_id: int
     params: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.params) != JUDGMENT_PARAMS:
-            raise ValueError(f"expected {JUDGMENT_PARAMS} parameters, got {len(self.params)}")
-        for col, value in enumerate(self.params, start=1):
-            if not 0 <= value <= JUDGMENT_MAX:
-                raise OutOfRangeScore(None, col, value)
+
+def read_corpus(path, side: str) -> list[tuple[str, ...]]:
+    """The lines of a UTF-8 text file, each tokenized for ``side``.
+
+    Raises InvalidEncoding for non-UTF-8 content, and ReservedToken naming
+    ``path`` and the 1-based line for a token that is one of the language
+    model's markers ``<unk>``, ``<s>`` and ``</s>``.
+    """
+    sentences = []
+    for line_no, line in enumerate(read_lines(path), start=1):
+        tokens = tuple(tokenize(line, side))
+        if "<" in line:  # every marker holds one, so most lines skip the scan
+            for token in tokens:
+                if token in _MARKERS:
+                    raise ReservedToken(token, line_no, path)
+        sentences.append(tokens)
+    return sentences
 
 
 def load_parallel(source_path, target_path) -> ParallelCorpus:
-    """Load two line-aligned text files into a tokenized parallel corpus.
+    """Load two line-aligned text files as a tuple of tokenized sentence pairs.
 
     Line i of each file becomes pair i.  Raises LineCountMismatch when the
-    files differ in length and InvalidEncoding for non-UTF-8 content.
+    files differ in length, and the errors of :func:`read_corpus`.
     """
-    source_lines = read_lines(source_path)
-    target_lines = read_lines(target_path)
-    if len(source_lines) != len(target_lines):
-        raise LineCountMismatch(len(source_lines), len(target_lines))
-    pairs = tuple(
-        SentencePair(i, tuple(tokenize(s, SOURCE)), tuple(tokenize(t, TARGET)))
-        for i, (s, t) in enumerate(zip(source_lines, target_lines))
-    )
-    return ParallelCorpus(pairs)
+    sources = read_corpus(source_path, SOURCE)
+    targets = read_corpus(target_path, TARGET)
+    if len(sources) != len(targets):
+        raise LineCountMismatch(len(sources), len(targets))
+    return tuple(map(SentencePair, range(len(sources)), sources, targets))
 
 
 def load_judgments(path) -> list[HumanJudgment]:
@@ -152,14 +146,12 @@ def load_judgments(path) -> list[HumanJudgment]:
     seen = set()
     for row, _, cells in read_table(path, "\t", (_JUDGMENT_HEADER,)):
         try:
-            values = parse_ints(cells)
+            sentence_id, *params = parse_ints(cells)
         except ValueError:
             raise MalformedRow(row, "non-integer cell") from None
-        sentence_id, params = values[0], values[1:]
         check_new_id(sentence_id, row, seen)
-        try:
-            judgments.append(HumanJudgment(sentence_id, tuple(params)))
-        except OutOfRangeScore as exc:  # HumanJudgment checks; only the row is added here
-            raise OutOfRangeScore(row, exc.col, exc.value) from None
+        for col, value in enumerate(params, start=1):
+            if not 0 <= value <= JUDGMENT_MAX:
+                raise OutOfRangeScore(row, col, value)
+        judgments.append(HumanJudgment(sentence_id, tuple(params)))
     return judgments
-

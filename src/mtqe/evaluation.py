@@ -9,23 +9,21 @@ round-half-even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import LengthMismatch
 from .grading import Grade
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(NamedTuple):
     """Positional same-grade count out of a total."""
 
     same: int
     total: int
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     """(human grade, predicted grade) -> count, all 16 cells present."""
 
     cells: dict[tuple[Grade, Grade], int]

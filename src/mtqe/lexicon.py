@@ -74,7 +74,7 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
     """Induce a lexicon by keeping word pairs whose Dice score >= threshold.
 
     Args:
-        corpus: tokenized parallel corpus.
+        corpus: sentence pairs, as :func:`~mtqe.corpus.load_parallel` returns them.
         threshold: cut-off in the open interval (0, 1).
 
     Raises:
@@ -83,24 +83,24 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    if not corpus.pairs:
+    if not corpus:
         raise EmptyCorpus("cannot induce a lexicon from an empty corpus")
     # Document frequencies: the number of pairs containing each word.
     source_sentences: Counter = Counter()
     target_sentences: Counter = Counter()
-    for pair in corpus.pairs:
+    for pair in corpus:
         source_sentences.update(set(pair.source))
         target_sentences.update(set(pair.target))
     # A word pair co-occurs at most min(ns, nt) times, so only targets whose
     # nt lies in the source word's Dice band can pass.  The band depends on
     # the global counts alone, so a word pair is counted in every sentence
     # pair that holds it, or in none, and its count stays exact.
-    limit = len(corpus.pairs)
+    limit = len(corpus)
     bands = {ns: _dice_band(ns, threshold, limit) for ns in set(source_sentences.values())}
     source_band = {s: bands[ns] for s, ns in source_sentences.items()}
     nt_of = target_sentences.__getitem__
     cooccurrence: Counter = Counter()
-    for pair in corpus.pairs:
+    for pair in corpus:
         targets = sorted(set(pair.target), key=nt_of)
         frequencies = [nt_of(t) for t in targets]
         for s in set(pair.source):

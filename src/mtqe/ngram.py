@@ -207,7 +207,6 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    sentences = [list(s) for s in sentences]
     if not sentences:
         raise EmptyCorpus()
     tokens = set()

@@ -194,7 +194,7 @@ def brute_force_lexicon(corpus, threshold):
     cooccurrence = Counter()
     source_sentences = Counter()
     target_sentences = Counter()
-    for pair in corpus.pairs:
+    for pair in corpus:
         source_set = set(pair.source)
         target_set = set(pair.target)
         for s in source_set:

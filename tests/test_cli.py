@@ -136,6 +136,36 @@ class TestExtract:
         assert not out.exists()
 
 
+class TestReservedMarkers:
+    """Every stage that reads a corpus rejects a marker token at its line."""
+
+    @pytest.mark.parametrize("side, marker, token", [
+        ("src", "<UNK>", "<unk>"), ("tgt", "</s>", "</s>"),
+    ])
+    @pytest.mark.parametrize("stage", ["build-lm", "build-lexicon", "extract"])
+    def test_marker_exits_2_naming_path_and_line(
+        self, tmp_path, small_data, capsys, stage, side, marker, token
+    ):
+        models = TestExtract()._models(tmp_path, small_data)
+        bad = tmp_path / f"bad_{side}.txt"
+        lines = read_lines(small_data[side])
+        lines[2] = f"{lines[2]} {marker} {lines[2]}"
+        _write_lines(bad, lines)
+        data = dict(small_data, **{side: bad})
+        out = tmp_path / "out"
+        argv = {
+            "build-lm": ["--corpus", bad, "--side", {"src": "source", "tgt": "target"}[side]],
+            "build-lexicon": ["--pairs-src", data["src"], "--pairs-tgt", data["tgt"]],
+            "extract": ["--pairs-src", data["src"], "--pairs-tgt", data["tgt"],
+                        "--src-lm", models["src_lm"], "--tgt-lm", models["tgt_lm"],
+                        "--lexicon", models["lexicon"]],
+        }[stage]
+        capsys.readouterr()
+        assert run_cli(stage, *argv, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: reserved token {token!r} at {bad}:3\n"
+        assert not out.exists()
+
+
 class TestTrainPredictEvaluate:
     def test_end_to_end(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -196,6 +226,20 @@ class TestTrainPredictEvaluate:
         model_path = tmp_path / "nb.model"
         assert run_cli("train", "--features", labeled, "--out", model_path) == 2
         assert "row 0" in capsys.readouterr().err
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("floor", ["inf", "nan"])
+    def test_training_rejects_non_finite_variance_floor(self, tmp_path, small_data, floor, capsys):
+        models = TestExtract()._models(tmp_path, small_data)
+        labeled = tmp_path / "labeled.csv"
+        assert run_cli("extract", "--pairs-src", small_data["src"], "--pairs-tgt",
+                       small_data["tgt"], "--src-lm", models["src_lm"],
+                       "--tgt-lm", models["tgt_lm"], "--lexicon", models["lexicon"],
+                       "--judgments", small_data["judgments"], "--out", labeled) == 0
+        model_path = tmp_path / "nb.model"
+        assert run_cli("train", "--features", labeled, "--variance-floor", floor,
+                       "--out", model_path) == 2
+        assert f"variance_floor must be > 0 and finite, got {floor}" in capsys.readouterr().err
         assert not model_path.exists()
 
     def test_evaluate_reads_only_id_and_grade(self, tmp_path, small_data, capsys):

@@ -1,4 +1,6 @@
+import tempfile
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,11 +9,11 @@ from hypothesis import strategies as st
 from mtqe.corpus import (
     SOURCE,
     TARGET,
-    HumanJudgment,
     is_punctuation_char,
     is_punctuation_token,
     load_judgments,
     load_parallel,
+    read_corpus,
     tokenize,
 )
 from mtqe.errors import (
@@ -19,6 +21,7 @@ from mtqe.errors import (
     LineCountMismatch,
     MalformedRow,
     OutOfRangeScore,
+    ReservedToken,
 )
 
 from conftest import run_cli
@@ -99,9 +102,9 @@ class TestLoadParallel:
         _write(tmp_path / "s.txt", ["The boy ran.", "A dog."])
         _write(tmp_path / "t.txt", ["लड़का दौड़ा।", "कुत्ता।"])
         corpus = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert [p.id for p in corpus.pairs] == [0, 1]
-        assert corpus.pairs[0].source == ("the", "boy", "ran", ".")
-        assert corpus.pairs[0].target == ("लड़का", "दौड़ा", "।")
+        assert [p.id for p in corpus] == [0, 1]
+        assert corpus[0].source == ("the", "boy", "ran", ".")
+        assert corpus[0].target == ("लड़का", "दौड़ा", "।")
 
     def test_line_count_mismatch(self, tmp_path):
         _write(tmp_path / "s.txt", ["a", "b", "c"])
@@ -116,7 +119,7 @@ class TestLoadParallel:
         (tmp_path / "s.txt").write_text("", encoding="utf-8")
         (tmp_path / "t.txt").write_text("", encoding="utf-8")
         corpus = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
-        assert corpus.pairs == ()
+        assert corpus == ()
 
     def test_invalid_encoding_reports_line(self, tmp_path):
         (tmp_path / "s.txt").write_bytes(b"fine\ncaf\xe9\n")
@@ -154,8 +157,12 @@ class TestLoadJudgments:
         _write(tmp_path / "j.tsv", [_HEADER] + rows)
         with pytest.raises(OutOfRangeScore) as info:
             load_judgments(tmp_path / "j.tsv")
-        assert (info.value.col, info.value.value) == (2, 5)
         assert str(info.value) == "judgment parameter p2 in row 1 is 5, outside 0..4"
+        # The tenth parameter is checked as well.
+        _write(tmp_path / "j10.tsv", [_HEADER, "\t".join(["0"] + ["1"] * 9 + ["5"])])
+        with pytest.raises(OutOfRangeScore) as info:
+            load_judgments(tmp_path / "j10.tsv")
+        assert str(info.value) == "judgment parameter p10 in row 0 is 5, outside 0..4"
 
     def test_short_row(self, tmp_path):
         _write(tmp_path / "j.tsv", [_HEADER, "\t".join(["0"] + ["3"] * 9)])
@@ -181,15 +188,56 @@ class TestLoadJudgments:
             load_judgments(tmp_path / "j.tsv")
         assert str(info.value).startswith("malformed header: ")
 
-    def test_judgment_type_validates(self):
-        with pytest.raises(ValueError):
-            HumanJudgment(0, (1,) * 9)
-        with pytest.raises(ValueError):
-            HumanJudgment(0, (1,) * 9 + (5,))
-        with pytest.raises(OutOfRangeScore) as info:
-            HumanJudgment(0, (1,) * 9 + (5,))
-        assert (info.value.col, info.value.value) == (10, 5)
-        assert "row" not in str(info.value)
+
+class TestReservedMarkers:
+    """A corpus token may not be one of the language model's markers."""
+
+    @pytest.mark.parametrize(
+        "side, line, token",
+        [
+            (SOURCE, "<unk> opens the line", "<unk>"),
+            (SOURCE, "Shouted <UNK> here", "<unk>"),  # lowercased into the marker
+            (SOURCE, "a line that ends </s>", "</s>"),
+            (TARGET, "लड़का <s> दौड़ा।", "<s>"),  # mid-sentence
+            (TARGET, "quoted (</s>).", "</s>"),  # peeled off its punctuation
+        ],
+    )
+    def test_marker_names_path_and_line(self, tmp_path, side, line, token):
+        path = tmp_path / "c.txt"
+        _write(path, ["a fine line", line, "<unk>"])
+        with pytest.raises(ReservedToken) as info:
+            read_corpus(path, side)
+        assert str(info.value) == f"reserved token {token!r} at {path}:2"
+
+    def test_look_alikes_are_ordinary_tokens(self, tmp_path):
+        path = tmp_path / "c.txt"
+        _write(path, ["<UNK> <unknown> a<s> < s > </S>"])
+        expected = ("<UNK>", "<unknown>", "a<s>", "<", "s", ">", "</S>")
+        assert read_corpus(path, TARGET) == [expected]
+
+    @pytest.mark.parametrize("bad", ["s.txt", "t.txt"])
+    def test_load_parallel_checks_both_sides(self, tmp_path, bad):
+        _write(tmp_path / "s.txt", ["a b", "c d"])
+        _write(tmp_path / "t.txt", ["x y", "z w"])
+        _write(tmp_path / bad, ["a b", "c <unk> d"])
+        with pytest.raises(ReservedToken) as info:
+            load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+        assert str(info.value) == f"reserved token '<unk>' at {tmp_path / bad}:2"
+
+    @given(st.lists(st.text(alphabet="<>/sunkSUNK .(", max_size=12), max_size=4),
+           st.sampled_from([SOURCE, TARGET]))
+    def test_rejects_exactly_the_lines_whose_tokens_hold_a_marker(self, lines, side):
+        sentences = [tuple(tokenize(line, side)) for line in lines]
+        bad = [i for i, tokens in enumerate(sentences, start=1)
+               if {"<unk>", "<s>", "</s>"}.intersection(tokens)]
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "c.txt"
+            _write(path, lines)
+            if bad:
+                with pytest.raises(ReservedToken, match=f":{bad[0]}$"):
+                    read_corpus(path, side)
+            else:
+                assert read_corpus(path, side) == sentences
 
 
 class TestCorpusStats:

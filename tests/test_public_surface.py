@@ -4,10 +4,13 @@ A public module-level function, class or constant, or a public method,
 must be referred to (as a name, an attribute or an import) somewhere under
 ``src/mtqe/`` or ``bench/``.  A name only the tests use belongs in the tests.
 A private (``_name``) one must be referred to under ``src/mtqe/`` itself, so
-a helper left behind by its last caller fails here.
+a helper left behind by its last caller fails here.  Records are
+``NamedTuple``s, so no stage pays for importing ``dataclasses``.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -89,3 +92,14 @@ def test_every_private_name_is_used_in_the_package():
         f"{name} ({where})" for name, where in _private_names().items() if name not in references
     )
     assert unused == []
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # -S keeps site packages (and whatever their .pth files import) out.
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import mtqe.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
