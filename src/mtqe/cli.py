@@ -13,7 +13,7 @@ import sys
 from itertools import chain
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
-from .corpus import SIDES, load_judgments, load_parallel, read_corpus
+from .corpus import SIDES, iter_parallel, load_judgments, load_parallel, read_corpus
 from .errors import LengthMismatch, MalformedRow, QEError
 from .evaluation import confusion, render_report_csv, render_report_text
 from .features import FEATURE_HEADERS, extract_features, read_features, write_features
@@ -57,29 +57,28 @@ def _cmd_build_lexicon(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    corpus = load_parallel(args.pairs_src, args.pairs_tgt)
     src_lm = load_lm(args.src_lm)
     tgt_lm = load_lm(args.tgt_lm)
     lexicon = load_lexicon(args.lexicon)
-    grades = [None] * len(corpus)  # by pair id; None leaves the rows unlabelled
+    # Grades by pair id, in judgment row order; none leaves the rows unlabelled.
+    grades = {}
     if args.judgments is not None:
-        judgments = load_judgments(args.judgments)
-        for row, judgment in enumerate(judgments):
-            if not 0 <= judgment.sentence_id < len(corpus):
+        grades = {j.sentence_id: judgment_grade(j) for j in load_judgments(args.judgments)}
+    rows = [
+        (pair.id, extract_features(pair, src_lm, tgt_lm, lexicon), grades.get(pair.id))
+        for pair in iter_parallel(args.pairs_src, args.pairs_tgt)
+    ]
+    if args.judgments is not None:
+        for row, sentence_id in enumerate(grades):
+            if not 0 <= sentence_id < len(rows):
                 raise MalformedRow(
                     row,
-                    f"judgment id {judgment.sentence_id} is not a sentence pair id; "
-                    f"the corpus has {len(corpus)} pairs",
+                    f"judgment id {sentence_id} is not a sentence pair id; "
+                    f"the corpus has {len(rows)} pairs",
                 )
-            grades[judgment.sentence_id] = judgment_grade(judgment)
         # Every id is in range and unique, so the count is the coverage.
-        covered = len(judgments)
-        if covered != len(corpus):
-            raise LengthMismatch(f"judgments cover {covered} of {len(corpus)} sentence pairs")
-    rows = [
-        (pair.id, extract_features(pair, src_lm, tgt_lm, lexicon), grade)
-        for pair, grade in zip(corpus, grades)
-    ]
+        if len(grades) != len(rows):
+            raise LengthMismatch(f"judgments cover {len(grades)} of {len(rows)} sentence pairs")
     write_features(rows, args.out)
     print(f"features rows={len(rows)} labeled={args.judgments is not None}")
     return 0

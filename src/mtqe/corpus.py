@@ -9,10 +9,12 @@ target-side text is kept as written.
 from __future__ import annotations
 
 import unicodedata
+from itertools import zip_longest
 from typing import NamedTuple
 
 from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore, ReservedToken
-from .fileio import check_new_id, parse_ints, read_lines, read_table
+# bench/layers.py imports read_lines from this module.
+from .fileio import check_new_id, iter_lines, parse_ints, read_lines, read_table
 from .ngram import BOS, END, UNK
 
 SOURCE = "source"
@@ -104,6 +106,17 @@ class HumanJudgment(NamedTuple):
     params: tuple[int, ...]
 
 
+def _sentences(path, side: str):
+    """Yield each line of ``path`` tokenized for ``side``, checking it as it is read."""
+    for line_no, line in enumerate(iter_lines(path), start=1):
+        tokens = tuple(tokenize(line, side))
+        if "<" in line:  # every marker holds one, so most lines skip the scan
+            for token in tokens:
+                if token in _MARKERS:
+                    raise ReservedToken(token, line_no, path)
+        yield tokens
+
+
 def read_corpus(path, side: str) -> list[tuple[str, ...]]:
     """The lines of a UTF-8 text file, each tokenized for ``side``.
 
@@ -111,28 +124,29 @@ def read_corpus(path, side: str) -> list[tuple[str, ...]]:
     ``path`` and the 1-based line for a token that is one of the language
     model's markers ``<unk>``, ``<s>`` and ``</s>``.
     """
-    sentences = []
-    for line_no, line in enumerate(read_lines(path), start=1):
-        tokens = tuple(tokenize(line, side))
-        if "<" in line:  # every marker holds one, so most lines skip the scan
-            for token in tokens:
-                if token in _MARKERS:
-                    raise ReservedToken(token, line_no, path)
-        sentences.append(tokens)
-    return sentences
+    return list(_sentences(path, side))
+
+
+def iter_parallel(source_path, target_path):
+    """Yield the SentencePairs of two line-aligned text files, one line of each at a time.
+
+    Line i of each file becomes pair i.  The files are read in step, so
+    the first faulty line raises the errors of :func:`read_corpus`, the
+    source side's first when both sides fault on one line.  When one file
+    is longer, the rest of it is read and checked too, and then
+    LineCountMismatch gives both line counts.
+    """
+    lines = zip_longest(_sentences(source_path, SOURCE), _sentences(target_path, TARGET))
+    for pair_id, (source, target) in enumerate(lines):
+        if source is None or target is None:
+            longer = pair_id + 1 + sum(1 for _ in lines)
+            raise LineCountMismatch(*((pair_id, longer) if source is None else (longer, pair_id)))
+        yield SentencePair(pair_id, source, target)
 
 
 def load_parallel(source_path, target_path) -> ParallelCorpus:
-    """Load two line-aligned text files as a tuple of tokenized sentence pairs.
-
-    Line i of each file becomes pair i.  Raises LineCountMismatch when the
-    files differ in length, and the errors of :func:`read_corpus`.
-    """
-    sources = read_corpus(source_path, SOURCE)
-    targets = read_corpus(target_path, TARGET)
-    if len(sources) != len(targets):
-        raise LineCountMismatch(len(sources), len(targets))
-    return tuple(map(SentencePair, range(len(sources)), sources, targets))
+    """The pairs of :func:`iter_parallel`, as a tuple: pair i at position i."""
+    return tuple(iter_parallel(source_path, target_path))
 
 
 def load_judgments(path) -> list[HumanJudgment]:

@@ -1,16 +1,17 @@
 """The mtqe file format in one place: how every file is read and written.
 
-Every file is UTF-8 text split on LF alone, and every line written ends
-with one LF.  Tabular files split a line into cells on one separator, and
-a table opens with a header line naming its columns.  Model files open
-with a ``magic<TAB>version`` signature, followed by ``key<TAB>value``
-header lines, and close with an ``end`` line.  Every number read from a
-file is plain ASCII: an integer matches ``-?[0-9]+``, and a float cell has
-no whitespace and no ``_`` before ``float()`` reads it.  Outputs are
-written atomically and durably, so a failed run or a crash never leaves a
-partial file behind.
+Every file is UTF-8 text split on LF alone, read and decoded a block at a
+time, and every line written ends with one LF.  Tabular files split a
+line into cells on one separator, and a table opens with a header line
+naming its columns.  Model files open with a ``magic<TAB>version``
+signature, followed by ``key<TAB>value`` header lines, and close with an
+``end`` line.  Every number read from a file is plain ASCII: an integer
+matches ``-?[0-9]+``, and a float cell has no whitespace and no ``_``
+before ``float()`` reads it.  Outputs are written atomically and durably,
+so a failed run or a crash never leaves a partial file behind.
 """
 
+import codecs
 import os
 import stat
 from itertools import chain, islice
@@ -18,25 +19,49 @@ from itertools import chain, islice
 from .errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
 
 
-def read_lines(path) -> list[str]:
-    """Read a UTF-8, LF-terminated text file as a list of lines.
+# Bytes read and decoded at a time.  A block's text and lines are the
+# most of a file a reader holds beyond what it keeps.
+_BLOCK_BYTES = 1 << 16
 
-    Invalid UTF-8 raises InvalidEncoding naming ``path`` and the 1-based
-    line.  The blob is decoded once; on failure the line is the count of
-    LF bytes before the bad byte, plus one (0x0A never occurs inside a
-    multi-byte UTF-8 sequence, so this is the line a per-line decode finds).
+
+def iter_lines(path):
+    """Yield the lines of a UTF-8, LF-terminated text file, one block at a time.
+
+    Only LF ends a line; a trailing LF ends the last line rather than
+    starting an empty one.  Invalid UTF-8 raises InvalidEncoding naming
+    ``path`` and the 1-based line, after yielding every line before it:
+    the line is the count of LF bytes before the bad byte, plus one (0x0A
+    never occurs inside a multi-byte UTF-8 sequence, so this is the line a
+    per-line decode finds).
     """
+    pending = b""  # the start of a character split by a block edge
+    tail = ""  # the text after the last LF read so far
+    line_no = 0  # the lines yielded so far
     with open(path, "rb") as handle:
-        blob = handle.read()
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidEncoding(blob.count(b"\n", 0, exc.start) + 1, path) from exc
-    del blob  # peak memory is then the text plus its lines, not the bytes too
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return lines
+        while True:
+            block = handle.read(_BLOCK_BYTES)
+            data = pending + block
+            try:
+                text, used = codecs.utf_8_decode(data, "strict", not block)
+            except UnicodeDecodeError as exc:
+                # Everything before the first bad byte decodes.
+                lines = (tail + data[: exc.start].decode("utf-8")).split("\n")
+                yield from lines[:-1]
+                raise InvalidEncoding(line_no + len(lines), path) from exc
+            pending = data[used:]
+            lines = (tail + text).split("\n")
+            tail = lines.pop()
+            line_no += len(lines)
+            yield from lines
+            if not block:
+                break
+    if tail:
+        yield tail
+
+
+def read_lines(path) -> list[str]:
+    """The lines :func:`iter_lines` yields, as a list."""
+    return list(iter_lines(path))
 
 
 def parse_int(text: str) -> int:

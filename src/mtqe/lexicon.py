@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import repeat
+from itertools import islice, repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
-from .fileio import atomic_write_lines, is_plain, read_lines, split_row
+from .fileio import atomic_write_lines, is_plain, iter_lines, split_row
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -125,12 +125,11 @@ def load_lexicon(path) -> TranslationCounts:
     repeated pair lies on adjacent lines; from the first row out of that
     order on, a set of the pairs read finds it instead.
     """
-    lines = read_lines(path)
     sizes: dict[str, int] = {}
     get = sizes.get
     previous = ()  # sorts before every (source, target) pair
     pairs = None  # every pair read, once a row leaves save order
-    for row, line in enumerate(lines):
+    for row, line in enumerate(iter_lines(path)):
         if line == "":
             continue
         source, target, text = split_row(line, row, "\t", 3)
@@ -149,8 +148,10 @@ def load_lexicon(path) -> TranslationCounts:
             elif pair == previous:
                 raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")
             else:
-                # Every earlier row was in strictly rising order, so unique.
-                pairs = {tuple(earlier.split("\t")[:2]) for earlier in lines[:row] if earlier}
+                # Every earlier row was in strictly rising order, so unique;
+                # the file is read again up to this row to collect them.
+                earlier = islice(iter_lines(path), row)
+                pairs = {tuple(kept.split("\t")[:2]) for kept in earlier if kept}
         if pairs is not None:
             if pair in pairs:
                 raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")

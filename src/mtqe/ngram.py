@@ -204,6 +204,7 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
 
     Raises:
         EmptyCorpus: when no sentences are given.
+        ValueError: when a token is one of the markers UNK, BOS and END.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -212,6 +213,9 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     tokens = set()
     for sentence in sentences:
         tokens.update(sentence)
+    reserved = tokens.intersection((UNK, BOS, END))
+    if reserved:
+        raise ValueError(f"reserved token {min(reserved)!r} in the sentences")
     vocab = _vocabulary(tokens)
     base = len(vocab) + 1
     start = [vocab[BOS]] * (order - 1)

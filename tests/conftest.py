@@ -178,6 +178,8 @@ def reference_seen_fraction(lm, tokens, n):
 # tokens, control characters, and a token extending another.  "z" is not
 # among them, so a query holding "z" holds a token outside the vocabulary.
 SPECIAL_TOKENS = ["a", "b", "c", UNK, BOS, END, "\x00", "\x1f", "a\x00", "\r", "\x85"]
+# train_lm rejects the markers, so a training corpus draws from the rest.
+TRAINING_TOKENS = [token for token in SPECIAL_TOKENS if token not in (UNK, BOS, END)]
 
 
 def read_lexicon_entries(path):

@@ -166,6 +166,110 @@ class TestReservedMarkers:
         assert not out.exists()
 
 
+class TestErrorPrecedence:
+    """Which error extract reports first when its inputs have two faults.
+
+    extract loads both models, the lexicon and the judgments, then reads
+    the two corpus files in step, one line of each at a time.  So a model,
+    lexicon or judgment-file error comes before any corpus error; corpus
+    errors come in line order, the source side's first on one line; a
+    longer side is read and checked to its end before the line counts are
+    compared; and the judgment ids are checked against the pair count last.
+    """
+
+    @pytest.fixture
+    def setup(self, tmp_path, small_data):
+        models = TestExtract()._models(tmp_path, small_data)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        return dict(small_data, **models, out_dir=out_dir)
+
+    def _extract(self, capsys, files, **swap):
+        files = dict(files, **swap)
+        capsys.readouterr()
+        code = run_cli("extract", "--pairs-src", files["src"], "--pairs-tgt", files["tgt"],
+                       "--src-lm", files["src_lm"], "--tgt-lm", files["tgt_lm"],
+                       "--lexicon", files["lexicon"], "--judgments", files["judgments"],
+                       "--out", files["out_dir"] / "f.csv")
+        # Nothing is written before every check has passed: no output and
+        # no temp file.
+        assert sorted(os.listdir(files["out_dir"])) == []
+        return code, capsys.readouterr().err
+
+    def _edited(self, tmp_path, files, key, edit):
+        lines = read_lines(files[key])
+        edit(lines)
+        path = tmp_path / f"edited-{key}.txt"
+        _write_lines(path, lines)
+        return path
+
+    def test_short_target_leaves_no_file(self, tmp_path, setup, capsys):
+        # The judgments name pair 19, which a 19-line target lacks; the
+        # line counts are compared first.
+        short = self._edited(tmp_path, setup, "tgt", lambda lines: lines.pop())
+        code, err = self._extract(capsys, setup, tgt=short)
+        assert code == 2
+        assert err == "error: parallel files are not line-aligned: 20 source lines vs 19 target lines\n"
+
+    @pytest.mark.parametrize("longer, shorter", [("src", "tgt"), ("tgt", "src")])
+    def test_reserved_token_past_the_shorter_side_comes_first(
+        self, tmp_path, setup, capsys, longer, shorter
+    ):
+        extra = self._edited(tmp_path, setup, longer, lambda lines: lines.extend(["ok", "a <s> b"]))
+        code, err = self._extract(capsys, setup, **{longer: extra})
+        assert code == 2
+        assert err == f"error: reserved token '<s>' at {extra}:22\n"
+        # Without the marker, the line counts are compared.
+        extra = self._edited(tmp_path, setup, longer, lambda lines: lines.extend(["ok", "a b"]))
+        counts = {longer: 22, shorter: 20}
+        _, err = self._extract(capsys, setup, **{longer: extra})
+        assert err == ("error: parallel files are not line-aligned: "
+                       f"{counts['src']} source lines vs {counts['tgt']} target lines\n")
+
+    def test_corpus_errors_come_in_line_order(self, tmp_path, setup, capsys):
+        def marker_at(index):
+            def edit(lines):
+                lines[index] += " </s>"
+            return edit
+
+        late_src = self._edited(tmp_path, setup, "src", marker_at(5))
+        early_tgt = self._edited(tmp_path, setup, "tgt", marker_at(2))
+        _, err = self._extract(capsys, setup, src=late_src, tgt=early_tgt)
+        assert err == f"error: reserved token '</s>' at {early_tgt}:3\n"
+        same_line_tgt = self._edited(tmp_path, setup, "tgt", marker_at(5))
+        _, err = self._extract(capsys, setup, src=late_src, tgt=same_line_tgt)
+        assert err == f"error: reserved token '</s>' at {late_src}:6\n"
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("src_lm", "", "corrupt model file: empty file"),
+        ("tgt_lm", "", "corrupt model file: empty file"),
+        ("lexicon", "a\tb\n", "malformed row 0: expected 3 cells, got 2"),
+        ("judgments", "id\n", "malformed header: expected "
+         f"{chr(9).join(['id'] + [f'p{i}' for i in range(1, 11)])!r}, got 'id'"),
+    ], ids=["src_lm", "tgt_lm", "lexicon", "judgments"])
+    def test_file_errors_come_before_corpus_errors(
+        self, tmp_path, setup, capsys, key, text, message
+    ):
+        bad = tmp_path / f"bad-{key}"
+        bad.write_text(text, encoding="utf-8")
+        short = self._edited(tmp_path, setup, "tgt", lambda lines: lines.pop())
+        code, err = self._extract(capsys, setup, tgt=short, **{key: bad})
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    def test_judgment_messages_keep_their_bytes(self, tmp_path, setup, capsys):
+        judgments = read_lines(setup["judgments"])
+        stray = tmp_path / "stray.tsv"
+        _write_lines(stray, judgments + ["20" + "\t2" * 10])
+        _, err = self._extract(capsys, setup, judgments=stray)
+        assert err == ("error: malformed row 20: judgment id 20 is not a sentence pair id; "
+                       "the corpus has 20 pairs\n")
+        partial = tmp_path / "partial.tsv"
+        _write_lines(partial, judgments[:1] + judgments[2:])
+        _, err = self._extract(capsys, setup, judgments=partial)
+        assert err == "error: judgments cover 19 of 20 sentence pairs\n"
+
+
 class TestTrainPredictEvaluate:
     def test_end_to_end(self, tmp_path):
         data_dir = tmp_path / "data"

@@ -209,6 +209,17 @@ class TestReservedMarkers:
             read_corpus(path, side)
         assert str(info.value) == f"reserved token {token!r} at {path}:2"
 
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        # The file is read a block at a time, so a marker comes before
+        # invalid UTF-8 on a later line, and the other way round.
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"fine\na <s> b\ncaf\xe9\n")
+        with pytest.raises(ReservedToken, match=":2$"):
+            read_corpus(path, TARGET)
+        path.write_bytes(b"fine\ncaf\xe9\na <s> b\n")
+        with pytest.raises(InvalidEncoding, match=":2$"):
+            read_corpus(path, TARGET)
+
     def test_look_alikes_are_ordinary_tokens(self, tmp_path):
         path = tmp_path / "c.txt"
         _write(path, ["<UNK> <unknown> a<s> < s > </S>"])

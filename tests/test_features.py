@@ -21,6 +21,7 @@ from mtqe.ngram import load_lm, train_lm
 
 from conftest import (
     SPECIAL_TOKENS,
+    TRAINING_TOKENS,
     make_corpus,
     reference_band_counts,
     reference_lm,
@@ -193,7 +194,7 @@ def _reference_low_high_pct(reference, tokens, n):
     return low_pct, (100.0 - low_pct if low + high == windows else 100.0 * high / windows)
 
 
-_special_corpora = st.lists(st.lists(st.sampled_from(SPECIAL_TOKENS), max_size=6), min_size=1, max_size=8)
+_special_corpora = st.lists(st.lists(st.sampled_from(TRAINING_TOKENS), max_size=6), min_size=1, max_size=8)
 # "z" is outside every vocabulary; sentences of 0-2 tokens have no trigram.
 _query_tokens = st.sampled_from([*SPECIAL_TOKENS, "z"])
 _special_sources = st.one_of(st.lists(_query_tokens, max_size=2), st.lists(_query_tokens, max_size=8))

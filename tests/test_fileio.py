@@ -5,17 +5,19 @@ import re
 import stat
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtqe import fileio
 from mtqe.bayes import NaiveBayesModel, load_model
 from mtqe.cli import _read_grade_file
 from mtqe.corpus import load_judgments, load_parallel
 from mtqe.errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
 from mtqe.features import N_FEATURES, FeatureVector, read_features, write_features
-from mtqe.fileio import atomic_write_lines, parse_int, parse_ints, read_lines
+from mtqe.fileio import atomic_write_lines, iter_lines, parse_int, parse_ints, read_lines
 from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, load_lexicon
 from mtqe.ngram import load_lm, train_lm
@@ -412,6 +414,58 @@ def test_output_is_fsynced_before_rename(tmp_path, monkeypatch):
     atomic_write_lines(tmp_path / "out.txt", text.splitlines())
     assert events == [("fsync", len(text)), ("replace", "out.txt"), ("fsync", "directory")]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+# The block reader: tiny blocks put multi-byte characters, CR and LF
+# across block edges.
+
+# One- to four-byte UTF-8 characters, CR and LF.
+_blob_text = st.text(alphabet="ab\xe9\u0915\U0001F600\r\n", max_size=30)
+# Bytes no UTF-8 text holds at that point: a stray continuation byte, a
+# byte never used, a cut-short sequence, a surrogate and a code point past
+# U+10FFFF.
+_bad_bytes = st.sampled_from([b"\x80", b"\xff", b"\xe0\xa4", b"\xc3", b"\xed\xa0\x80",
+                              b"\xf4\x90\x80\x80"])
+
+
+def _lines_of(blob, block):
+    """What ``iter_lines`` yields for ``blob``, and the InvalidEncoding it raised, if any."""
+    lines = []
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "blob.txt"
+        path.write_bytes(blob)
+        with mock.patch.object(fileio, "_BLOCK_BYTES", block):
+            try:
+                lines.extend(iter_lines(path))
+            except InvalidEncoding as exc:
+                return lines, str(exc).removeprefix(f"invalid UTF-8 at {path}:")
+    return lines, None
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@settings(max_examples=60)
+@given(text=_blob_text)
+def test_iter_lines_splits_valid_text_on_lf_only(block, text):
+    expected = text.split("\n")
+    if expected[-1] == "":
+        expected.pop()
+    assert _lines_of(text.encode("utf-8"), block) == (expected, None)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+@settings(max_examples=60)
+@given(text=_blob_text, bad=_bad_bytes, data=st.data())
+def test_iter_lines_locates_the_first_invalid_byte(block, text, bad, data):
+    valid = text.encode("utf-8")
+    at = data.draw(st.integers(0, len(valid)))
+    blob = valid[:at] + bad + valid[at:]
+    with pytest.raises(UnicodeDecodeError) as info:
+        blob.decode("utf-8")
+    first_bad = info.value.start
+    # Every line before the bad one is yielded first, so corpus errors come
+    # in line order whatever the block size.
+    before = blob[:first_bad].decode("utf-8").split("\n")[:-1]
+    assert _lines_of(blob, block) == (before, str(blob.count(b"\n", 0, first_bad) + 1))
 
 
 # Round trips: every format with a writer rewrites what it reads byte for byte.

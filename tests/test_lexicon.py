@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtqe.errors import EmptyCorpus, MalformedRow
+from mtqe.errors import EmptyCorpus, InvalidEncoding, MalformedRow
 from mtqe.lexicon import TranslationLexicon, _dice_band, build_lexicon, load_lexicon
 
 from conftest import brute_force_lexicon, make_corpus, read_lexicon_entries
@@ -235,3 +235,16 @@ class TestLexiconFile:
         path.write_text("a\tx\t1.5\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_lexicon(path)
+
+    def test_first_faulty_row_is_reported(self, tmp_path):
+        # The file is read a block at a time, so a bad row comes before
+        # invalid UTF-8 on a later line, and the other way round.
+        path = tmp_path / "lex.tsv"
+        path.write_bytes(b"a\tx\t0.5\nb\ty\nc\tz\t0.5\xff\n")
+        with pytest.raises(MalformedRow) as info:
+            load_lexicon(path)
+        assert str(info.value) == "malformed row 1: expected 3 cells, got 2"
+        path.write_bytes(b"a\tx\t0.5\nb\ty\t0.5\xff\nc\tz\n")
+        with pytest.raises(InvalidEncoding) as info:
+            load_lexicon(path)
+        assert str(info.value) == f"invalid UTF-8 at {path}:2"

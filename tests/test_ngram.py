@@ -20,6 +20,7 @@ from mtqe.ngram import (
 
 from conftest import (
     SPECIAL_TOKENS,
+    TRAINING_TOKENS,
     decode_lm,
     reference_band_counts,
     reference_cond_prob,
@@ -101,6 +102,12 @@ class TestTraining:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             train_lm([["a"]], order=0)
+
+    @pytest.mark.parametrize("marker", [UNK, BOS, END])
+    def test_marker_token_is_rejected(self, marker):
+        with pytest.raises(ValueError) as info:
+            train_lm([["a", "b"], ["c", marker, "a"]], order=3)
+        assert str(info.value) == f"reserved token {marker!r} in the sentences"
 
 
 class TestCondProb:
@@ -239,7 +246,8 @@ class TestSeenFraction:
 
 
 _special_tokens = st.sampled_from(SPECIAL_TOKENS)
-_special_sentences = st.lists(st.lists(_special_tokens, max_size=6), min_size=1, max_size=8)
+_special_sentences = st.lists(st.lists(st.sampled_from(TRAINING_TOKENS), max_size=6),
+                              min_size=1, max_size=8)
 _special_queries = st.lists(st.one_of(_special_tokens, st.just("z")), max_size=8)
 
 
