@@ -20,7 +20,7 @@ from mtqe.features import N_FEATURES, FeatureVector, read_features, write_featur
 from mtqe.fileio import atomic_write_lines, iter_lines, parse_int, parse_ints, read_lines
 from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, load_lexicon
-from mtqe.ngram import load_lm, train_lm
+from mtqe.ngram import BOS, END, UNK, load_lm, train_lm
 
 from conftest import read_lexicon_entries, run_cli, run_toy_pipeline
 
@@ -485,8 +485,13 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+# Any word train_lm accepts: the markers <unk>, <s> and </s> are reserved.
+_training_words = _words.filter(lambda word: word not in (UNK, BOS, END))
+
+
 @settings(max_examples=40)
-@given(st.lists(st.lists(_words, max_size=6), min_size=1, max_size=6), st.integers(1, 4))
+@given(st.lists(st.lists(_training_words, max_size=6), min_size=1, max_size=6),
+       st.integers(1, 4))
 def test_lm_round_trip(sentences, order):
     _rewrites_same_bytes(lambda model, path: model.save(path), load_lm,
                          train_lm(sentences, order))
