@@ -13,11 +13,11 @@ import sys
 from itertools import chain
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
-from .corpus import SIDES, iter_parallel, load_judgments, load_parallel, read_corpus
+from .corpus import SIDES, iter_corpus, iter_parallel, load_judgments
 from .errors import LengthMismatch, MalformedRow, QEError
 from .evaluation import confusion, render_report_csv, render_report_text
 from .features import FEATURE_HEADERS, extract_features, read_features, write_features
-from .fileio import atomic_write_lines, check_new_id, parse_int, read_table
+from .fileio import atomic_write_lines, read_table
 from .grading import Grade, judgment_grade
 from .lexicon import DEFAULT_THRESHOLD, build_lexicon, load_lexicon
 from .ngram import load_lm, train_lm
@@ -39,7 +39,7 @@ def _order_flag(text: str) -> int:
 
 
 def _cmd_build_lm(args) -> int:
-    sentences = read_corpus(args.corpus, args.side)
+    sentences = list(iter_corpus(args.corpus, args.side))
     model = train_lm(sentences, args.order)
     model.save(args.out)
     words = sum(map(len, sentences))
@@ -49,7 +49,7 @@ def _cmd_build_lm(args) -> int:
 
 
 def _cmd_build_lexicon(args) -> int:
-    corpus = load_parallel(args.pairs_src, args.pairs_tgt)
+    corpus = tuple(iter_parallel(args.pairs_src, args.pairs_tgt))
     lexicon = build_lexicon(corpus, args.threshold)
     lexicon.save(args.out)
     print(f"lexicon entries={sum(lexicon.sizes.values())} threshold={args.threshold}")
@@ -108,31 +108,23 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _read_grade_file(path) -> list[tuple[int, Grade]]:
-    """``(id, grade)`` rows, by id, of an ``id,grade`` or labeled feature CSV.
-
-    A row's first cell is its id and its last cell its grade; no id twice.
-    """
-    rows = []
-    seen = set()
-    for row, _, cells in read_table(path, ",", ("id,grade", FEATURE_HEADERS[1])):
+def _read_grade_file(path) -> dict[int, Grade]:
+    """``{id: grade}`` of an ``id,grade`` or labeled feature CSV: each row's first and last cell."""
+    grades = {}
+    for row, row_id, _, cells in read_table(path, ",", ("id,grade", FEATURE_HEADERS[1])):
         try:
-            row_id, grade = parse_int(cells[0]), Grade.from_label(cells[-1])
+            grades[row_id] = Grade.from_label(cells[-1])
         except ValueError as exc:
             raise MalformedRow(row, str(exc)) from None
-        check_new_id(row_id, row, seen)
-        rows.append((row_id, grade))
-    return sorted(rows, key=lambda row: row[0])
+    return grades
 
 
 def _cmd_evaluate(args) -> int:
-    human_rows = _read_grade_file(args.human)
-    predicted_rows = _read_grade_file(args.predicted)
-    if [i for i, _ in human_rows] != [i for i, _ in predicted_rows]:
+    human = _read_grade_file(args.human)
+    predicted = _read_grade_file(args.predicted)
+    if human.keys() != predicted.keys():
         raise LengthMismatch("grade files do not cover the same sentence ids")
-    human = [grade for _, grade in human_rows]
-    predicted = [grade for _, grade in predicted_rows]
-    matrix = confusion(human, predicted)
+    matrix = confusion(human.values(), map(predicted.__getitem__, human))
     report = matrix.agreement()
     table = render_report_csv(matrix.human_histogram(), matrix.predicted_histogram(), report)
     atomic_write_lines(args.out, table.splitlines())

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore, ReservedToken
 # bench/layers.py imports read_lines from this module.
-from .fileio import check_new_id, iter_lines, parse_ints, read_lines, read_table
+from .fileio import iter_lines, parse_ints, read_lines, read_table
 from .ngram import BOS, END, UNK
 
 SOURCE = "source"
@@ -95,7 +95,8 @@ class SentencePair(NamedTuple):
     target: tuple[str, ...]
 
 
-# A parallel corpus is a tuple of SentencePairs, pair i at position i with id i.
+# A parallel corpus is a tuple of SentencePairs, pair i at position i with id i,
+# as ``tuple(iter_parallel(...))`` gives it.
 ParallelCorpus = tuple
 
 
@@ -106,8 +107,14 @@ class HumanJudgment(NamedTuple):
     params: tuple[int, ...]
 
 
-def _sentences(path, side: str):
-    """Yield each line of ``path`` tokenized for ``side``, checking it as it is read."""
+def iter_corpus(path, side: str):
+    """Yield each line of a UTF-8 text file tokenized for ``side``, checking it as it is read.
+
+    Raises InvalidEncoding for non-UTF-8 content, and ReservedToken naming
+    ``path`` and the 1-based line for a token that is one of the language
+    model's markers ``<unk>``, ``<s>`` and ``</s>``, after yielding every
+    line before it.
+    """
     for line_no, line in enumerate(iter_lines(path), start=1):
         tokens = tuple(tokenize(line, side))
         if "<" in line:  # every marker holds one, so most lines skip the scan
@@ -117,26 +124,16 @@ def _sentences(path, side: str):
         yield tokens
 
 
-def read_corpus(path, side: str) -> list[tuple[str, ...]]:
-    """The lines of a UTF-8 text file, each tokenized for ``side``.
-
-    Raises InvalidEncoding for non-UTF-8 content, and ReservedToken naming
-    ``path`` and the 1-based line for a token that is one of the language
-    model's markers ``<unk>``, ``<s>`` and ``</s>``.
-    """
-    return list(_sentences(path, side))
-
-
 def iter_parallel(source_path, target_path):
     """Yield the SentencePairs of two line-aligned text files, one line of each at a time.
 
     Line i of each file becomes pair i.  The files are read in step, so
-    the first faulty line raises the errors of :func:`read_corpus`, the
+    the first faulty line raises the errors of :func:`iter_corpus`, the
     source side's first when both sides fault on one line.  When one file
     is longer, the rest of it is read and checked too, and then
     LineCountMismatch gives both line counts.
     """
-    lines = zip_longest(_sentences(source_path, SOURCE), _sentences(target_path, TARGET))
+    lines = zip_longest(iter_corpus(source_path, SOURCE), iter_corpus(target_path, TARGET))
     for pair_id, (source, target) in enumerate(lines):
         if source is None or target is None:
             longer = pair_id + 1 + sum(1 for _ in lines)
@@ -144,26 +141,20 @@ def iter_parallel(source_path, target_path):
         yield SentencePair(pair_id, source, target)
 
 
-def load_parallel(source_path, target_path) -> ParallelCorpus:
-    """The pairs of :func:`iter_parallel`, as a tuple: pair i at position i."""
-    return tuple(iter_parallel(source_path, target_path))
-
-
 def load_judgments(path) -> list[HumanJudgment]:
     """Load a TSV of human judgments (header ``id p1 .. p10``, tab-separated).
 
     Every parameter cell must be an integer in 0..4; violations raise
     OutOfRangeScore with the 0-based data-row index and 1-based parameter
-    number.  Structural problems and a repeated id raise MalformedRow.
+    number.  Structural problems and a bad or repeated id (see
+    :func:`~mtqe.fileio.read_table`) raise MalformedRow.
     """
     judgments = []
-    seen = set()
-    for row, _, cells in read_table(path, "\t", (_JUDGMENT_HEADER,)):
+    for row, sentence_id, _, cells in read_table(path, "\t", (_JUDGMENT_HEADER,)):
         try:
-            sentence_id, *params = parse_ints(cells)
+            params = parse_ints(cells[1:])
         except ValueError:
             raise MalformedRow(row, "non-integer cell") from None
-        check_new_id(sentence_id, row, seen)
         for col, value in enumerate(params, start=1):
             if not 0 <= value <= JUDGMENT_MAX:
                 raise OutOfRangeScore(row, col, value)

@@ -111,8 +111,8 @@ _FORMATTERS = tuple(
     _format_int if i in _INT_INDEXES else _format_float for i in range(N_FEATURES)
 )
 _PARSERS = tuple(int if i in _INT_INDEXES else float for i in range(N_FEATURES))
-# The id cell and the integer feature cells of a row.
-_int_cells = itemgetter(0, *(1 + i for i in _INT_INDEXES))
+# The integer feature cells of a row.
+_int_cells = itemgetter(*(1 + i for i in _INT_INDEXES))
 
 
 def write_features(rows, path) -> None:
@@ -143,25 +143,22 @@ def write_features(rows, path) -> None:
 def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     """Read a feature CSV written by :func:`write_features`.
 
-    A row of the wrong width, an unparseable cell, a non-finite value or
-    an id seen on an earlier row raises MalformedRow with the row's
-    0-based index.
+    A row of the wrong width, a bad or repeated id (see
+    :func:`~mtqe.fileio.read_table`), an unparseable cell or a non-finite
+    value raises MalformedRow with the row's 0-based index.
     """
     out: list[tuple[int, FeatureVector, Grade | None]] = []
-    seen = set()
-    for row, line, cells in read_table(path, ",", FEATURE_HEADERS):
+    for row, row_id, line, cells in read_table(path, ",", FEATURE_HEADERS):
         try:
             # The fileio number rule for every cell at once: a plain row,
-            # and no "+" (which int() takes) in the id or a count cell.
+            # and no "+" (which int() takes) in a count cell.
             if not is_plain(line) or "+" in "".join(_int_cells(cells)):
                 raise ValueError("cells must be plain ASCII numbers")
-            row_id = int(cells[0])
             values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
             grade = Grade.from_label(cells[-1]) if len(cells) > 1 + N_FEATURES else None
         except ValueError as exc:
             raise MalformedRow(row, str(exc)) from None
         if not all(map(math.isfinite, values)):
             raise MalformedRow(row, "non-finite feature value")
-        check_new_id(row_id, row, seen)
         out.append((row_id, FeatureVector(*values), grade))
     return out

@@ -1,14 +1,17 @@
 """The mtqe file format in one place: how every file is read and written.
 
-Every file is UTF-8 text split on LF alone, read and decoded a block at a
-time, and every line written ends with one LF.  Tabular files split a
-line into cells on one separator, and a table opens with a header line
-naming its columns.  Model files open with a ``magic<TAB>version``
-signature, followed by ``key<TAB>value`` header lines, and close with an
-``end`` line.  Every number read from a file is plain ASCII: an integer
-matches ``-?[0-9]+``, and a float cell has no whitespace and no ``_``
-before ``float()`` reads it.  Outputs are written atomically and durably,
-so a failed run or a crash never leaves a partial file behind.
+Every file is UTF-8 text split on LF alone, read forward and decoded a
+block at a time, so the first faulty line is the one reported; only a
+model file is held as lines while it is parsed.  Every line written ends
+with one LF.  Tabular files split a line into cells on one separator; a
+table opens with a header line naming its columns, and each data row's
+first cell is an integer id no other row has.  Model files open with a
+``magic<TAB>version`` signature, followed by ``key<TAB>value`` header
+lines, and close with an ``end`` line.  Every number read from a file is
+plain ASCII: an integer matches ``-?[0-9]+``, and a float cell has no
+whitespace and no ``_`` before ``float()`` reads it.  Outputs are written
+atomically and durably, so a failed run or a crash never leaves a partial
+file behind.
 """
 
 import codecs
@@ -19,9 +22,11 @@ from itertools import chain, islice
 from .errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
 
 
-# Bytes read and decoded at a time.  A block's text and lines are the
-# most of a file a reader holds beyond what it keeps.
+# Bytes read and decoded, and lines joined and encoded, at a time.  A
+# block's or a chunk's text is the most of a file a reader or a writer
+# holds beyond its own data.
 _BLOCK_BYTES = 1 << 16
+_CHUNK_LINES = 4096
 
 
 def iter_lines(path):
@@ -114,20 +119,30 @@ def check_new_id(row_id: int, row: int, seen: set) -> None:
 
 
 def read_table(path, sep: str, headers):
-    """Data rows of a table whose header line is one of ``headers``.
+    """Data rows of a table whose header line is one of ``headers``, read forward.
 
-    Yields ``(row, line, cells)`` for each data row, ``row`` counted from 0
-    and ``cells`` the line split on ``sep`` into exactly as many cells as
-    the header has.  A missing or unknown header raises
-    ``MalformedRow(None, ...)`` quoting the header found.
+    Yields ``(row, row_id, line, cells)`` for each data row: ``row``
+    counted from 0, ``cells`` the line split on ``sep`` into exactly as
+    many cells as the header has, and ``row_id`` the first cell as an
+    integer.  A missing or unknown header raises ``MalformedRow(None,
+    ...)`` quoting the header found; a row of the wrong width, then a bad
+    id cell or one an earlier row had, raises MalformedRow for that row.
     """
-    lines = read_lines(path)
-    if not lines or lines[0] not in headers:
-        found = repr(lines[0]) if lines else "an empty file"
+    lines = iter_lines(path)
+    header = next(lines, None)
+    if header not in headers:
+        found = "an empty file" if header is None else repr(header)
         raise MalformedRow(None, f"expected {' or '.join(map(repr, headers))}, got {found}")
-    width = lines[0].count(sep) + 1
-    for row, line in enumerate(islice(lines, 1, None)):
-        yield row, line, split_row(line, row, sep, width)
+    width = header.count(sep) + 1
+    seen = set()
+    for row, line in enumerate(lines):
+        cells = split_row(line, row, sep, width)
+        try:
+            row_id = parse_int(cells[0])
+        except ValueError as exc:
+            raise MalformedRow(row, str(exc)) from None
+        check_new_id(row_id, row, seen)
+        yield row, row_id, line, cells
 
 
 def read_model_lines(path, magic: str, version: int) -> list[str]:
@@ -181,9 +196,9 @@ def header_int(lines, index: int, key: str) -> int:
 def atomic_write_lines(path, lines) -> None:
     """Write each of ``lines`` with one LF to ``path``, atomically and durably.
 
-    The text goes to a temp file, is fsynced, and is renamed over
-    ``path``; the directory is fsynced after the rename, so the rename
-    itself is durable too.
+    The text goes to a temp file a chunk of lines at a time, is fsynced,
+    and is renamed over ``path``; the directory is fsynced after the
+    rename, so the rename itself is durable too.
 
     A new file gets mode ``0o666`` less the umask, like any file the
     process creates; an existing file keeps its mode.
@@ -199,8 +214,10 @@ def atomic_write_lines(path, lines) -> None:
     fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            # The empty last item ends the last line; no lines give an empty file.
-            handle.write("\n".join(chain(lines, [""])))
+            lines = iter(lines)
+            # The empty item ends a chunk's last line; no lines, no text.
+            while chunk := list(islice(lines, _CHUNK_LINES)):
+                handle.write("\n".join(chain(chunk, [""])))
             handle.flush()
             if mode is not None:
                 os.fchmod(handle.fileno(), mode)

@@ -74,7 +74,7 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
     """Induce a lexicon by keeping word pairs whose Dice score >= threshold.
 
     Args:
-        corpus: sentence pairs, as :func:`~mtqe.corpus.load_parallel` returns them.
+        corpus: sentence pairs, as a tuple of :func:`~mtqe.corpus.iter_parallel` gives them.
         threshold: cut-off in the open interval (0, 1).
 
     Raises:

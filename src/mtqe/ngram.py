@@ -4,7 +4,8 @@ Each training sentence is padded with (order - 1) begin markers and one end
 marker, and every window of length 1..order over the padded stream is
 counted.  Conditional probabilities are Laplace estimates over the full
 vocabulary (observed tokens plus the reserved UNK/BOS/END markers), so they
-are strictly positive and sum to one for every context.
+are strictly positive and sum to one for every context.  No counted gram
+holds UNK, which only adds one to the vocabulary size.
 
 A model answers two queries on a sentence: ``sentence_log_prob``, its mean
 log-probability, and ``bands``, the frequency-band tallies of its 1..k
@@ -108,14 +109,14 @@ class NgramModel:
     def sentence_log_prob(self, tokens) -> float:
         """Mean natural-log probability per scored position (always <= 0).
 
-        Pads the sentence (tokens outside the vocabulary become UNK), sums
+        Pads the sentence (a token outside the vocabulary is digit 0), sums
         the natural log of the add-one estimate P(word | context) over its
         full-order windows in position order, and divides by the number of
         scored positions (token count + 1, the end marker included).  An
         empty sentence scores the end marker alone.
         """
         vocab = self.vocab
-        ids = list(map(vocab.get, tokens, repeat(vocab[UNK])))
+        ids = list(map(vocab.get, tokens, repeat(0)))
         ids.append(vocab[END])
         base = self._base
         context_span = self._powers[self.order - 1]
@@ -234,8 +235,8 @@ def load_lm(path) -> NgramModel:
 
     Queries on the loaded model are bit-identical to the original.  Raises
     VersionMismatch for files written by a newer format and CorruptModel
-    for truncated or malformed files, a gram listed twice or holding a
-    token with no unigram line included, and for a ``vocab_size`` or
+    for truncated or malformed files, a gram listed twice, holding UNK
+    or holding a token with no unigram line, and for a ``vocab_size`` or
     quartile header line the counts do not give.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
@@ -258,8 +259,8 @@ def load_lm(path) -> NgramModel:
     # malformed line among them is rejected by the parse below.
     unigrams = {line.partition("\t")[0] for line in lines if " " not in line}
     vocab = _vocabulary(unigrams)
-    # Only a token with a unigram line may appear in a gram.
-    ids = {token: vocab[token] for token in unigrams}
+    # Only a token with a unigram line, and never UNK, may appear in a gram.
+    ids = {token: vocab[token] for token in unigrams - {UNK}}
     base = len(vocab) + 1
     counts: list[dict[int, int]] = [{} for _ in range(order)]
     for line in lines:
@@ -280,7 +281,8 @@ def load_lm(path) -> NgramModel:
             for token in tokens:
                 key = key * base + ids[token]
         except KeyError:
-            raise CorruptModel(f"n-gram {gram_text!r} has a token with no unigram line") from None
+            fault = f"holds {UNK!r}" if UNK in tokens else "has a token with no unigram line"
+            raise CorruptModel(f"n-gram {gram_text!r} {fault}") from None
         grams = counts[n - 1]
         if key in grams:
             raise CorruptModel(f"duplicate n-gram {gram_text!r}")

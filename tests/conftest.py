@@ -138,6 +138,17 @@ def save_reference_lm(lm, path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def with_unk_grams(lm):
+    """An order-3 TupleLM plus three grams no training run counts, its derived facts to match.
+
+    The grams are ``<s> <s> <unk>``, ``<s> <unk>`` and ``<unk>``, 7 times
+    each.  ``<unk>`` is in every vocabulary, so ``vocab_size`` matches too.
+    """
+    counts = {**lm.counts, (BOS, BOS, UNK): 7, (BOS, UNK): 7, (UNK,): 7}
+    return TupleLM(lm.order, lm.vocab, counts, reference_context_totals(counts, lm.order),
+                   reference_quartiles(counts, lm.order))
+
+
 def reference_cond_prob(lm, word, context=()):
     """Add-one P(word | context) of a TupleLM, its total summed from ``lm.counts``.
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import mtqe
-from mtqe.corpus import SOURCE, TARGET, load_parallel, tokenize
+from mtqe.corpus import SOURCE, TARGET, iter_parallel, tokenize
 from mtqe.features import read_features
 from mtqe.fileio import read_lines
 from mtqe.grading import Grade
@@ -447,6 +447,6 @@ class TestWriteStageBytes:
         proc = _run_module("build-lexicon", "--pairs-src", data["src"], "--pairs-tgt",
                            data["tgt"], "--threshold", threshold, "--out", out)
         assert proc.returncode == 0, proc.stderr
-        corpus = load_parallel(data["src"], data["tgt"])
+        corpus = tuple(iter_parallel(data["src"], data["tgt"]))
         brute_force_lexicon(corpus, threshold).save(tmp_path / "reference.tsv")
         assert out.read_bytes() == (tmp_path / "reference.tsv").read_bytes()

@@ -11,9 +11,9 @@ from mtqe.corpus import (
     TARGET,
     is_punctuation_char,
     is_punctuation_token,
+    iter_corpus,
+    iter_parallel,
     load_judgments,
-    load_parallel,
-    read_corpus,
     tokenize,
 )
 from mtqe.errors import (
@@ -101,7 +101,7 @@ class TestLoadParallel:
     def test_two_line_files(self, tmp_path):
         _write(tmp_path / "s.txt", ["The boy ran.", "A dog."])
         _write(tmp_path / "t.txt", ["लड़का दौड़ा।", "कुत्ता।"])
-        corpus = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+        corpus = tuple(iter_parallel(tmp_path / "s.txt", tmp_path / "t.txt"))
         assert [p.id for p in corpus] == [0, 1]
         assert corpus[0].source == ("the", "boy", "ran", ".")
         assert corpus[0].target == ("लड़का", "दौड़ा", "।")
@@ -110,7 +110,7 @@ class TestLoadParallel:
         _write(tmp_path / "s.txt", ["a", "b", "c"])
         _write(tmp_path / "t.txt", ["x", "y"])
         with pytest.raises(LineCountMismatch) as info:
-            load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+            tuple(iter_parallel(tmp_path / "s.txt", tmp_path / "t.txt"))
         assert str(info.value) == (
             "parallel files are not line-aligned: 3 source lines vs 2 target lines"
         )
@@ -118,23 +118,23 @@ class TestLoadParallel:
     def test_empty_files(self, tmp_path):
         (tmp_path / "s.txt").write_text("", encoding="utf-8")
         (tmp_path / "t.txt").write_text("", encoding="utf-8")
-        corpus = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+        corpus = tuple(iter_parallel(tmp_path / "s.txt", tmp_path / "t.txt"))
         assert corpus == ()
 
     def test_invalid_encoding_reports_line(self, tmp_path):
         (tmp_path / "s.txt").write_bytes(b"fine\ncaf\xe9\n")
         _write(tmp_path / "t.txt", ["x", "y"])
         with pytest.raises(InvalidEncoding) as info:
-            load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+            tuple(iter_parallel(tmp_path / "s.txt", tmp_path / "t.txt"))
         assert str(info.value) == f"invalid UTF-8 at {tmp_path / 's.txt'}:2"
 
     def test_round_trip_of_tokenized_content(self, tmp_path):
         _write(tmp_path / "s.txt", ["The  boy   ran.", "A (small) dog!"])
         _write(tmp_path / "t.txt", ["लड़का दौड़ा।", "छोटा कुत्ता।"])
-        first = load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+        first = tuple(iter_parallel(tmp_path / "s.txt", tmp_path / "t.txt"))
         _write(tmp_path / "s2.txt", [" ".join(p.source) for p in first])
         _write(tmp_path / "t2.txt", [" ".join(p.target) for p in first])
-        second = load_parallel(tmp_path / "s2.txt", tmp_path / "t2.txt")
+        second = tuple(iter_parallel(tmp_path / "s2.txt", tmp_path / "t2.txt"))
         assert [p.source for p in second] == [p.source for p in first]
         assert [p.target for p in second] == [p.target for p in first]
 
@@ -206,7 +206,7 @@ class TestReservedMarkers:
         path = tmp_path / "c.txt"
         _write(path, ["a fine line", line, "<unk>"])
         with pytest.raises(ReservedToken) as info:
-            read_corpus(path, side)
+            list(iter_corpus(path, side))
         assert str(info.value) == f"reserved token {token!r} at {path}:2"
 
     def test_first_faulty_line_is_reported(self, tmp_path):
@@ -215,16 +215,16 @@ class TestReservedMarkers:
         path = tmp_path / "c.txt"
         path.write_bytes(b"fine\na <s> b\ncaf\xe9\n")
         with pytest.raises(ReservedToken, match=":2$"):
-            read_corpus(path, TARGET)
+            list(iter_corpus(path, TARGET))
         path.write_bytes(b"fine\ncaf\xe9\na <s> b\n")
         with pytest.raises(InvalidEncoding, match=":2$"):
-            read_corpus(path, TARGET)
+            list(iter_corpus(path, TARGET))
 
     def test_look_alikes_are_ordinary_tokens(self, tmp_path):
         path = tmp_path / "c.txt"
         _write(path, ["<UNK> <unknown> a<s> < s > </S>"])
         expected = ("<UNK>", "<unknown>", "a<s>", "<", "s", ">", "</S>")
-        assert read_corpus(path, TARGET) == [expected]
+        assert list(iter_corpus(path, TARGET)) == [expected]
 
     @pytest.mark.parametrize("bad", ["s.txt", "t.txt"])
     def test_load_parallel_checks_both_sides(self, tmp_path, bad):
@@ -232,7 +232,7 @@ class TestReservedMarkers:
         _write(tmp_path / "t.txt", ["x y", "z w"])
         _write(tmp_path / bad, ["a b", "c <unk> d"])
         with pytest.raises(ReservedToken) as info:
-            load_parallel(tmp_path / "s.txt", tmp_path / "t.txt")
+            tuple(iter_parallel(tmp_path / "s.txt", tmp_path / "t.txt"))
         assert str(info.value) == f"reserved token '<unk>' at {tmp_path / bad}:2"
 
     @given(st.lists(st.text(alphabet="<>/sunkSUNK .(", max_size=12), max_size=4),
@@ -246,9 +246,9 @@ class TestReservedMarkers:
             _write(path, lines)
             if bad:
                 with pytest.raises(ReservedToken, match=f":{bad[0]}$"):
-                    read_corpus(path, side)
+                    list(iter_corpus(path, side))
             else:
-                assert read_corpus(path, side) == sentences
+                assert list(iter_corpus(path, side)) == sentences
 
 
 class TestCorpusStats:

@@ -1,5 +1,6 @@
 import random
 import tempfile
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -16,16 +17,18 @@ from mtqe.features import (
     write_features,
 )
 from mtqe.grading import Grade
-from mtqe.lexicon import TranslationLexicon, build_lexicon
+from mtqe.lexicon import TranslationLexicon, build_lexicon, load_lexicon
 from mtqe.ngram import load_lm, train_lm
 
 from conftest import (
     SPECIAL_TOKENS,
     TRAINING_TOKENS,
+    brute_force_lexicon,
     make_corpus,
     reference_band_counts,
     reference_lm,
     reference_seen_fraction,
+    reference_sentence_log_prob,
 )
 
 _rng = random.Random(5)
@@ -194,32 +197,74 @@ def _reference_low_high_pct(reference, tokens, n):
     return low_pct, (100.0 - low_pct if low + high == windows else 100.0 * high / windows)
 
 
-_special_corpora = st.lists(st.lists(st.sampled_from(TRAINING_TOKENS), max_size=6), min_size=1, max_size=8)
-# "z" is outside every vocabulary; sentences of 0-2 tokens have no trigram.
-_query_tokens = st.sampled_from([*SPECIAL_TOKENS, "z"])
-_special_sources = st.one_of(st.lists(_query_tokens, max_size=2), st.lists(_query_tokens, max_size=8))
+def _reference_punctuation(tokens):
+    """f15/f16: tokens whose every character is in a Unicode P category or is a danda."""
+    return sum(
+        all(unicodedata.category(ch).startswith("P") or ch in "।॥" for ch in token)
+        for token in tokens
+    )
 
 
-class TestSourceBands:
-    """f8-f14 on a trained and on a loaded model equal the tuple-keyed references."""
+def _reference_vector(src_lm, tgt_lm, sizes, source, target):
+    """f1-f16 as the README defines them, on tuple-keyed models and lexicon counts."""
+    n_src, n_tgt = len(source), len(target)
+    uni, bi, tri = (_reference_low_high_pct(src_lm, source, n) for n in (1, 2, 3))
+    return [
+        n_src,
+        n_tgt,
+        sum(len(token) for token in source) / n_src if n_src else 0.0,
+        reference_sentence_log_prob(src_lm, source),
+        reference_sentence_log_prob(tgt_lm, target),
+        n_tgt / len(set(target)) if n_tgt else 0.0,
+        sum(sizes.get(token, 0) for token in source) / n_src if n_src else 0.0,
+        *uni,
+        *bi,
+        tri[1],
+        tri[0],
+        100.0 * reference_seen_fraction(src_lm, source, 1),
+        _reference_punctuation(source),
+        _reference_punctuation(target),
+    ]
+
+
+_PUNCTUATION = [".", "।", "?!", "॥"]
+_corpus_sentences = st.lists(st.sampled_from([*TRAINING_TOKENS, ".", "।"]), max_size=6)
+_special_corpora = st.lists(st.tuples(_corpus_sentences, _corpus_sentences), min_size=1, max_size=8)
+# "z" is outside every vocabulary, and "a." and ".a" hold a letter beside
+# punctuation; sentences of 0-2 tokens have no trigram.
+_query_tokens = st.sampled_from([*SPECIAL_TOKENS, "z", "a.", ".a", *_PUNCTUATION])
+_sides = st.one_of(
+    st.just([]),
+    st.lists(st.sampled_from(_PUNCTUATION), min_size=1, max_size=4),
+    st.lists(_query_tokens, max_size=2),
+    st.lists(_query_tokens, max_size=8),
+)
+
+
+class TestVectorEqualsReference:
+    """All 16 features, from trained and from loaded models and lexicon, equal the references."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_special_corpora, st.integers(min_value=3, max_value=5), _special_sources)
+    @given(_special_corpora, st.integers(min_value=3, max_value=5), _sides, _sides)
     # Two Low unigrams and one High: the complement 100 - 200/3 is not 100/3 in float.
-    @example([["a", "a", "a", "b"]], 3, ["z", "a", "c"])
-    def test_bit_for_bit(self, sentences, order, source):
-        reference = reference_lm(sentences, order)
-        uni, bi, tri = (_reference_low_high_pct(reference, source, n) for n in (1, 2, 3))
-        seen = 100.0 * reference_seen_fraction(reference, source, 1)
-        expected = [*uni, *bi, tri[1], tri[0], seen]
-        trained = train_lm(sentences, order)
+    @example([(["a", "a", "a", "b"], ["x"])], 3, ["z", "a", "c"], ["x"])
+    def test_bit_for_bit(self, pairs, order, source, target):
+        sources = [s for s, _ in pairs]
+        targets = [t for _, t in pairs]
+        corpus = make_corpus(sources, targets)
+        sizes = {s: len(t) for s, t in brute_force_lexicon(corpus, 0.2).entries.items()}
+        expected = _reference_vector(
+            reference_lm(sources, order), reference_lm(targets, order), sizes, source, target
+        )
+        trained = (train_lm(sources, order), train_lm(targets, order), build_lexicon(corpus, 0.2))
         with tempfile.TemporaryDirectory() as directory:
-            path = Path(directory) / "m.lm"
-            trained.save(path)
-            loaded = load_lm(path)
-        for model in (trained, loaded):
-            vector = extract_features(_pair(source, ["x"]), model, model, LEXICON)
-            assert [v.hex() for v in vector.values()[7:14]] == [v.hex() for v in expected]
+            paths = [Path(directory) / name for name in ("src.lm", "tgt.lm", "lexicon.tsv")]
+            for artifact, path in zip(trained, paths):
+                artifact.save(path)
+            loaded = (load_lm(paths[0]), load_lm(paths[1]), load_lexicon(paths[2]))
+        for src_lm, tgt_lm, lexicon in (trained, loaded):
+            vector = extract_features(_pair(source, target), src_lm, tgt_lm, lexicon)
+            assert [v.hex() for v in vector.values()] == [float(v).hex() for v in expected]
 
 
 class TestFeatureFile:

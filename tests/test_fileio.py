@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mtqe import fileio
 from mtqe.bayes import NaiveBayesModel, load_model
 from mtqe.cli import _read_grade_file
-from mtqe.corpus import load_judgments, load_parallel
+from mtqe.corpus import iter_parallel, load_judgments
 from mtqe.errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
 from mtqe.features import N_FEATURES, FeatureVector, read_features, write_features
 from mtqe.fileio import atomic_write_lines, iter_lines, parse_int, parse_ints, read_lines
@@ -22,7 +22,14 @@ from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, load_lexicon
 from mtqe.ngram import BOS, END, UNK, load_lm, train_lm
 
-from conftest import read_lexicon_entries, run_cli, run_toy_pipeline
+from conftest import (
+    decode_lm,
+    read_lexicon_entries,
+    run_cli,
+    run_toy_pipeline,
+    save_reference_lm,
+    with_unk_grams,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +57,7 @@ def _extract(paths, out, **swap):
 READERS = {
     "parallel": (
         "src",
-        lambda path, paths: load_parallel(path, paths["tgt"]),
+        lambda path, paths: tuple(iter_parallel(path, paths["tgt"])),
         lambda path, paths, out: ["build-lexicon", "--pairs-src", path,
                                   "--pairs-tgt", paths["tgt"], "--out", out],
         None,
@@ -134,6 +141,22 @@ def test_short_row_is_located(name, artifacts, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["judgments", "features", "grades"])
+def test_table_reports_its_first_faulty_line(name, artifacts, tmp_path, capsys):
+    # A table is read forward like a corpus file: a short row 0 is
+    # reported, not the invalid UTF-8 two lines further on.
+    artifact, read, argv, (_, sep) = READERS[name]
+    bad = tmp_path / f"faults-{artifacts[artifact].name}"
+    _rewrite_line(artifacts[artifact], bad, 1, lambda line: line.rsplit(sep.encode(), 1)[0])
+    _rewrite_line(bad, bad, 3, lambda line: line + b"\xff")
+    with pytest.raises(MalformedRow, match="^malformed row 0: "):
+        read(bad, artifacts)
+    capsys.readouterr()
+    assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
+    assert "malformed row 0: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("name", ["lm", "model"])
 def test_crlf_model_is_corrupt(name, artifacts, tmp_path):
     artifact, read, _, _ = READERS[name]
@@ -200,6 +223,17 @@ def test_gram_with_unknown_token_is_corrupt(artifacts, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"corrupt model file: n-gram {gram!r}" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gram_holding_unk_stops_extract(artifacts, tmp_path, capsys):
+    bad = tmp_path / "unk.lm"
+    save_reference_lm(with_unk_grams(decode_lm(load_lm(artifacts["src_lm"]))), bad)
+    capsys.readouterr()
+    assert run_cli(*_extract(artifacts, tmp_path / "out", src_lm=bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "corrupt model file: n-gram '<s> <s> <unk>' holds '<unk>'" in captured.err
     assert not (tmp_path / "out").exists()
 
 

@@ -2,7 +2,10 @@
 
 The README's promise that outputs are written atomically and durably then
 rests on ``fileio.atomic_write_lines`` alone, which the fsync and mode
-tests in ``tests/test_fileio.py`` exercise.
+tests in ``tests/test_fileio.py`` exercise.  Its promise that a file's
+first faulty line is the one reported rests on every reader streaming
+through ``iter_lines``: only ``fileio.read_model_lines``, for the two
+model files, may call ``read_lines``.
 """
 
 import ast
@@ -36,3 +39,20 @@ def test_fileio_calls_are_found():
 def test_only_fileio_touches_files():
     calls = {path.name: _file_calls(path) for path in SOURCES if path.name != "fileio.py"}
     assert {name: found for name, found in calls.items() if found} == {}
+
+
+def _read_lines_callers() -> list[str]:
+    """``module.name`` of each top-level function or class in src/mtqe calling ``read_lines``."""
+    found = set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "read_lines" in (
+                    getattr(call.func, "id", None), getattr(call.func, "attr", None)
+                ):
+                    found.add(f"{path.stem}.{getattr(node, 'name', '<module>')}")
+    return sorted(found)
+
+
+def test_only_model_files_are_read_as_line_lists():
+    assert _read_lines_callers() == ["fileio.read_model_lines"]

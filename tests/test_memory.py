@@ -1,4 +1,4 @@
-"""What a loaded model keeps, and what reading a file or streaming extract costs at peak.
+"""What a loaded model keeps, and what reading or writing a file or streaming extract costs at peak.
 
 tracemalloc counts the bytes still allocated after a load returns, so the
 file text and the parse's scratch objects do not count there; its peak
@@ -13,6 +13,7 @@ import pytest
 
 from mtqe.cli import main
 from mtqe.corpus import SentencePair
+from mtqe.fileio import atomic_write_lines
 from mtqe.lexicon import TranslationLexicon, build_lexicon, load_lexicon
 from mtqe.ngram import load_lm, train_lm
 
@@ -28,6 +29,10 @@ MAX_PEAK_BYTES_PER_LEXICON_ROW = 60
 # bytes; a held tokenized corpus adds about 1.6 KB more on this corpus
 # (2.7 KB on the benchmark's).
 MAX_EXTRACT_PEAK_BYTES_PER_PAIR = 1200
+# Writing the 200k lines below (a 3.6 MB file) joins and encodes a chunk
+# of lines at a time, about 0.2 MB at peak; joining them all at once peaks
+# about twice the file, 7.1 MB.
+MAX_WRITE_PEAK_BYTES = 1 << 20
 
 
 def _traced(call, *args):
@@ -82,6 +87,12 @@ def test_lexicon_load_peak_per_row(lexicon_file):
     path, rows = lexicon_file
     _, _, peak = _traced(load_lexicon, path)
     assert peak / rows <= MAX_PEAK_BYTES_PER_LEXICON_ROW
+
+
+def test_write_peak_is_bounded(tmp_path):
+    lines = [f"w{i} w{i + 7}\t{i % 97}" for i in range(200_000)]
+    _, _, peak = _traced(atomic_write_lines, tmp_path / "out.txt", lines)
+    assert peak <= MAX_WRITE_PEAK_BYTES
 
 
 def _write_lines(path, lines):

@@ -30,6 +30,8 @@ from conftest import (
     reference_quartiles,
     reference_seen_fraction,
     reference_sentence_log_prob,
+    save_reference_lm,
+    with_unk_grams,
 )
 
 _sentences = st.lists(
@@ -345,6 +347,14 @@ class TestPersistence:
         lines[index] = "a q\t1"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(CorruptModel, match="n-gram 'a q' has a token with no unigram line"):
+            load_lm(path)
+
+    def test_gram_holding_unk_is_corrupt(self, tmp_path):
+        # Counted <unk> grams would score an unseen word as if seen in f4/f5,
+        # while f8-f14 still count it unseen.
+        path = tmp_path / "m.lm"
+        save_reference_lm(with_unk_grams(reference_lm([["a", "b"], ["a"]], 3)), path)
+        with pytest.raises(CorruptModel, match="n-gram '<s> <s> <unk>' holds '<unk>'"):
             load_lm(path)
 
     def test_garbage_file(self, tmp_path):
