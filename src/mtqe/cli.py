@@ -101,7 +101,7 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     rows = read_features(args.features)
     lines = ["id,grade"]
-    for row_id, vector, _ in sorted(rows, key=lambda row: row[0]):
+    for row_id, vector, _ in rows:
         lines.append(f"{row_id},{model.predict(vector).predicted.label}")
     atomic_write_lines(args.out, lines)
     print(f"predicted {len(rows)} rows")

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
-from .fileio import atomic_write_lines, check_new_id, is_plain, read_table
+from .fileio import atomic_write_lines, is_plain, not_rising, read_table
 from .grading import Grade
 from .lexicon import TranslationCounts
 from .ngram import NgramModel
@@ -116,22 +116,24 @@ _int_cells = itemgetter(*(1 + i for i in _INT_INDEXES))
 
 
 def write_features(rows, path) -> None:
-    """Write ``(id, FeatureVector, Grade | None)`` rows as CSV, ordered by id.
+    """Write ``(id, FeatureVector, Grade | None)`` rows as CSV, in the order given.
 
     The header is ``id,f1,...,f16`` with a trailing ``grade`` column when
-    rows are labeled.  Floats carry six decimal places.  Mixing labeled and
-    unlabeled rows raises MixedLabeling, and an id given twice raises
-    MalformedRow, as :func:`read_features` would, before any file is written.
+    rows are labeled.  Floats carry six decimal places.  Before any file is
+    written, a row labeled unlike the first raises MixedLabeling, and an id
+    not above the previous row's raises the MalformedRow that
+    :func:`read_features` would.
     """
-    rows = sorted(rows, key=lambda row: row[0])
-    flags = [grade is not None for _, _, grade in rows]
-    if any(flags) and not all(flags):
-        raise MixedLabeling()
-    labeled = bool(rows) and flags[0]
+    rows = list(rows)
+    labeled = bool(rows) and rows[0][2] is not None
     lines = [FEATURE_HEADERS[labeled]]
-    seen = set()
+    previous = -math.inf  # below every id
     for row, (row_id, vector, grade) in enumerate(rows):
-        check_new_id(row_id, row, seen)
+        if (grade is not None) != labeled:
+            raise MixedLabeling()
+        if row_id <= previous:
+            raise not_rising(row, f"id {row_id}", f"id {previous}")
+        previous = row_id
         cells = [str(row_id)]
         cells.extend(fmt(v) for fmt, v in zip(_FORMATTERS, vector.values()))
         if labeled:
@@ -143,9 +145,9 @@ def write_features(rows, path) -> None:
 def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     """Read a feature CSV written by :func:`write_features`.
 
-    A row of the wrong width, a bad or repeated id (see
-    :func:`~mtqe.fileio.read_table`), an unparseable cell or a non-finite
-    value raises MalformedRow with the row's 0-based index.
+    A row of the wrong width, a bad id or one not above the previous
+    row's (see :func:`~mtqe.fileio.read_table`), an unparseable cell or a
+    non-finite value raises MalformedRow with the row's 0-based index.
     """
     out: list[tuple[int, FeatureVector, Grade | None]] = []
     for row, row_id, line, cells in read_table(path, ",", FEATURE_HEADERS):

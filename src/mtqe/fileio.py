@@ -5,16 +5,18 @@ block at a time, so the first faulty line is the one reported; only a
 model file is held as lines while it is parsed.  Every line written ends
 with one LF.  Tabular files split a line into cells on one separator; a
 table opens with a header line naming its columns, and each data row's
-first cell is an integer id no other row has.  Model files open with a
-``magic<TAB>version`` signature, followed by ``key<TAB>value`` header
-lines, and close with an ``end`` line.  Every number read from a file is
-plain ASCII: an integer matches ``-?[0-9]+``, and a float cell has no
-whitespace and no ``_`` before ``float()`` reads it.  Outputs are written
-atomically and durably, so a failed run or a crash never leaves a partial
-file behind.
+first cell is an integer id.  The rows of every keyed file rise strictly
+by key, so one comparison with the previous row finds a repeat.  Model
+files open with a ``magic<TAB>version`` signature, followed by
+``key<TAB>value`` header lines, and close with an ``end`` line.  Every
+number read from a file is plain ASCII: an integer matches ``-?[0-9]+``,
+and a float cell has no whitespace and no ``_`` before ``float()`` reads
+it.  Outputs are written atomically and durably, so a failed run or a
+crash never leaves a partial file behind.
 """
 
 import codecs
+import math
 import os
 import stat
 from itertools import chain, islice
@@ -111,11 +113,14 @@ def split_row(line: str, row: int, sep: str, width: int) -> list[str]:
     return cells
 
 
-def check_new_id(row_id: int, row: int, seen: set) -> None:
-    """Add ``row_id`` to ``seen``; MalformedRow when an earlier row had it."""
-    if row_id in seen:
-        raise MalformedRow(row, f"duplicate id {row_id}")
-    seen.add(row_id)
+def not_rising(row: int, key: str, previous: str) -> MalformedRow:
+    """The error for data row ``row``, whose key is not above the previous row's.
+
+    Both keys are named as a message shows them, like ``id 3``.
+    """
+    if key == previous:
+        return MalformedRow(row, f"duplicate {key}")
+    return MalformedRow(row, f"{key} out of order after {previous}")
 
 
 def read_table(path, sep: str, headers):
@@ -126,7 +131,8 @@ def read_table(path, sep: str, headers):
     many cells as the header has, and ``row_id`` the first cell as an
     integer.  A missing or unknown header raises ``MalformedRow(None,
     ...)`` quoting the header found; a row of the wrong width, then a bad
-    id cell or one an earlier row had, raises MalformedRow for that row.
+    id cell or one not above the previous row's id, raises MalformedRow
+    for that row.
     """
     lines = iter_lines(path)
     header = next(lines, None)
@@ -134,14 +140,16 @@ def read_table(path, sep: str, headers):
         found = "an empty file" if header is None else repr(header)
         raise MalformedRow(None, f"expected {' or '.join(map(repr, headers))}, got {found}")
     width = header.count(sep) + 1
-    seen = set()
+    previous = -math.inf  # below every id
     for row, line in enumerate(lines):
         cells = split_row(line, row, sep, width)
         try:
             row_id = parse_int(cells[0])
         except ValueError as exc:
             raise MalformedRow(row, str(exc)) from None
-        check_new_id(row_id, row, seen)
+        if row_id <= previous:
+            raise not_rising(row, f"id {row_id}", f"id {previous}")
+        previous = row_id
         yield row, row_id, line, cells
 
 

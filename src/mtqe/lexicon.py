@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import islice, repeat
+from itertools import repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
-from .fileio import atomic_write_lines, is_plain, iter_lines, split_row
+from .fileio import atomic_write_lines, is_plain, iter_lines, not_rising, split_row
 
 DEFAULT_THRESHOLD = 0.2
 
@@ -120,18 +120,14 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
 def load_lexicon(path) -> TranslationCounts:
     """The per-source target counts of a lexicon TSV written by :meth:`TranslationLexicon.save`.
 
-    Any external file with ``source<TAB>target<TAB>score`` rows, scores in
-    (0, 1] and no (source, target) pair twice is accepted.  In save order a
-    repeated pair lies on adjacent lines; from the first row out of that
-    order on, a set of the pairs read finds it instead.
+    Every line is a ``source<TAB>target<TAB>score`` row with a score in
+    (0, 1], and the rows rise strictly in (source, target) order, as the
+    writer sorts them, so a repeated pair lies on the line after its first.
     """
     sizes: dict[str, int] = {}
     get = sizes.get
     previous = ()  # sorts before every (source, target) pair
-    pairs = None  # every pair read, once a row leaves save order
     for row, line in enumerate(iter_lines(path)):
-        if line == "":
-            continue
         source, target, text = split_row(line, row, "\t", 3)
         try:
             if not is_plain(text):
@@ -142,19 +138,9 @@ def load_lexicon(path) -> TranslationCounts:
         if not 0.0 < score <= 1.0:
             raise MalformedRow(row, f"score {score} outside (0, 1]")
         pair = (source, target)
-        if pairs is None:
-            if pair > previous:
-                previous = pair
-            elif pair == previous:
-                raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")
-            else:
-                # Every earlier row was in strictly rising order, so unique;
-                # the file is read again up to this row to collect them.
-                earlier = islice(iter_lines(path), row)
-                pairs = {tuple(kept.split("\t")[:2]) for kept in earlier if kept}
-        if pairs is not None:
-            if pair in pairs:
-                raise MalformedRow(row, f"duplicate entry {source!r} -> {target!r}")
-            pairs.add(pair)
+        if pair <= previous:
+            entry = "entry {!r} -> {!r}".format
+            raise not_rising(row, entry(*pair), entry(*previous))
+        previous = pair
         sizes[source] = get(source, 0) + 1
     return TranslationCounts(sizes)

@@ -243,9 +243,10 @@ def load_lm(path) -> NgramModel:
     order = header_int(lines, 0, "order")
     if order < 1:
         raise CorruptModel(f"order must be >= 1, got {order}")
-    keys = ["vocab_size"] + [f"q{q}_{n}" for n in range(1, order + 1) for q in (1, 3)]
+    # Built one key at a time, so a huge order fails at its first missing line.
+    keys = chain(["vocab_size"], (f"q{q}_{n}" for n in range(1, order + 1) for q in (1, 3)))
     header = {key: header_int(lines, index, key) for index, key in enumerate(keys, start=1)}
-    index = 1 + len(keys)
+    index = 1 + len(header)
     n_grams = header_int(lines, index, "ngrams")
     if n_grams < 0:
         raise CorruptModel(f"ngrams must be >= 0, got {n_grams}")

@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
@@ -7,6 +8,7 @@ import pytest
 
 from mtqe.cli import main as cli_main
 from mtqe.corpus import ParallelCorpus, SentencePair
+from mtqe.features import N_FEATURES
 from mtqe.fileio import read_lines
 from mtqe.lexicon import TranslationLexicon
 from mtqe.ngram import BOS, END, UNK
@@ -183,6 +185,62 @@ def reference_seen_fraction(lm, tokens, n):
     """The share of the length-n windows that ``lm.counts`` holds (0 for none)."""
     grams = index_windows(tokens, n)
     return sum(gram in lm.counts for gram in grams) / len(grams) if grams else 0.0
+
+
+def reference_low_high_pct(reference, tokens, n):
+    """f8-f13's arithmetic on the tuple-keyed band tallies of the length-n windows."""
+    windows = len(tokens) - n + 1
+    if windows <= 0:
+        return 0.0, 0.0
+    low, high = reference_band_counts(reference, tokens, n)
+    low_pct = 100.0 * low / windows
+    return low_pct, (100.0 - low_pct if low + high == windows else 100.0 * high / windows)
+
+
+def reference_punctuation(tokens):
+    """f15/f16: tokens whose every character is in a Unicode P category or is a danda."""
+    return sum(
+        all(unicodedata.category(ch).startswith("P") or ch in "।॥" for ch in token)
+        for token in tokens
+    )
+
+
+def reference_vector(src_lm, tgt_lm, sizes, source, target):
+    """f1-f16 as the README defines them, on tuple-keyed models and lexicon counts."""
+    n_src, n_tgt = len(source), len(target)
+    uni, bi, tri = (reference_low_high_pct(src_lm, source, n) for n in (1, 2, 3))
+    return [
+        n_src,
+        n_tgt,
+        sum(len(token) for token in source) / n_src if n_src else 0.0,
+        reference_sentence_log_prob(src_lm, source),
+        reference_sentence_log_prob(tgt_lm, target),
+        n_tgt / len(set(target)) if n_tgt else 0.0,
+        sum(sizes.get(token, 0) for token in source) / n_src if n_src else 0.0,
+        *uni,
+        *bi,
+        tri[1],
+        tri[0],
+        100.0 * reference_seen_fraction(src_lm, source, 1),
+        reference_punctuation(source),
+        reference_punctuation(target),
+    ]
+
+
+def reference_log_joint(model, x):
+    """Every class's score with each term computed per row, in term order."""
+    values = tuple(float(v) for v in x)
+    scores = {}
+    for y in model.classes:
+        mean = model.means[y]
+        var = model.variances[y]
+        total = math.log(model.priors[y])
+        for i in range(N_FEATURES):
+            diff = values[i] - mean[i]
+            total -= 0.5 * math.log(2.0 * math.pi) + 0.5 * math.log(var[i])
+            total -= (diff * diff) / (2.0 * var[i])
+        scores[y] = total
+    return scores
 
 
 # Tokens the file format allows: the reserved markers spelled as corpus

@@ -11,6 +11,8 @@ from mtqe.errors import CorruptModel, EmptyTrainingSet, VersionMismatch
 from mtqe.features import N_FEATURES
 from mtqe.grading import Grade
 
+from conftest import reference_log_joint
+
 
 def _random_vector(rng, center=0.0, spread=4.0):
     return tuple(rng.gauss(center, spread) for _ in range(N_FEATURES))
@@ -125,22 +127,6 @@ def _oracle_rows():
     return rows
 
 
-def _reference_log_joint(model, x):
-    """Every class's score with each term computed per row, in term order."""
-    values = tuple(float(v) for v in x)
-    scores = {}
-    for y in model.classes:
-        mean = model.means[y]
-        var = model.variances[y]
-        total = math.log(model.priors[y])
-        for i in range(N_FEATURES):
-            diff = values[i] - mean[i]
-            total -= 0.5 * math.log(2.0 * math.pi) + 0.5 * math.log(var[i])
-            total -= (diff * diff) / (2.0 * var[i])
-        scores[y] = total
-    return scores
-
-
 def _bits(scores):
     return {y: value.hex() for y, value in scores.items()}
 
@@ -153,7 +139,7 @@ class TestLogJoint:
     )
     def test_equals_per_row_formula_bit_for_bit(self, seed, x):
         model = train_nb(_random_rows(random.Random(seed)))
-        assert _bits(model.log_joint(x)) == _bits(_reference_log_joint(model, x))
+        assert _bits(model.log_joint(x)) == _bits(reference_log_joint(model, x))
 
     def test_loaded_model_equals_per_row_formula_bit_for_bit(self, tmp_path):
         rng = random.Random(12)
@@ -166,7 +152,7 @@ class TestLogJoint:
         assert min(model.variances[Grade.EXCELLENT]) == model.variance_floor
         for _ in range(200):
             x = _random_vector(rng, center=6.0, spread=8.0)
-            expected = _bits(_reference_log_joint(model, x))
+            expected = _bits(reference_log_joint(model, x))
             assert _bits(model.log_joint(x)) == expected
             assert _bits(loaded.log_joint(x)) == expected
 

@@ -1,10 +1,17 @@
+import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mtqe
+from mtqe.bayes import ABSOLUTE_VARIANCE_FLOOR, RELATIVE_VARIANCE_FLOOR
 from mtqe.corpus import SOURCE, TARGET, iter_parallel, tokenize
 from mtqe.features import read_features
 from mtqe.fileio import read_lines
@@ -14,8 +21,11 @@ from mtqe.ngram import load_lm
 
 from conftest import (
     brute_force_lexicon,
+    make_corpus,
     read_lexicon_entries,
     reference_lm,
+    reference_log_joint,
+    reference_vector,
     run_cli,
     save_reference_lm,
     run_toy_pipeline,
@@ -131,7 +141,9 @@ class TestExtract:
                        "--judgments", tmp_path / "extra.tsv", "--out", out)
         assert code == 2
         err = capsys.readouterr().err
-        assert f"judgment id {stray_id} " in err
+        # Ids rise row by row, so -1 after ids 0..19 is out of order first.
+        expected = f"judgment id {stray_id} " if stray_id > 0 else "id -1 out of order after id 19"
+        assert expected in err
         assert "row 20" in err
         assert not out.exists()
 
@@ -450,3 +462,117 @@ class TestWriteStageBytes:
         corpus = tuple(iter_parallel(data["src"], data["tgt"]))
         brute_force_lexicon(corpus, threshold).save(tmp_path / "reference.tsv")
         assert out.read_bytes() == (tmp_path / "reference.tsv").read_bytes()
+
+
+# Space-separated tokens that tokenize to themselves: lowercase source
+# words, target words and single punctuation characters.  "e", "q" and "W"
+# occur only in the graded corpus, so they are outside the models.
+_model_source = st.lists(st.sampled_from(["a", "b", "c", ".", "?"]), max_size=5)
+_model_target = st.lists(st.sampled_from(["x", "y", "Z", "।", "!"]), max_size=5)
+_punctuation_only = st.lists(st.sampled_from([".", "?", "।", "!"]), min_size=1, max_size=3)
+_graded_source = st.one_of(
+    _punctuation_only, st.lists(st.sampled_from(["a", "b", "e", "q", ".", "?"]), max_size=5)
+)
+_graded_target = st.one_of(
+    _punctuation_only, st.lists(st.sampled_from(["x", "Z", "W", "।", "!"]), max_size=5)
+)
+_judgment_params = st.lists(st.integers(0, 4), min_size=10, max_size=10)
+_INT_COLUMNS = (0, 1, 14, 15)  # f1, f2, f15, f16
+
+
+def _grade_of(params):
+    # The judgment total out of 40, in the README's four bands of a quarter each.
+    total = sum(params)
+    if total <= 10:
+        return Grade.POOR
+    if total <= 20:
+        return Grade.AVERAGE
+    if total <= 30:
+        return Grade.GOOD
+    return Grade.EXCELLENT
+
+
+def _reference_model(rows):
+    """Gaussian NB fitted to ``(values, grade)`` rows with fsum means and variances."""
+
+    def moments(vectors, i):
+        mean = math.fsum(v[i] for v in vectors) / len(vectors)
+        return mean, math.fsum((v[i] - mean) ** 2 for v in vectors) / len(vectors)
+
+    vectors = [values for values, _ in rows]
+    pooled = max(moments(vectors, i)[1] for i in range(16))
+    floor = max(RELATIVE_VARIANCE_FLOOR * pooled, ABSOLUTE_VARIANCE_FLOOR)
+    model = SimpleNamespace(classes=sorted({grade for _, grade in rows}),
+                            priors={}, means={}, variances={})
+    for grade in model.classes:
+        members = [values for values, y in rows if y is grade]
+        model.priors[grade] = len(members) / len(rows)
+        model.means[grade] = [moments(members, i)[0] for i in range(16)]
+        model.variances[grade] = [max(moments(members, i)[1], floor) for i in range(16)]
+    return model
+
+
+class TestCliBytesEqualReference:
+    """build-lm, build-lexicon, extract, train and predict write the reference's bytes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.tuples(_model_source, _model_target), min_size=1, max_size=6),
+        st.lists(st.tuples(_graded_source, _graded_target, _judgment_params),
+                 min_size=1, max_size=6),
+    )
+    # One pair judged Poor and Excellent: both classes fit the same vector,
+    # so every score ties and both rows go to Poor.
+    @example([(["a"], ["x"])], [(["a"], ["x"], [0] * 10), (["a"], ["x"], [4] * 10)])
+    def test_feature_and_grade_files(self, model_pairs, graded):
+        # Reference features, then the labeled CSV, the model fitted to the
+        # values that CSV holds, and each row's argmax with ties going to
+        # the lowest grade.
+        src_lm = reference_lm([source for source, _ in model_pairs], 3)
+        tgt_lm = reference_lm([target for _, target in model_pairs], 3)
+        corpus = make_corpus(*zip(*model_pairs))
+        lexicon = brute_force_lexicon(corpus, DEFAULT_THRESHOLD)
+        sizes = {s: len(t) for s, t in lexicon.entries.items()}
+        feature_lines = ["id," + ",".join(f"f{i}" for i in range(1, 17)) + ",grade"]
+        rows = []
+        for pair_id, (source, target, params) in enumerate(graded):
+            vector = reference_vector(src_lm, tgt_lm, sizes, source, target)
+            cells = [str(v) if i in _INT_COLUMNS else f"{v:.6f}" for i, v in enumerate(vector)]
+            grade = _grade_of(params)
+            feature_lines.append(",".join([str(pair_id), *cells, grade.label]))
+            rows.append(([float(cell) for cell in cells], grade))
+        model = _reference_model(rows)
+        grade_lines = ["id,grade"]
+        for pair_id, (values, _) in enumerate(rows):
+            scores = reference_log_joint(model, values)
+            grade_lines.append(f"{pair_id},{max(model.classes, key=scores.__getitem__).label}")
+
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory)
+            _write_lines(path / "model-src.txt", [" ".join(s) for s, _ in model_pairs])
+            _write_lines(path / "model-tgt.txt", [" ".join(t) for _, t in model_pairs])
+            _write_lines(path / "src.txt", [" ".join(s) for s, _, _ in graded])
+            _write_lines(path / "tgt.txt", [" ".join(t) for _, t, _ in graded])
+            _write_lines(path / "judgments.tsv",
+                         ["\t".join(["id"] + [f"p{i}" for i in range(1, 11)])]
+                         + ["\t".join(map(str, [i, *p])) for i, (_, _, p) in enumerate(graded)])
+            for argv in (
+                ["build-lm", "--corpus", path / "model-src.txt", "--side", "source",
+                 "--out", path / "src.lm"],
+                ["build-lm", "--corpus", path / "model-tgt.txt", "--side", "target",
+                 "--out", path / "tgt.lm"],
+                ["build-lexicon", "--pairs-src", path / "model-src.txt",
+                 "--pairs-tgt", path / "model-tgt.txt", "--out", path / "lexicon.tsv"],
+                ["extract", "--pairs-src", path / "src.txt", "--pairs-tgt", path / "tgt.txt",
+                 "--src-lm", path / "src.lm", "--tgt-lm", path / "tgt.lm",
+                 "--lexicon", path / "lexicon.tsv", "--judgments", path / "judgments.tsv",
+                 "--out", path / "features.csv"],
+                ["train", "--features", path / "features.csv", "--out", path / "nb.model"],
+                ["predict", "--model", path / "nb.model", "--features", path / "features.csv",
+                 "--out", path / "grades.csv"],
+            ):
+                assert run_cli(*argv) == 0
+            features = (path / "features.csv").read_text(encoding="utf-8")
+            grades = (path / "grades.csv").read_text(encoding="utf-8")
+        assert features == "".join(line + "\n" for line in feature_lines)
+        assert grades == "".join(line + "\n" for line in grade_lines)

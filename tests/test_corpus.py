@@ -171,11 +171,14 @@ class TestLoadJudgments:
         assert str(info.value).startswith("malformed row 0: ")
 
     def test_duplicate_id(self, tmp_path):
-        rows = ["\t".join([i] + ["3"] * 10) for i in ("0", "1", "0")]
-        _write(tmp_path / "j.tsv", [_HEADER] + rows)
-        with pytest.raises(MalformedRow, match="duplicate id 0") as info:
-            load_judgments(tmp_path / "j.tsv")
-        assert str(info.value) == "malformed row 2: duplicate id 0"
+        # Ids rise row by row, so an earlier id that comes back is out of order.
+        cases = {("0", "1", "1"): "duplicate id 1", ("0", "1", "0"): "id 0 out of order after id 1"}
+        for ids, message in cases.items():
+            rows = ["\t".join([i] + ["3"] * 10) for i in ids]
+            _write(tmp_path / "j.tsv", [_HEADER] + rows)
+            with pytest.raises(MalformedRow) as info:
+                load_judgments(tmp_path / "j.tsv")
+            assert str(info.value) == f"malformed row 2: {message}"
 
     def test_non_integer_cell(self, tmp_path):
         _write(tmp_path / "j.tsv", [_HEADER, "\t".join(["0", "x"] + ["3"] * 9)])

@@ -1,6 +1,5 @@
 import random
 import tempfile
-import unicodedata
 from pathlib import Path
 
 import pytest
@@ -25,10 +24,8 @@ from conftest import (
     TRAINING_TOKENS,
     brute_force_lexicon,
     make_corpus,
-    reference_band_counts,
     reference_lm,
-    reference_seen_fraction,
-    reference_sentence_log_prob,
+    reference_vector,
 )
 
 _rng = random.Random(5)
@@ -187,46 +184,6 @@ class TestProperties:
         assert after.tgt_punct_count == before.tgt_punct_count
 
 
-def _reference_low_high_pct(reference, tokens, n):
-    """f8-f13's arithmetic on the tuple-keyed band tallies of the length-n windows."""
-    windows = len(tokens) - n + 1
-    if windows <= 0:
-        return 0.0, 0.0
-    low, high = reference_band_counts(reference, tokens, n)
-    low_pct = 100.0 * low / windows
-    return low_pct, (100.0 - low_pct if low + high == windows else 100.0 * high / windows)
-
-
-def _reference_punctuation(tokens):
-    """f15/f16: tokens whose every character is in a Unicode P category or is a danda."""
-    return sum(
-        all(unicodedata.category(ch).startswith("P") or ch in "।॥" for ch in token)
-        for token in tokens
-    )
-
-
-def _reference_vector(src_lm, tgt_lm, sizes, source, target):
-    """f1-f16 as the README defines them, on tuple-keyed models and lexicon counts."""
-    n_src, n_tgt = len(source), len(target)
-    uni, bi, tri = (_reference_low_high_pct(src_lm, source, n) for n in (1, 2, 3))
-    return [
-        n_src,
-        n_tgt,
-        sum(len(token) for token in source) / n_src if n_src else 0.0,
-        reference_sentence_log_prob(src_lm, source),
-        reference_sentence_log_prob(tgt_lm, target),
-        n_tgt / len(set(target)) if n_tgt else 0.0,
-        sum(sizes.get(token, 0) for token in source) / n_src if n_src else 0.0,
-        *uni,
-        *bi,
-        tri[1],
-        tri[0],
-        100.0 * reference_seen_fraction(src_lm, source, 1),
-        _reference_punctuation(source),
-        _reference_punctuation(target),
-    ]
-
-
 _PUNCTUATION = [".", "।", "?!", "॥"]
 _corpus_sentences = st.lists(st.sampled_from([*TRAINING_TOKENS, ".", "।"]), max_size=6)
 _special_corpora = st.lists(st.tuples(_corpus_sentences, _corpus_sentences), min_size=1, max_size=8)
@@ -253,7 +210,7 @@ class TestVectorEqualsReference:
         targets = [t for _, t in pairs]
         corpus = make_corpus(sources, targets)
         sizes = {s: len(t) for s, t in brute_force_lexicon(corpus, 0.2).entries.items()}
-        expected = _reference_vector(
+        expected = reference_vector(
             reference_lm(sources, order), reference_lm(targets, order), sizes, source, target
         )
         trained = (train_lm(sources, order), train_lm(targets, order), build_lexicon(corpus, 0.2))
@@ -311,11 +268,13 @@ class TestFeatureFile:
         assert header == "id," + ",".join(FEATURE_COLUMNS)
         assert all(g is None for _, _, g in read_features(path))
 
-    def test_rows_sorted_by_id(self, tmp_path):
-        rows = self._rows(labeled=False)
-        path = tmp_path / "f.csv"
-        write_features(reversed(rows), path)
-        assert [i for i, _, _ in read_features(path)] == [0, 1]
+    def test_falling_rows_rejected_before_writing(self, tmp_path):
+        # Rows are written in the order given, and read_features would
+        # refuse ids that fall, so the file is never written.
+        with pytest.raises(MalformedRow) as info:
+            write_features(reversed(self._rows(labeled=False)), tmp_path / "f.csv")
+        assert str(info.value) == "malformed row 1: id 0 out of order after id 1"
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_file_is_header_only(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -332,10 +291,10 @@ class TestFeatureFile:
     def test_repeated_id_rejected_before_writing(self, tmp_path):
         # read_features would refuse the file, so it is never written.
         rows = self._rows(labeled=True)
-        rows.append((rows[0][0], rows[1][1], Grade.POOR))
-        with pytest.raises(MalformedRow, match="duplicate id 0") as info:
+        rows.append((rows[1][0], rows[1][1], Grade.POOR))
+        with pytest.raises(MalformedRow, match="duplicate id 1") as info:
             write_features(rows, tmp_path / "f.csv")
-        assert str(info.value) == "malformed row 1: duplicate id 0"
+        assert str(info.value) == "malformed row 2: duplicate id 1"
         assert list(tmp_path.iterdir()) == []
 
     def test_malformed_file(self, tmp_path):

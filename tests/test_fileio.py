@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -125,20 +126,22 @@ def test_invalid_utf8_names_path_and_line(name, artifacts, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(n for n, spec in READERS.items() if spec[3]))
 def test_short_row_is_located(name, artifacts, tmp_path):
+    # The row loses its last cell, and then all of it: no reader skips a
+    # blank line.
     artifact, read, argv, (index, sep) = READERS[name]
     bad = tmp_path / f"short-{artifacts[artifact].name}"
-    _rewrite_line(artifacts[artifact], bad, index,
-                  lambda line: line.rsplit(sep.encode(), 1)[0])
-    with pytest.raises((MalformedRow, CorruptModel)) as info:
-        read(bad, artifacts)
-    if isinstance(info.value, MalformedRow):
-        header_lines = 0 if name == "lexicon" else 1
-        assert str(info.value).startswith(f"malformed row {index - header_lines}: ")
-    else:
-        key = read_lines(bad)[index].split("\t")[0]
-        assert key in str(info.value)
-    assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
-    assert not (tmp_path / "out").exists()
+    for change in (lambda line: line.rsplit(sep.encode(), 1)[0], lambda line: b""):
+        _rewrite_line(artifacts[artifact], bad, index, change)
+        with pytest.raises((MalformedRow, CorruptModel)) as info:
+            read(bad, artifacts)
+        if isinstance(info.value, MalformedRow):
+            header_lines = 0 if name == "lexicon" else 1
+            assert str(info.value).startswith(f"malformed row {index - header_lines}: ")
+        else:
+            key = read_lines(bad)[index].split("\t")[0]
+            assert key in str(info.value)
+        assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", ["judgments", "features", "grades"])
@@ -234,6 +237,25 @@ def test_gram_holding_unk_stops_extract(artifacts, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "corrupt model file: n-gram '<s> <s> <unk>' holds '<unk>'" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_huge_lm_order_fails_before_allocating(artifacts, tmp_path, capsys):
+    # Four lines claiming order 100000: the quartile header lines are
+    # checked one at a time, so the first missing one stops the load.
+    bad = tmp_path / "huge-order.lm"
+    bad.write_text("mtqe-ngram-lm\t1\norder\t100000\nvocab_size\t5\nend\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptModel, match="missing header line 'q1_1'"):
+            load_lm(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    capsys.readouterr()
+    assert run_cli(*_extract(artifacts, tmp_path / "out", src_lm=bad)) == 2
+    assert "missing header line 'q1_1'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -362,27 +384,52 @@ def test_hex_float_with_trailing_whitespace_is_corrupt(space, artifacts, tmp_pat
         load_model(bad)
 
 
-def _repeat_first_id(source, target):
+def _repeat_first_id(source, target, sep=","):
     # Data row 1 takes row 0's id, so the ids read 0, 0, 2, ...
     lines = read_lines(source)
-    cells = lines[2].split(",")
-    cells[0] = lines[1].split(",")[0]
-    lines[2] = ",".join(cells)
+    cells = lines[2].split(sep)
+    cells[0] = lines[1].split(sep)[0]
+    lines[2] = sep.join(cells)
     target.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return target
 
 
-@pytest.mark.parametrize("name", ["features", "grades"])
-def test_repeated_id_is_located(name, artifacts, tmp_path, capsys):
-    artifact, read, argv, _ = READERS[name]
-    bad = _repeat_first_id(artifacts[artifact], tmp_path / f"repeated-{artifacts[artifact].name}")
+def _refused_with(message, name, bad, artifacts, tmp_path, capsys):
+    # The library reader and the CLI stage reading ``bad`` both give ``message``.
+    _, read, argv, _ = READERS[name]
     with pytest.raises(MalformedRow) as info:
         read(bad, artifacts)
-    assert str(info.value) == "malformed row 1: duplicate id 0"
+    assert str(info.value) == message
     capsys.readouterr()
     assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
-    assert "malformed row 1: duplicate id 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", ["features", "grades", "judgments"])
+def test_repeated_id_is_located(name, artifacts, tmp_path, capsys):
+    artifact, _, _, (_, sep) = READERS[name]
+    bad = tmp_path / f"repeated-{artifacts[artifact].name}"
+    _repeat_first_id(artifacts[artifact], bad, sep)
+    _refused_with("malformed row 1: duplicate id 0", name, bad, artifacts, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", ["judgments", "features", "grades", "lexicon"])
+def test_falling_key_is_located(name, artifacts, tmp_path, capsys):
+    # Data rows 1 and 2 swap places, so row 2's key is below row 1's.
+    artifact, _, _, (_, sep) = READERS[name]
+    lines = read_lines(artifacts[artifact])
+    first = 0 if name == "lexicon" else 1  # the line of data row 0
+    lines[first + 1], lines[first + 2] = lines[first + 2], lines[first + 1]
+    bad = tmp_path / f"swapped-{artifacts[artifact].name}"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    swapped = lines[first + 1 : first + 3]
+    if name == "lexicon":
+        keys = ["entry {!r} -> {!r}".format(*line.split(sep)[:2]) for line in swapped]
+    else:
+        keys = [f"id {line.split(sep)[0]}" for line in swapped]
+    message = f"malformed row 2: {keys[1]} out of order after {keys[0]}"
+    _refused_with(message, name, bad, artifacts, tmp_path, capsys)
 
 
 def test_evaluate_rejects_ids_repeated_in_both_files(artifacts, tmp_path, capsys):
@@ -556,9 +603,37 @@ _vectors = st.builds(
                 unique_by=lambda row: row[0]),
        st.one_of(st.none(), st.sampled_from(Grade)))
 def test_feature_csv_round_trip(rows, grade):
-    # grade None writes an unlabeled file, and no rows a header-only one.
+    # grade None writes an unlabeled file, and no rows a header-only one;
+    # ids rise row by row.
+    rows = sorted(rows, key=lambda row: row[0])
     _rewrites_same_bytes(write_features, read_features,
                          [(row_id, vector, grade) for row_id, vector in rows])
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+       st.one_of(st.none(), st.sampled_from(Grade)))
+def test_writer_refuses_what_the_reader_refuses(ids, grade):
+    # Ids from a narrow range repeat and fall often.  The file the rows
+    # would make is built by hand; the writer raises what the reader raises
+    # on it, writing nothing, or writes exactly its bytes.
+    vector = FeatureVector(*[1] * N_FEATURES)
+    with tempfile.TemporaryDirectory() as directory:
+        written, by_hand = Path(directory) / "written.csv", Path(directory) / "by-hand.csv"
+        write_features([(0, vector, grade)], by_hand)
+        header, row = read_lines(by_hand)
+        lines = [header, *(f"{i}{row[1:]}" for i in ids)]  # row[1:] follows the id 0
+        by_hand.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+        try:
+            read_features(by_hand)
+        except MalformedRow as exc:
+            with pytest.raises(MalformedRow) as info:
+                write_features([(i, vector, grade) for i in ids], written)
+            assert str(info.value) == str(exc)
+            assert not written.exists()
+        else:
+            write_features([(i, vector, grade) for i in ids], written)
+            assert written.read_bytes() == by_hand.read_bytes()
 
 
 @settings(max_examples=40)

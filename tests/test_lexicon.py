@@ -182,34 +182,48 @@ class TestLexiconFile:
 
     @settings(max_examples=50, deadline=None)
     @given(_wide_corpus_lists, st.randoms(use_true_random=False))
-    def test_shuffled_rows_load_the_same_counts(self, pair_lists, rng):
+    def test_shuffled_rows_are_refused_at_the_first_fall(self, pair_lists, rng):
         lexicon = build_lexicon(_corpus(pair_lists), 0.1)
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "lex.tsv"
             lexicon.save(path)
-            expected = load_lexicon(path).sizes
             lines = path.read_text(encoding="utf-8").splitlines()
             rng.shuffle(lines)
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-            assert load_lexicon(path).sizes == expected
-        assert expected == {s: len(t) for s, t in lexicon.entries.items()}
+            pairs = [tuple(line.split("\t")[:2]) for line in lines]
+            # The first row whose pair is not above the previous row's.
+            fall = next((row for row in range(1, len(pairs)) if pairs[row] <= pairs[row - 1]), None)
+            if fall is None:
+                assert load_lexicon(path).sizes == {s: len(t) for s, t in lexicon.entries.items()}
+            else:
+                with pytest.raises(MalformedRow) as info:
+                    load_lexicon(path)
+                entry = "entry {!r} -> {!r}".format
+                assert str(info.value) == (
+                    f"malformed row {fall}: {entry(*pairs[fall])} "
+                    f"out of order after {entry(*pairs[fall - 1])}"
+                )
 
     @pytest.mark.parametrize(
-        "rows",
+        "rows, row, message",
         [
-            ["a\tx\t0.5", "b\ty\t0.5", "a\tx\t0.25"],
-            ["b\ty\t0.5", "a\tx\t0.5", "c\tz\t0.5", "a\tx\t0.5"],
-            ["a\tx\t0.5", "a\ty\t0.5", "b\tx\t0.5", "a\ty\t1.0"],
+            (["a\tx\t0.5", "b\ty\t0.5", "a\tx\t0.25"], 2,
+             "entry 'a' -> 'x' out of order after entry 'b' -> 'y'"),
+            (["b\ty\t0.5", "a\tx\t0.5", "c\tz\t0.5", "a\tx\t0.5"], 1,
+             "entry 'a' -> 'x' out of order after entry 'b' -> 'y'"),
+            (["a\tx\t0.5", "a\ty\t0.5", "b\tx\t0.5", "a\ty\t1.0"], 3,
+             "entry 'a' -> 'y' out of order after entry 'b' -> 'x'"),
         ],
         ids=["leaves-order-at-repeat", "out-of-order-earlier", "same-source"],
     )
-    def test_non_adjacent_repeat_is_located(self, tmp_path, rows):
+    def test_non_adjacent_repeat_is_located(self, tmp_path, rows, row, message):
+        # Rows rise in (source, target) order, so a repeat that is not on
+        # the next line is refused at the first row out of that order.
         path = tmp_path / "lex.tsv"
         path.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
-        source, target, _ = rows[-1].split("\t")
-        with pytest.raises(MalformedRow, match=f"duplicate entry {source!r} -> {target!r}") as info:
+        with pytest.raises(MalformedRow) as info:
             load_lexicon(path)
-        assert str(info.value).startswith(f"malformed row {len(rows) - 1}: ")
+        assert str(info.value) == f"malformed row {row}: {message}"
 
     @settings(max_examples=50, deadline=None)
     @given(_wide_corpus_lists, st.lists(st.sampled_from("abcdefghijklz"), max_size=8))
