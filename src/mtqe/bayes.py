@@ -142,8 +142,8 @@ def train_nb(rows, variance_floor: float = ABSOLUTE_VARIANCE_FLOOR) -> NaiveBaye
     return NaiveBayesModel(classes, priors, means, variances, floor)
 
 
-def _hex_floats(lines, index, key, n_values):
-    parts = header_value(lines, index, key).split(" ")
+def _hex_floats(lines, key, n_values):
+    parts = header_value(lines, key).split(" ")
     if len(parts) != n_values:
         raise CorruptModel(f"'{key}' line carries {len(parts)} values, expected {n_values}")
     try:
@@ -166,37 +166,36 @@ def load_model(path) -> NaiveBayesModel:
     (0, 1], a variance or variance floor <= 0, or a non-finite value.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
-    (variance_floor,) = _hex_floats(lines, 0, "variance_floor", 1)
+    (variance_floor,) = _hex_floats(lines, "variance_floor", 1)
     if variance_floor <= 0.0:
         raise CorruptModel(f"variance floor {variance_floor} must be > 0")
-    n_classes = header_int(lines, 1, "classes")
+    n_classes = header_int(lines, "classes")
     if not 1 <= n_classes <= len(Grade):
         raise CorruptModel(f"class count {n_classes} outside 1..{len(Grade)}")
     classes = []
     priors = {}
     means = {}
     variances = {}
-    index = 2
     for _ in range(n_classes):
-        label = header_value(lines, index, "class")
+        label = header_value(lines, "class")
         try:
             grade = Grade.from_label(label)
         except ValueError:
             raise CorruptModel(f"unknown class label {label!r}") from None
-        (prior,) = _hex_floats(lines, index + 1, "prior", 1)
+        if classes and grade <= classes[-1]:
+            if grade == classes[-1]:
+                raise CorruptModel("duplicate class")
+            raise CorruptModel("classes are not in ascending grade order")
+        (prior,) = _hex_floats(lines, "prior", 1)
         if not 0.0 < prior <= 1.0:
             raise CorruptModel(f"prior {prior} outside (0, 1]")
         priors[grade] = prior
-        means[grade] = _hex_floats(lines, index + 2, "means", N_FEATURES)
-        variances[grade] = _hex_floats(lines, index + 3, "variances", N_FEATURES)
+        means[grade] = _hex_floats(lines, "means", N_FEATURES)
+        variances[grade] = _hex_floats(lines, "variances", N_FEATURES)
         if min(variances[grade]) <= 0.0:
             raise CorruptModel(f"variance {min(variances[grade])} must be > 0")
         classes.append(grade)
-        index += 4
-    if index != len(lines):
-        raise CorruptModel(f"line {lines[index]!r} follows the last class")
-    if classes != sorted(classes):
-        raise CorruptModel("classes are not in ascending grade order")
-    if len(set(classes)) != len(classes):
-        raise CorruptModel("duplicate class")
+    # Read to the end first, so a line after "end" is reported as such.
+    if rest := list(lines):
+        raise CorruptModel(f"line {rest[0]!r} follows the last class")
     return NaiveBayesModel(tuple(classes), priors, means, variances, variance_floor)

@@ -14,7 +14,7 @@ from itertools import chain
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
 from .corpus import SIDES, iter_corpus, iter_parallel, load_judgments
-from .errors import LengthMismatch, MalformedRow, QEError
+from .errors import EmptyCorpus, LengthMismatch, MalformedRow, QEError
 from .evaluation import confusion, render_report_csv, render_report_text
 from .features import FEATURE_HEADERS, extract_features, read_features, write_features
 from .fileio import atomic_write_lines, read_table
@@ -79,6 +79,8 @@ def _cmd_extract(args) -> int:
         # Every id is in range and unique, so the count is the coverage.
         if len(grades) != len(rows):
             raise LengthMismatch(f"judgments cover {len(grades)} of {len(rows)} sentence pairs")
+    if not rows:
+        raise EmptyCorpus()
     write_features(rows, args.out)
     print(f"features rows={len(rows)} labeled={args.judgments is not None}")
     return 0

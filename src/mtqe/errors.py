@@ -34,9 +34,9 @@ class MalformedRow(QEError):
     count); ``None`` means the header itself was bad.
     """
 
-    def __init__(self, row, detail: str = ""):
+    def __init__(self, row, detail: str):
         where = "header" if row is None else f"row {row}"
-        super().__init__(f"malformed {where}" + (f": {detail}" if detail else ""))
+        super().__init__(f"malformed {where}: {detail}")
 
 
 class OutOfRangeScore(QEError, ValueError):

@@ -70,8 +70,7 @@ def extract_features(
     """
     if src_lm.order < 3 or tgt_lm.order < 3:
         raise ValueError("language models must have order >= 3")
-    source = tuple(pair.source)
-    target = tuple(pair.target)
+    _, source, target = pair
     src_count = len(source)
     tgt_count = len(target)
     (uni, bi, tri), seen = src_lm.bands(source, 3)

@@ -1,18 +1,17 @@
 """The mtqe file format in one place: how every file is read and written.
 
 Every file is UTF-8 text split on LF alone, read forward and decoded a
-block at a time, so the first faulty line is the one reported; only a
-model file is held as lines while it is parsed.  Every line written ends
-with one LF.  Tabular files split a line into cells on one separator; a
-table opens with a header line naming its columns, and each data row's
-first cell is an integer id.  The rows of every keyed file rise strictly
-by key, so one comparison with the previous row finds a repeat.  Model
-files open with a ``magic<TAB>version`` signature, followed by
-``key<TAB>value`` header lines, and close with an ``end`` line.  Every
-number read from a file is plain ASCII: an integer matches ``-?[0-9]+``,
-and a float cell has no whitespace and no ``_`` before ``float()`` reads
-it.  Outputs are written atomically and durably, so a failed run or a
-crash never leaves a partial file behind.
+block at a time, so the first faulty line is the one reported.  Every
+line written ends with one LF.  Tabular files split a line into cells on
+one separator; a table opens with a header line naming its columns, and
+each data row's first cell is an integer id.  The rows of every keyed
+file rise strictly by key, so one comparison with the previous row finds
+a repeat.  Model files open with a ``magic<TAB>version`` signature, then
+``key<TAB>value`` header lines read by name in turn, and close with an
+``end`` line.  Every number read from a file is plain ASCII: an integer
+matches ``-?[0-9]+``, and a float cell has no whitespace and no ``_``
+before ``float()`` reads it.  Outputs are written atomically and durably,
+so a failed run or a crash never leaves a partial file behind.
 """
 
 import codecs
@@ -153,29 +152,32 @@ def read_table(path, sep: str, headers):
         yield row, row_id, line, cells
 
 
-def read_model_lines(path, magic: str, version: int) -> list[str]:
-    """The lines between a model file's signature and its closing ``end``.
+def read_model_lines(path, magic: str, version: int):
+    """Yield the lines between a model file's signature and its closing ``end``.
 
     Raises CorruptModel for an empty file, a missing signature or a last
     line other than ``end``, and VersionMismatch for a format version
-    outside 1..``version``.
+    outside 1..``version``, each before any line after it is read.
     """
-    lines = read_lines(path)
-    if not lines:
+    lines = iter_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise CorruptModel("empty file")
-    first = lines[0].split("\t")
-    if len(first) != 2 or first[0] != magic:
+    cells = first.split("\t")
+    if len(cells) != 2 or cells[0] != magic:
         raise CorruptModel("missing model signature")
     try:
-        found = parse_int(first[1])
+        found = parse_int(cells[1])
     except ValueError:
         raise CorruptModel("non-integer format version") from None
     if not 1 <= found <= version:
         raise VersionMismatch(found, version)
-    if lines[-1] != "end":
-        raise CorruptModel(f"the last line must be 'end', got {lines[-1]!r}")
-    del lines[0], lines[-1]  # in place, since a slice would copy every line
-    return lines
+    held = next(lines, first)  # a file of one line ends at its signature
+    for line in lines:
+        yield held  # once the next line is read, so the last one is held back
+        held = line
+    if held != "end":
+        raise CorruptModel(f"the last line must be 'end', got {held!r}")
 
 
 def write_model_lines(path, magic: str, version: int, lines) -> None:
@@ -183,20 +185,21 @@ def write_model_lines(path, magic: str, version: int, lines) -> None:
     atomic_write_lines(path, chain([f"{magic}\t{version}"], lines, ["end"]))
 
 
-def header_value(lines, index: int, key: str) -> str:
-    """The value of the ``key<TAB>value`` line at ``lines[index]``."""
-    if index >= len(lines):
+def header_value(lines, key: str) -> str:
+    """The value of the next of ``lines``, which must read ``key<TAB>value``."""
+    line = next(lines, None)
+    if line is None:
         raise CorruptModel(f"missing header line '{key}'")
-    cells = lines[index].split("\t")
+    cells = line.split("\t")
     if len(cells) != 2 or cells[0] != key:
-        raise CorruptModel(f"expected header line '{key}', got {lines[index]!r}")
+        raise CorruptModel(f"expected header line '{key}', got {line!r}")
     return cells[1]
 
 
-def header_int(lines, index: int, key: str) -> int:
+def header_int(lines, key: str) -> int:
     """:func:`header_value` parsed as an integer."""
     try:
-        return parse_int(header_value(lines, index, key))
+        return parse_int(header_value(lines, key))
     except ValueError:
         raise CorruptModel(f"non-integer value in header line '{key}'") from None
 

@@ -30,12 +30,9 @@ class TranslationCounts:
         Tokens absent from the lexicon contribute 0; an empty sentence
         scores 0.
         """
-        source_tokens = list(source_tokens)
         if not source_tokens:
             return 0.0
-        get = self.sizes.get
-        total = sum(get(token, 0) for token in source_tokens)
-        return total / len(source_tokens)
+        return sum(map(self.sizes.get, source_tokens, repeat(0))) / len(source_tokens)
 
 
 class TranslationLexicon(TranslationCounts):

@@ -240,22 +240,22 @@ def load_lm(path) -> NgramModel:
     quartile header line the counts do not give.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
-    order = header_int(lines, 0, "order")
+    order = header_int(lines, "order")
     if order < 1:
         raise CorruptModel(f"order must be >= 1, got {order}")
-    # Built one key at a time, so a huge order fails at its first missing line.
+    # Read one key at a time, so a huge order fails at its first missing line.
     keys = chain(["vocab_size"], (f"q{q}_{n}" for n in range(1, order + 1) for q in (1, 3)))
-    header = {key: header_int(lines, index, key) for index, key in enumerate(keys, start=1)}
-    index = 1 + len(header)
-    n_grams = header_int(lines, index, "ngrams")
+    header = {key: header_int(lines, key) for key in keys}
+    n_grams = header_int(lines, "ngrams")
     if n_grams < 0:
         raise CorruptModel(f"ngrams must be >= 0, got {n_grams}")
-    index += 1
-    if len(lines) != index + n_grams:
+    # Ids are code-point ranks, so no gram can be packed before every
+    # unigram line is read: the gram lines are held while they are parsed.
+    lines = list(lines)
+    if len(lines) != n_grams:
         raise CorruptModel(
-            f"header line 'ngrams' says {n_grams}, the file has {len(lines) - index} gram lines"
+            f"header line 'ngrams' says {n_grams}, the file has {len(lines)} gram lines"
         )
-    del lines[:index]  # in place, since a slice would copy every line
     # The unigram lines give the vocabulary, and with it every id; a
     # malformed line among them is rejected by the parse below.
     unigrams = {line.partition("\t")[0] for line in lines if " " not in line}

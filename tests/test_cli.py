@@ -129,6 +129,25 @@ class TestExtract:
         assert code == 2
         assert capsys.readouterr().err == "error: judgments cover 19 of 20 sentence pairs\n"
 
+    @pytest.mark.parametrize("labeled", [False, True], ids=["unlabeled", "labeled"])
+    def test_empty_corpus_writes_nothing(self, tmp_path, small_data, capsys, labeled):
+        # Like build-lm and build-lexicon, extract refuses a corpus with no
+        # pairs; a header-only judgment file covers it, so only that is wrong.
+        models = self._models(tmp_path, small_data)
+        empty = tmp_path / "empty.txt"
+        empty.write_bytes(b"")
+        judgments = small_data["judgments"].read_text(encoding="utf-8").splitlines()
+        _write_lines(tmp_path / "header.tsv", judgments[:1])
+        flags = ["--judgments", tmp_path / "header.tsv"] if labeled else []
+        out = tmp_path / "f.csv"
+        capsys.readouterr()
+        code = run_cli("extract", "--pairs-src", empty, "--pairs-tgt", empty,
+                       "--src-lm", models["src_lm"], "--tgt-lm", models["tgt_lm"],
+                       "--lexicon", models["lexicon"], *flags, "--out", out)
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: corpus contains no sentences\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("stray_id", [99999, 20, -1])
     def test_judgment_id_outside_corpus(self, tmp_path, small_data, capsys, stray_id):
         models = self._models(tmp_path, small_data)

@@ -305,6 +305,86 @@ def test_model_body_ends_at_end(name, edit, artifacts, tmp_path):
         read(bad, artifacts)
 
 
+def _model_refused_with(detail, name, bad, artifacts, tmp_path, capsys):
+    # The library loader and the CLI stage reading ``bad`` both give ``detail``.
+    _, read, argv, _ = READERS[name]
+    message = f"corrupt model file: {detail}"
+    with pytest.raises(CorruptModel) as info:
+        read(bad, artifacts)
+    assert str(info.value) == message
+    capsys.readouterr()
+    assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _header(key, value):
+    return lambda lines: [f"{key}\t{value}" if line.startswith(f"{key}\t") else line
+                          for line in lines]
+
+
+def _class_blocks(*order):
+    # The toy model's four class blocks, lines 3..18, in the given order.
+    def edit(lines):
+        blocks = [lines[3 + 4 * i : 7 + 4 * i] for i in range(4)]
+        return [*lines[:3], *(line for i in order for line in blocks[i]), *lines[19:]]
+    return edit
+
+
+# case: (reader, edit, detail of the message)
+HEADER_FAULTS = {
+    "lm order 0": ("lm", _header("order", 0), "order must be >= 1, got 0"),
+    "lm order -1": ("lm", _header("order", -1), "order must be >= 1, got -1"),
+    "model classes 0": ("model", _header("classes", 0), "class count 0 outside 1..4"),
+    "model classes 5": ("model", _header("classes", 5), "class count 5 outside 1..4"),
+    "model repeated class": ("model", _class_blocks(0, 0, 2, 3), "duplicate class"),
+    "model swapped classes": (
+        "model", _class_blocks(1, 0, 2, 3), "classes are not in ascending grade order"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_FAULTS))
+def test_model_header_fault_is_named(case, artifacts, tmp_path, capsys):
+    name, edit, detail = HEADER_FAULTS[case]
+    artifact = READERS[name][0]
+    bad = tmp_path / f"edited-{artifacts[artifact].name}"
+    bad.write_text("\n".join(edit(read_lines(artifacts[artifact]))) + "\n", encoding="utf-8")
+    _model_refused_with(detail, name, bad, artifacts, tmp_path, capsys)
+
+
+def _bad_byte_on_line_21(lines):
+    lines[20] += b"\xff"  # a gram line
+    return lines
+
+
+# reader: (header line index, its key, a non-integer value for it, an edit
+# making a later fault, and that fault's message)
+DOUBLE_FAULTS = {
+    "lm": (1, "order", "three", _bad_byte_on_line_21, "invalid UTF-8 at {}:21"),
+    "model": (2, "classes", "two", lambda lines: lines[:-1],
+              "corrupt model file: the last line must be 'end', got 'variances\\t"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOUBLE_FAULTS))
+def test_model_faults_come_in_line_order(name, artifacts, tmp_path, capsys):
+    # A model file is read forward, so a bad header line is reported
+    # before a fault further on: invalid UTF-8 or a missing "end" line.
+    index, key, word, later_fault, later = DOUBLE_FAULTS[name]
+    artifact, read, _, _ = READERS[name]
+    lines = later_fault(artifacts[artifact].read_bytes().split(b"\n")[:-1])
+    bad = tmp_path / f"faults-{artifacts[artifact].name}"
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises((CorruptModel, InvalidEncoding)) as info:
+        read(bad, artifacts)
+    assert str(info.value).startswith(later.format(bad))
+    lines[index] = f"{key}\t{word}".encode()
+    bad.write_bytes(b"\n".join(lines) + b"\n")
+    detail = f"non-integer value in header line '{key}'"
+    _model_refused_with(detail, name, bad, artifacts, tmp_path, capsys)
+
+
 @given(st.text(alphabet="-+_ 0123456789٣²\t", max_size=6))
 def test_parse_int_takes_exactly_the_integer_grammar(text):
     if re.fullmatch(r"-?[0-9]+", text):
