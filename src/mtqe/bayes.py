@@ -150,7 +150,7 @@ def _hex_floats(lines, key, n_values):
         if not all(map(is_plain, parts)):
             raise ValueError
         values = tuple(float.fromhex(p) for p in parts)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise CorruptModel(f"bad float in '{key}' line") from None
     if not all(map(math.isfinite, values)):
         raise CorruptModel(f"non-finite value in '{key}' line")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
 from .corpus import SIDES, iter_corpus, iter_parallel, load_judgments
@@ -22,28 +21,14 @@ from .grading import Grade, judgment_grade
 from .lexicon import DEFAULT_THRESHOLD, build_lexicon, load_lexicon
 from .ngram import load_lm, train_lm
 
-MIN_ORDER = 3  # extract needs the trigram frequency bands
-MAX_ORDER = 5
-
-
-def _order_flag(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"order must be an integer, got {text!r}")
-    if not MIN_ORDER <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"order must be in {MIN_ORDER}..{MAX_ORDER}, got {value}"
-        )
-    return value
-
-
 def _cmd_build_lm(args) -> int:
     sentences = list(iter_corpus(args.corpus, args.side))
     model = train_lm(sentences, args.order)
     model.save(args.out)
     words = sum(map(len, sentences))
-    types = len(set(chain.from_iterable(sentences)))
+    # The vocabulary is the corpus tokens plus the three markers, which no
+    # corpus token may be.
+    types = len(model.vocab) - 3
     print(f"sentences={len(sentences)} words={words} unique_words={types}")
     return 0
 
@@ -144,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("build-lm", help="train an n-gram language model from one corpus side")
     p.add_argument("--corpus", required=True, help="text file, one sentence per line")
     p.add_argument("--side", required=True, choices=SIDES, help="tokenization side")
-    p.add_argument("--order", type=_order_flag, default=3, help="n-gram order, 3..5 (default 3)")
+    # extract needs the trigram frequency bands
+    p.add_argument("--order", type=int, choices=range(3, 6), default=3,
+                   help="n-gram order, 3..5 (default 3)")
     p.add_argument("--out", required=True, help="model file to write")
     p.set_defaults(func=_cmd_build_lm)
 

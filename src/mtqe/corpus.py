@@ -14,17 +14,12 @@ from typing import NamedTuple
 
 from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore, ReservedToken
 # bench/layers.py imports read_lines from this module.
-from .fileio import iter_lines, parse_ints, read_lines, read_table
+from .fileio import iter_lines, parse_int, read_lines, read_table
 from .ngram import BOS, END, UNK
 
 SOURCE = "source"
 TARGET = "target"
 SIDES = (SOURCE, TARGET)
-
-# Devanagari danda and double danda, the Hindi sentence terminators.
-# Current Unicode tables already class them as Po; listed explicitly so the
-# rule does not depend on the unicodedata version.
-_EXTRA_PUNCTUATION = frozenset("।॥")
 
 JUDGMENT_PARAMS = 10
 JUDGMENT_MAX = 4
@@ -34,10 +29,10 @@ _MARKERS = (UNK, BOS, END)
 
 def is_punctuation_char(ch: str) -> bool:
     # No letter or digit is punctuation (no alphanumeric code point has a
-    # P* category or is a danda), so the common case skips the lookup.
+    # P* category), so the common case skips the lookup.
     if ch.isalnum():
         return False
-    return ch in _EXTRA_PUNCTUATION or unicodedata.category(ch).startswith("P")
+    return unicodedata.category(ch).startswith("P")
 
 
 def is_punctuation_token(token: str) -> bool:
@@ -152,7 +147,7 @@ def load_judgments(path) -> list[HumanJudgment]:
     judgments = []
     for row, sentence_id, _, cells in read_table(path, "\t", (_JUDGMENT_HEADER,)):
         try:
-            params = parse_ints(cells[1:])
+            params = [parse_int(cell) for cell in cells[1:]]
         except ValueError:
             raise MalformedRow(row, "non-integer cell") from None
         for col, value in enumerate(params, start=1):

@@ -145,8 +145,9 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     """Read a feature CSV written by :func:`write_features`.
 
     A row of the wrong width, a bad id or one not above the previous
-    row's (see :func:`~mtqe.fileio.read_table`), an unparseable cell or a
-    non-finite value raises MalformedRow with the row's 0-based index.
+    row's (see :func:`~mtqe.fileio.read_table`), an unparseable cell, a
+    non-finite value or a count too large for a float raises MalformedRow
+    with the row's 0-based index.
     """
     out: list[tuple[int, FeatureVector, Grade | None]] = []
     for row, row_id, line, cells in read_table(path, ",", FEATURE_HEADERS):
@@ -157,9 +158,11 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
                 raise ValueError("cells must be plain ASCII numbers")
             values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
             grade = Grade.from_label(cells[-1]) if len(cells) > 1 + N_FEATURES else None
-        except ValueError as exc:
+            # isfinite converts a count to a float, so a count too large
+            # for one raises OverflowError.
+            if not all(map(math.isfinite, values)):
+                raise ValueError("non-finite feature value")
+        except (ValueError, OverflowError) as exc:
             raise MalformedRow(row, str(exc)) from None
-        if not all(map(math.isfinite, values)):
-            raise MalformedRow(row, "non-finite feature value")
         out.append((row_id, FeatureVector(*values), grade))
     return out

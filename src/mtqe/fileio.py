@@ -81,18 +81,6 @@ def parse_int(text: str) -> int:
     raise ValueError(f"invalid integer {text!r}")
 
 
-def parse_ints(cells) -> list[int]:
-    """:func:`parse_int` of every cell, with one check over all of them.
-
-    On cells of ASCII digits and ``-`` alone, ``int()`` takes just
-    ``-?[0-9]+``: it raises on a ``-`` out of place or on its own.
-    """
-    digits = "".join(cells).replace("-", "")
-    if digits.isdigit() and digits.isascii():
-        return [int(cell) for cell in cells]
-    raise ValueError("invalid integer in " + ", ".join(map(repr, cells)))
-
-
 def is_plain(text: str) -> bool:
     """True when ``text`` is ASCII with no whitespace and no ``_``.
 

@@ -2,7 +2,9 @@
 
 The benchmark scripts import inside functions, so a removed name would
 only fail when that code path runs (``--trace 1``); the first tests check
-them all statically, and the last runs a traced bench pass end to end.
+them all statically, and the last runs a traced bench pass end to end on
+every workload, since only ``train`` replays the pipeline without prepared
+models.
 """
 
 import ast
@@ -41,11 +43,12 @@ def test_bench_names_exist(module):
     assert missing == []
 
 
-def test_traced_bench_run_succeeds():
+@pytest.mark.parametrize("workload", ["train", "grade", "grade-short"])
+def test_traced_bench_run_succeeds(workload):
     # --trace 1 runs bench/layers.py in process, which reads model
     # attributes and checks its outputs against the CLI's bytes; the tiny
     # scale keeps the run to a few seconds.
-    argv = [sys.executable, "bench/run.py", "--workload", "grade", "--seed", "3",
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
             "--seconds", "0.1", "--trace", "1", "--scale", "0.02"]
     done = subprocess.run(argv, cwd=BENCH.parent, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

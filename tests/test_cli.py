@@ -69,7 +69,7 @@ class TestBuildLm:
             code = run_cli("build-lm", "--corpus", small_data["src"], "--side", "source",
                            "--order", order, "--out", tmp_path / "x.lm")
             assert code == 2
-            assert "3..5" in capsys.readouterr().err
+            assert f"invalid choice: {order} (choose from 3, 4, 5)" in capsys.readouterr().err
             assert not (tmp_path / "x.lm").exists()
 
 
@@ -483,17 +483,23 @@ class TestWriteStageBytes:
         assert out.read_bytes() == (tmp_path / "reference.tsv").read_bytes()
 
 
-# Space-separated tokens that tokenize to themselves: lowercase source
-# words, target words and single punctuation characters.  "e", "q" and "W"
+# Space-separated words and single punctuation characters.  Each is one
+# token; only "İ" changes on the source side, where it lowercases to two
+# code points.  "\x00" is not whitespace, so "\x00" and "a\x00" stay
+# whole, and "𝒜" (U+1D49C, above U+FFFF) comes after every other word in
+# code-point order, so it takes the last vocabulary id.  "e", "q" and "W"
 # occur only in the graded corpus, so they are outside the models.
-_model_source = st.lists(st.sampled_from(["a", "b", "c", ".", "?"]), max_size=5)
-_model_target = st.lists(st.sampled_from(["x", "y", "Z", "।", "!"]), max_size=5)
+_ODD_WORDS = ["\x00", "a\x00", "\U0001d49c", "İ"]
+_model_source = st.lists(st.sampled_from(["a", "b", "c", ".", "?", *_ODD_WORDS]), max_size=5)
+_model_target = st.lists(st.sampled_from(["x", "y", "Z", "।", "!", *_ODD_WORDS]), max_size=5)
 _punctuation_only = st.lists(st.sampled_from([".", "?", "।", "!"]), min_size=1, max_size=3)
 _graded_source = st.one_of(
-    _punctuation_only, st.lists(st.sampled_from(["a", "b", "e", "q", ".", "?"]), max_size=5)
+    _punctuation_only,
+    st.lists(st.sampled_from(["a", "b", "e", "q", ".", "?", *_ODD_WORDS]), max_size=5),
 )
 _graded_target = st.one_of(
-    _punctuation_only, st.lists(st.sampled_from(["x", "Z", "W", "।", "!"]), max_size=5)
+    _punctuation_only,
+    st.lists(st.sampled_from(["x", "Z", "W", "।", "!", *_ODD_WORDS]), max_size=5),
 )
 _judgment_params = st.lists(st.integers(0, 4), min_size=10, max_size=10)
 _INT_COLUMNS = (0, 1, 14, 15)  # f1, f2, f15, f16
@@ -546,16 +552,21 @@ class TestCliBytesEqualReference:
     def test_feature_and_grade_files(self, model_pairs, graded):
         # Reference features, then the labeled CSV, the model fitted to the
         # values that CSV holds, and each row's argmax with ties going to
-        # the lowest grade.
-        src_lm = reference_lm([source for source, _ in model_pairs], 3)
+        # the lowest grade.  The source words are tokenized as the CLI
+        # does, which lowercases them.
+        def source_tokens(words):
+            return tokenize(" ".join(words), SOURCE)
+
+        model_sources = [source_tokens(source) for source, _ in model_pairs]
+        src_lm = reference_lm(model_sources, 3)
         tgt_lm = reference_lm([target for _, target in model_pairs], 3)
-        corpus = make_corpus(*zip(*model_pairs))
+        corpus = make_corpus(model_sources, [target for _, target in model_pairs])
         lexicon = brute_force_lexicon(corpus, DEFAULT_THRESHOLD)
         sizes = {s: len(t) for s, t in lexicon.entries.items()}
         feature_lines = ["id," + ",".join(f"f{i}" for i in range(1, 17)) + ",grade"]
         rows = []
         for pair_id, (source, target, params) in enumerate(graded):
-            vector = reference_vector(src_lm, tgt_lm, sizes, source, target)
+            vector = reference_vector(src_lm, tgt_lm, sizes, source_tokens(source), target)
             cells = [str(v) if i in _INT_COLUMNS else f"{v:.6f}" for i, v in enumerate(vector)]
             grade = _grade_of(params)
             feature_lines.append(",".join([str(pair_id), *cells, grade.label]))

@@ -16,9 +16,15 @@ from mtqe import fileio
 from mtqe.bayes import NaiveBayesModel, load_model
 from mtqe.cli import _read_grade_file
 from mtqe.corpus import iter_parallel, load_judgments
-from mtqe.errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
+from mtqe.errors import (
+    CorruptModel,
+    InvalidEncoding,
+    MalformedRow,
+    OutOfRangeScore,
+    VersionMismatch,
+)
 from mtqe.features import N_FEATURES, FeatureVector, read_features, write_features
-from mtqe.fileio import atomic_write_lines, iter_lines, parse_int, parse_ints, read_lines
+from mtqe.fileio import atomic_write_lines, iter_lines, parse_int, read_lines
 from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, load_lexicon
 from mtqe.ngram import BOS, END, UNK, load_lm, train_lm
@@ -385,16 +391,33 @@ def test_model_faults_come_in_line_order(name, artifacts, tmp_path, capsys):
     _model_refused_with(detail, name, bad, artifacts, tmp_path, capsys)
 
 
+def _load_judgment_row(cells):
+    # One judgment row of the given eleven cells, through the file reader.
+    lines = ["\t".join(["id"] + [f"p{i}" for i in range(1, 11)]), "\t".join(cells)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "judgments.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return load_judgments(path)
+
+
 @given(st.text(alphabet="-+_ 0123456789٣²\t", max_size=6))
 def test_parse_int_takes_exactly_the_integer_grammar(text):
+    # The judgment reader parses each score cell by the same rule; a tab
+    # splits the cell, so such a text makes the row too wide instead.
+    cells = ["0", text] + ["0"] * 9
     if re.fullmatch(r"-?[0-9]+", text):
         assert parse_int(text) == int(text)
-        assert parse_ints(["-1", text, "0"]) == [-1, int(text), 0]
+        if 0 <= int(text) <= 4:
+            assert _load_judgment_row(cells)[0].params == (int(text),) + (0,) * 9
+        else:
+            with pytest.raises(OutOfRangeScore, match="p1 in row 0"):
+                _load_judgment_row(cells)
     else:
         with pytest.raises(ValueError):
             parse_int(text)
-        with pytest.raises(ValueError):
-            parse_ints(["-1", text, "0"])
+        message = "expected 11 cells" if "\t" in text else "non-integer cell"
+        with pytest.raises(MalformedRow, match=f"^malformed row 0: {message}"):
+            _load_judgment_row(cells)
 
 
 # Forms int() and float() read as the number they spell but no writer
@@ -426,18 +449,26 @@ NUMERIC_CELLS = {
 
 FLOAT_CELLS = {"feature value", "lexicon score", "model float"}
 
+# Numbers too large for a float, which a feature count and a classifier
+# parameter must fit.
+TOO_LARGE = {
+    "feature count": lambda cell: "1" + "0" * 400,
+    "model float": lambda cell: "0x1p+2000",
+}
+
 
 @pytest.mark.parametrize(
     "case, form",
     [(case, form) for case in sorted(NUMERIC_CELLS) for form in sorted(LENIENT)]
     # int() also takes a "+" sign; an integer matches -?[0-9]+.
-    + [(case, "+24") for case in sorted(NUMERIC_CELLS.keys() - FLOAT_CELLS)],
+    + [(case, "+24") for case in sorted(NUMERIC_CELLS.keys() - FLOAT_CELLS)]
+    + [(case, "too large") for case in sorted(TOO_LARGE)],
 )
 def test_lenient_number_is_located(case, form, artifacts, tmp_path, capsys):
     name, index, sep, position, where = NUMERIC_CELLS[case]
     artifact, read, argv, _ = READERS[name]
     bad = tmp_path / f"lenient-{artifacts[artifact].name}"
-    edit = LENIENT.get(form, lambda cell: f"+{cell}")
+    edit = TOO_LARGE[case] if form == "too large" else LENIENT.get(form, lambda cell: f"+{cell}")
 
     def change(line):
         cells = line.decode("utf-8").split(sep)
