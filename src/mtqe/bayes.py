@@ -12,7 +12,7 @@ import math
 from typing import NamedTuple
 
 from .errors import CorruptModel, EmptyTrainingSet
-from .features import N_FEATURES
+from .features import FEATURE_COLUMNS, N_FEATURES
 from .fileio import header_int, header_value, is_plain, read_model_lines, write_model_lines
 from .grading import Grade
 
@@ -82,11 +82,7 @@ class NaiveBayesModel:
     def predict(self, x) -> Posterior:
         """Argmax of log_joint; exact ties resolve to the lowest grade."""
         scores = self.log_joint(x)
-        best = self.classes[0]
-        for y in self.classes[1:]:
-            if scores[y] > scores[best]:
-                best = y
-        return Posterior(scores, best)
+        return Posterior(scores, max(self.classes, key=scores.__getitem__))
 
     def save(self, path) -> None:
         """Write the model as versioned UTF-8 text with hex floats."""
@@ -100,8 +96,12 @@ class NaiveBayesModel:
 
 
 def _population_moments(vectors, index):
-    mean = math.fsum(v[index] for v in vectors) / len(vectors)
-    var = math.fsum((v[index] - mean) ** 2 for v in vectors) / len(vectors)
+    try:
+        mean = math.fsum(v[index] for v in vectors) / len(vectors)
+        var = math.fsum((v[index] - mean) ** 2 for v in vectors) / len(vectors)
+    except OverflowError:  # a sum or a square beyond the float range
+        column = FEATURE_COLUMNS[index]
+        raise ValueError(f"feature {column} is too large for a float variance") from None
     return mean, var
 
 

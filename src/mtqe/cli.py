@@ -9,6 +9,7 @@ report.  All runs are deterministic given identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
@@ -88,8 +89,11 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     rows = read_features(args.features)
     lines = ["id,grade"]
-    for row_id, vector, _ in rows:
-        lines.append(f"{row_id},{model.predict(vector).predicted.label}")
+    for row, (row_id, vector, _) in enumerate(rows):
+        scores, grade = model.predict(vector)
+        if scores[grade] == -math.inf:  # the best score, so every class gives -inf
+            raise MalformedRow(row, "no class gives the features a finite score")
+        lines.append(f"{row_id},{grade.label}")
     atomic_write_lines(args.out, lines)
     print(f"predicted {len(rows)} rows")
     return 0

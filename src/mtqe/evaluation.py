@@ -61,18 +61,11 @@ def agreement(human, predicted) -> AgreementReport:
     return confusion(human, predicted).agreement()
 
 
-def format_percentage(value) -> str:
-    """Two decimal places, ties rounded half-even.
-
-    ``value`` (a float or a Fraction) is rounded exactly, so a Fraction
-    rounds an exact tie such as 1/40 to even where its float would not.
-    """
-    hundredths = round(Fraction(value) * 100)  # Fraction rounds half-even
-    return f"{hundredths // 100}.{hundredths % 100:02d}"
-
-
 def _report_percentage(report: AgreementReport) -> str:
-    return format_percentage(Fraction(100 * report.same, report.total))
+    # Exact hundredths of a percent, which Fraction rounds half-even, so an
+    # exact tie such as 0.025% goes to even where its float would not.
+    hundredths = round(Fraction(10000 * report.same, report.total))
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def render_report_csv(

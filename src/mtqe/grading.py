@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 
 from .corpus import JUDGMENT_MAX, JUDGMENT_PARAMS, HumanJudgment
-
-MAX_JUDGMENT_TOTAL = JUDGMENT_PARAMS * JUDGMENT_MAX  # 40
 
 
 class Grade(enum.IntEnum):
@@ -32,30 +31,15 @@ class Grade(enum.IntEnum):
 
 _LABELS = {grade: grade.name.capitalize() for grade in Grade}
 _GRADES = {label: grade for grade, label in _LABELS.items()}
-
-
-def aggregate_judgment(judgment: HumanJudgment) -> float:
-    """Collapse the ten 0..4 parameters into a score in [0, 1]."""
-    return sum(judgment.params) / MAX_JUDGMENT_TOTAL
-
-
-def score_to_grade(score: float) -> Grade:
-    """Map a [0, 1] quality score to a grade.
-
-    Intervals are lower-exclusive and upper-inclusive: Poor up to 0.25,
-    Average up to 0.50, Good up to 0.75, Excellent above.
-    """
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must be in [0, 1], got {score}")
-    if score <= 0.25:
-        return Grade.POOR
-    if score <= 0.50:
-        return Grade.AVERAGE
-    if score <= 0.75:
-        return Grade.GOOD
-    return Grade.EXCELLENT
+# The top parameter sum of Poor, Average and Good: a quarter, a half and
+# three quarters of the largest sum, 40.
+_TOP_SUMS = tuple(JUDGMENT_PARAMS * JUDGMENT_MAX * q // 4 for q in (1, 2, 3))
 
 
 def judgment_grade(judgment: HumanJudgment) -> Grade:
-    """Aggregate a judgment and grade it in one step."""
-    return score_to_grade(aggregate_judgment(judgment))
+    """Grade the sum of the ten 0..4 parameters.
+
+    Bands are upper-inclusive: sums 0-10 are Poor, 11-20 Average, 21-30
+    Good and 31-40 Excellent.
+    """
+    return Grade(bisect_left(_TOP_SUMS, sum(judgment.params)) + 1)

@@ -39,6 +39,7 @@ END = "</s>"
 
 _MAGIC = "mtqe-ngram-lm"
 _FORMAT_VERSION = 1
+_LARGEST_COUNT = int(math.nextafter(math.inf, 0))  # the largest float; queries divide counts
 
 
 def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
@@ -274,9 +275,14 @@ def load_lm(path) -> NgramModel:
         if n > order or "" in tokens:
             raise CorruptModel(f"bad n-gram {gram_text!r}")
         # fileio.parse_int's rule for a count, inline, since it runs per gram.
-        count = int(text) if text.isdigit() and text.isascii() else 0
+        try:
+            count = int(text) if text.isdigit() and text.isascii() else 0
+        except ValueError:  # more than the 4300 digits int() reads
+            count = math.inf
         if count < 1:
             raise CorruptModel(f"count must be a positive integer in {line!r}")
+        if count > _LARGEST_COUNT:
+            raise CorruptModel(f"count too large for a float in {line!r}")
         key = 0
         try:
             for token in tokens:

@@ -86,6 +86,17 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_nb([((0.0,) * N_FEATURES, Grade.POOR)], variance_floor=0.0)
 
+    @pytest.mark.parametrize(
+        "column",
+        # a square beyond the float range, a sum beyond it, and a difference
+        # from the mean beyond it
+        [(1e200, 0.0), (1e308, 1e308), (1.7e308, -1.7e308, -1.7e308)],
+    )
+    def test_feature_too_large_for_a_float_variance(self, column):
+        rows = [((0.0, 0.0, value) + (0.0,) * 13, Grade.POOR) for value in column]
+        with pytest.raises(ValueError, match="^feature f3 is too large for a float variance$"):
+            train_nb(rows)
+
     def test_row_permutation_leaves_model_identical(self):
         rng = random.Random(3)
         rows = _random_rows(rng)

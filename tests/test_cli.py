@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mtqe
-from mtqe.bayes import ABSOLUTE_VARIANCE_FLOOR, RELATIVE_VARIANCE_FLOOR
+from mtqe.bayes import ABSOLUTE_VARIANCE_FLOOR, RELATIVE_VARIANCE_FLOOR, NaiveBayesModel
 from mtqe.corpus import SOURCE, TARGET, iter_parallel, tokenize
 from mtqe.features import read_features
 from mtqe.fileio import read_lines
@@ -362,6 +362,66 @@ class TestTrainPredictEvaluate:
         assert run_cli("train", "--features", labeled, "--out", model_path) == 2
         assert "row 0" in capsys.readouterr().err
         assert not model_path.exists()
+
+    def _labeled(self, tmp_path, data):
+        models = TestExtract()._models(tmp_path, data)
+        labeled = tmp_path / "labeled.csv"
+        assert run_cli("extract", "--pairs-src", data["src"], "--pairs-tgt", data["tgt"],
+                       "--src-lm", models["src_lm"], "--tgt-lm", models["tgt_lm"],
+                       "--lexicon", models["lexicon"], "--judgments", data["judgments"],
+                       "--out", labeled) == 0
+        return labeled
+
+    @staticmethod
+    def _with_f3(source, target, row, cell):
+        """A copy of the feature CSV ``source`` whose data row ``row`` has f3 ``cell``."""
+        lines = read_lines(source)
+        cells = lines[1 + row].split(",")
+        cells[3] = cell
+        lines[1 + row] = ",".join(cells)
+        _write_lines(target, lines)
+        return target
+
+    def test_training_rejects_a_feature_too_large_for_a_variance(self, tmp_path, small_data, capsys):
+        # 1e200 is finite, but its square is not.
+        ordinary = self._labeled(tmp_path, small_data)
+        labeled = self._with_f3(ordinary, tmp_path / "big.csv", 0, "1e200")
+        model_path = tmp_path / "nb.model"
+        capsys.readouterr()
+        assert run_cli("train", "--features", labeled, "--out", model_path) == 2
+        assert capsys.readouterr().err == "error: feature f3 is too large for a float variance\n"
+        assert not model_path.exists()
+
+    def test_predict_refuses_a_row_no_class_can_score(self, tmp_path, small_data, capsys):
+        labeled = self._labeled(tmp_path, small_data)
+        model_path = tmp_path / "nb.model"
+        assert run_cli("train", "--features", labeled, "--out", model_path) == 0
+        # Every class's (f3 - mean) ** 2 overflows, so every class scores -inf.
+        unseen = self._with_f3(labeled, tmp_path / "unseen.csv", 1, "1e200")
+        predictions = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert run_cli("predict", "--model", model_path, "--features", unseen,
+                       "--out", predictions) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed row 1: no class gives the features a finite score\n"
+        )
+        assert not predictions.exists()
+
+    def test_predict_decides_a_row_some_classes_score(self, tmp_path, small_data):
+        # Good's f3 mean is 1e200: row 0 lies at it and Poor scores it -inf,
+        # while Good scores every other row -inf.
+        means = {Grade.POOR: (0.0,) * 16, Grade.GOOD: (0.0, 0.0, 1e200) + (0.0,) * 13}
+        model = NaiveBayesModel((Grade.POOR, Grade.GOOD), {Grade.POOR: 0.5, Grade.GOOD: 0.5},
+                                means, {y: (1.0,) * 16 for y in means}, 1e-12)
+        model_path = tmp_path / "nb.model"
+        model.save(model_path)
+        ordinary = self._labeled(tmp_path, small_data)
+        features = self._with_f3(ordinary, tmp_path / "big.csv", 0, "1e200")
+        predictions = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model", model_path, "--features", features,
+                       "--out", predictions) == 0
+        grades = [line.split(",")[1] for line in read_lines(predictions)[1:]]
+        assert grades == ["Good"] + ["Poor"] * 19
 
     @pytest.mark.parametrize("floor", ["inf", "nan"])
     def test_training_rejects_non_finite_variance_floor(self, tmp_path, small_data, floor, capsys):

@@ -1,14 +1,14 @@
+from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mtqe.errors import LengthMismatch
 from mtqe.evaluation import (
     agreement,
     confusion,
-    format_percentage,
     render_report_csv,
     render_report_text,
 )
@@ -100,7 +100,6 @@ class TestAgreement:
         report = agreement(human, predicted)
         footer = render_report_csv(*_histograms(human, predicted), report)
         assert footer.splitlines()[-1] == "771,1300,59.31"
-        assert format_percentage(100.0 * 771 / 1300) == "59.31"
 
     @pytest.mark.parametrize("same, total, expected", [(1, 4000, "0.02"), (203, 20000, "1.02")])
     def test_exact_ties_round_half_even_in_report(self, same, total, expected):
@@ -113,7 +112,6 @@ class TestAgreement:
         footer = render_report_csv(*_histograms(human, predicted), report)
         assert footer.splitlines()[-1] == f"{same},{total},{expected}"
         assert f"({expected}%)" in render_report_text(matrix, report)
-        assert format_percentage(Fraction(100 * same, total)) == expected
 
     def test_fully_disjoint(self):
         report = agreement([Grade.POOR] * 4, [Grade.GOOD] * 4)
@@ -146,6 +144,7 @@ class TestConfusion:
         assert sum(matrix.cells[(g, g)] for g in Grade) == 3
 
     @given(_grades, _grades)
+    @example([Grade.POOR] * 32, [Grade.POOR] + [Grade.GOOD] * 31)  # 3.125% rounds to 3.12
     def test_trace_and_marginals(self, a, b):
         n = min(len(a), len(b))
         a, b = a[:n], b[:n]
@@ -160,7 +159,9 @@ class TestConfusion:
         assert matrix.agreement() == report
         assert matrix.human_histogram() == _tally(a)
         assert matrix.predicted_histogram() == _tally(b)
-        percentage = format_percentage(Fraction(100 * diagonal, total))
+        # decimal's half-even rounding; the quotient of two such small
+        # integers is exact to far more digits than a tie needs.
+        percentage = (Decimal(100 * diagonal) / total).quantize(Decimal("0.01"), ROUND_HALF_EVEN)
         assert render_report_text(matrix, report).endswith(
             f"agreement: {diagonal} of {total} ({percentage}%)\n"
         )

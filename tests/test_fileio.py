@@ -449,11 +449,13 @@ NUMERIC_CELLS = {
 
 FLOAT_CELLS = {"feature value", "lexicon score", "model float"}
 
-# Numbers too large for a float, which a feature count and a classifier
-# parameter must fit.
+# Numbers too large for a float, which a feature count, a classifier
+# parameter and a language-model count must fit.  The gram line of "lm
+# count" is a unigram counted above Q3, so no quartile header line moves.
 TOO_LARGE = {
     "feature count": lambda cell: "1" + "0" * 400,
     "model float": lambda cell: "0x1p+2000",
+    "lm count": lambda cell: "1" + "0" * 400,
 }
 
 

@@ -3,47 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mtqe.corpus import HumanJudgment
-from mtqe.grading import (
-    Grade,
-    aggregate_judgment,
-    judgment_grade,
-    score_to_grade,
-)
+from mtqe.grading import Grade, judgment_grade
 
 
 def _judgment(params):
     return HumanJudgment(0, tuple(params))
-
-
-class TestAggregate:
-    def test_extremes_and_midpoint(self):
-        assert aggregate_judgment(_judgment([4] * 10)) == 1.0
-        assert aggregate_judgment(_judgment([0] * 10)) == 0.0
-        assert aggregate_judgment(_judgment([2] * 10)) == 0.5
-
-
-class TestScoreToGrade:
-    def test_interval_assignments(self):
-        assert score_to_grade(0.6) is Grade.GOOD
-        assert score_to_grade(0.250) is Grade.POOR
-        assert score_to_grade(1.0) is Grade.EXCELLENT
-        assert score_to_grade(0.2505) is Grade.AVERAGE
-
-    def test_boundaries_are_upper_inclusive(self):
-        assert score_to_grade(0.0) is Grade.POOR
-        assert score_to_grade(0.25) is Grade.POOR
-        assert score_to_grade(0.50) is Grade.AVERAGE
-        assert score_to_grade(0.75) is Grade.GOOD
-
-    def test_rejects_out_of_range(self):
-        for bad in (-0.01, 1.01):
-            with pytest.raises(ValueError):
-                score_to_grade(bad)
-
-    @given(st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.0, max_value=1.0))
-    def test_monotone(self, s1, s2):
-        lo, hi = sorted((s1, s2))
-        assert score_to_grade(lo) <= score_to_grade(hi)
 
 
 class TestGradeToRank:

@@ -357,6 +357,20 @@ class TestPersistence:
         with pytest.raises(CorruptModel, match="n-gram '<s> <s> <unk>' holds '<unk>'"):
             load_lm(path)
 
+    @pytest.mark.parametrize("digits", [310, 5000])
+    def test_count_too_large_for_a_float_is_corrupt(self, tmp_path, digits):
+        # The queries divide counts as floats; 5000 digits are also more
+        # than int() reads.
+        path = tmp_path / "m.lm"
+        train_lm([["a", "b"]], 2).save(path)
+        lines = read_lines(path)
+        index = lines.index("a b\t1")
+        lines[index] = "a b\t" + "9" * digits
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel) as info:
+            load_lm(path)
+        assert str(info.value) == f"corrupt model file: count too large for a float in {lines[index]!r}"
+
     def test_garbage_file(self, tmp_path):
         (tmp_path / "x.lm").write_text("not a model\n", encoding="utf-8")
         with pytest.raises(CorruptModel):
