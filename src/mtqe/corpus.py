@@ -150,6 +150,8 @@ def load_judgments(path) -> list[HumanJudgment]:
             params = [parse_int(cell) for cell in cells[1:]]
         except ValueError:
             raise MalformedRow(row, "non-integer cell") from None
+        except OverflowError as exc:
+            raise MalformedRow(row, str(exc)) from None
         for col, value in enumerate(params, start=1):
             if not 0 <= value <= JUDGMENT_MAX:
                 raise OutOfRangeScore(row, col, value)

@@ -75,9 +75,13 @@ def parse_int(text: str) -> int:
 
     ``int()`` alone also takes surrounding whitespace, ``_`` separators, a
     ``+`` sign and non-ASCII digits, none of which a writer here emits.
+    More digits than ``int()`` reads raise ``OverflowError("too many digits")``.
     """
     if (text.isdigit() or text[:1] == "-" and text[1:].isdigit()) and text.isascii():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # the text is digits, so only the digit limit is left
+            raise OverflowError("too many digits") from None
     raise ValueError(f"invalid integer {text!r}")
 
 
@@ -132,7 +136,7 @@ def read_table(path, sep: str, headers):
         cells = split_row(line, row, sep, width)
         try:
             row_id = parse_int(cells[0])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise MalformedRow(row, str(exc)) from None
         if row_id <= previous:
             raise not_rising(row, f"id {row_id}", f"id {previous}")
@@ -158,6 +162,8 @@ def read_model_lines(path, magic: str, version: int):
         found = parse_int(cells[1])
     except ValueError:
         raise CorruptModel("non-integer format version") from None
+    except OverflowError as exc:
+        raise CorruptModel(f"{exc} in format version") from None
     if not 1 <= found <= version:
         raise VersionMismatch(found, version)
     held = next(lines, first)  # a file of one line ends at its signature
@@ -190,6 +196,8 @@ def header_int(lines, key: str) -> int:
         return parse_int(header_value(lines, key))
     except ValueError:
         raise CorruptModel(f"non-integer value in header line '{key}'") from None
+    except OverflowError as exc:
+        raise CorruptModel(f"{exc} in header line '{key}'") from None
 
 
 def atomic_write_lines(path, lines) -> None:

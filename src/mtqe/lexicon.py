@@ -7,9 +7,8 @@ sentences containing the target word), with presence counted once per pair.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 
 from .corpus import ParallelCorpus
 from .errors import EmptyCorpus, MalformedRow
@@ -43,32 +42,20 @@ class TranslationLexicon(TranslationCounts):
         self.entries = entries
 
     def save(self, path) -> None:
-        """Write entries as a sorted TSV of source, target, score."""
-        lines = []
-        for source in sorted(self.entries):
-            targets = self.entries[source]
-            for target in sorted(targets):
-                lines.append(f"{source}\t{target}\t{targets[target]!r}")
-        atomic_write_lines(path, lines)
-
-
-def _dice_band(ns: int, threshold: float, limit: int) -> tuple[int, int]:
-    """The nt in 1..limit with 2 * min(ns, nt) / (ns + nt) >= threshold, as (low, high).
-
-    The test is the filter's own float expression with the co-occurrence
-    count replaced by its upper bound.  It rises with nt up to ns and falls
-    after, and correctly rounded division keeps both runs monotone, so each
-    end is a bisection; nt = ns scores 1.0 and always lies in the band.
-    """
-    rising = range(1, ns + 1)
-    falling = range(ns, limit + 1)
-    low = rising[bisect_left(rising, True, key=lambda nt: 2 * nt / (ns + nt) >= threshold)]
-    high = falling[bisect_left(falling, True, key=lambda nt: 2 * ns / (ns + nt) < threshold) - 1]
-    return low, high
+        """Write entries as a sorted TSV of source, target, score, a line at a time."""
+        atomic_write_lines(path, (
+            f"{source}\t{target}\t{targets[target]!r}"
+            for source, targets in sorted(self.entries.items())
+            for target in sorted(targets)
+        ))
 
 
 def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) -> TranslationLexicon:
     """Induce a lexicon by keeping word pairs whose Dice score >= threshold.
+
+    Each source word's co-occurrence counts are taken over the target sets
+    of the pairs that hold it, one source word at a time, so only one
+    word's counts are held at once.
 
     Args:
         corpus: sentence pairs, as a tuple of :func:`~mtqe.corpus.iter_parallel` gives them.
@@ -82,35 +69,26 @@ def build_lexicon(corpus: ParallelCorpus, threshold: float = DEFAULT_THRESHOLD) 
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if not corpus:
         raise EmptyCorpus("cannot induce a lexicon from an empty corpus")
-    # Document frequencies: the number of pairs containing each word.
-    source_sentences: Counter = Counter()
+    # The number of pairs holding each target word, and the target sets of
+    # the pairs holding each source word: one set per pair, shared.
     target_sentences: Counter = Counter()
+    target_sets: dict[str, list[set[str]]] = {}
     for pair in corpus:
-        source_sentences.update(set(pair.source))
-        target_sentences.update(set(pair.target))
-    # A word pair co-occurs at most min(ns, nt) times, so only targets whose
-    # nt lies in the source word's Dice band can pass.  The band depends on
-    # the global counts alone, so a word pair is counted in every sentence
-    # pair that holds it, or in none, and its count stays exact.
-    limit = len(corpus)
-    bands = {ns: _dice_band(ns, threshold, limit) for ns in set(source_sentences.values())}
-    source_band = {s: bands[ns] for s, ns in source_sentences.items()}
-    nt_of = target_sentences.__getitem__
-    cooccurrence: Counter = Counter()
-    for pair in corpus:
-        targets = sorted(set(pair.target), key=nt_of)
-        frequencies = [nt_of(t) for t in targets]
+        targets = set(pair.target)
+        target_sentences.update(targets)
         for s in set(pair.source):
-            low, high = source_band[s]
-            start = bisect_left(frequencies, low)
-            stop = bisect_right(frequencies, high, start)
-            if start < stop:
-                cooccurrence.update(zip(repeat(s, stop - start), targets[start:stop]))
+            target_sets.setdefault(s, []).append(targets)
     entries: dict[str, dict[str, float]] = {}
-    for (s, t), count in cooccurrence.items():
-        dice = 2 * count / (source_sentences[s] + target_sentences[t])
-        if dice >= threshold:
-            entries.setdefault(s, {})[t] = dice
+    for s, sets in target_sets.items():
+        ns = len(sets)  # the pairs holding s
+        cooccurrence = Counter(chain.from_iterable(sets))
+        kept = {}
+        for t, count in cooccurrence.items():
+            dice = 2 * count / (ns + target_sentences[t])
+            if dice >= threshold:
+                kept[t] = dice
+        if kept:
+            entries[s] = kept
     return TranslationLexicon(entries)
 
 

@@ -166,15 +166,20 @@ class NgramModel:
         return tallies, sum(map(self.counts[0].__contains__, ids))
 
     def save(self, path) -> None:
-        """Write the model as versioned, line-oriented UTF-8 text."""
+        """Write the model as versioned, line-oriented UTF-8 text, a line at a time."""
+        write_model_lines(path, _MAGIC, _FORMAT_VERSION, self._lines())
+
+    def _lines(self):
+        """Yield the header lines, then each gram's line in token-tuple order."""
         order = self.order
-        lines = [f"order\t{order}", f"vocab_size\t{len(self.vocab)}"]
+        yield f"order\t{order}"
+        yield f"vocab_size\t{len(self.vocab)}"
         for n in range(1, order + 1):
             q1, q3 = self.quartiles[n]
-            lines.append(f"q1_{n}\t{q1}")
-            lines.append(f"q3_{n}\t{q3}")
+            yield f"q1_{n}\t{q1}"
+            yield f"q3_{n}\t{q3}"
         counts = self.counts
-        lines.append(f"ngrams\t{sum(map(len, counts))}")
+        yield f"ngrams\t{sum(map(len, counts))}"
         base = self._base
         powers = self._powers
         # A key below B**n has at most n digits; padding it with zero digits
@@ -193,8 +198,7 @@ class NgramModel:
                 rest, digit = divmod(rest, base)
                 tokens.append(words[digit])
             tokens.reverse()
-            lines.append(" ".join(tokens) + f"\t{counts[len(tokens) - 1][key]}")
-        write_model_lines(path, _MAGIC, _FORMAT_VERSION, lines)
+            yield " ".join(tokens) + f"\t{counts[len(tokens) - 1][key]}"
 
 
 def train_lm(sentences, order: int = 3) -> NgramModel:

@@ -531,7 +531,7 @@ class TestWriteStageBytes:
             save_reference_lm(reference_lm(sentences, 3), tmp_path / f"reference-{key}.lm")
             assert out.read_bytes() == (tmp_path / f"reference-{key}.lm").read_bytes()
 
-    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0.05])
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0.05, 0.5, 0.9])
     def test_lexicon(self, tmp_path, threshold):
         data = write_toy_dataset(tmp_path)
         out = tmp_path / "lexicon.tsv"

@@ -487,6 +487,42 @@ def test_lenient_number_is_located(case, form, artifacts, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# The message for an integer cell of more digits than int() reads (4300 by
+# default), each cell that fileio.parse_int reads.
+TOO_MANY_DIGITS = {
+    "judgment id": "malformed row 0: too many digits",
+    "judgment score": "malformed row 0: too many digits",
+    "feature id": "malformed row 0: too many digits",
+    "grade id": "malformed row 0: too many digits",
+    "lm version": "corrupt model file: too many digits in format version",
+    "lm header": "corrupt model file: too many digits in header line 'order'",
+    "model version": "corrupt model file: too many digits in format version",
+    "model header": "corrupt model file: too many digits in header line 'classes'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_MANY_DIGITS))
+def test_integer_with_too_many_digits_is_located(case, artifacts, tmp_path, capsys):
+    name, index, sep, position, _ = NUMERIC_CELLS[case]
+    artifact, read, argv, _ = READERS[name]
+    bad = tmp_path / f"long-{artifacts[artifact].name}"
+
+    def change(line):
+        cells = line.decode("utf-8").split(sep)
+        cells[position] = "1" * 5000
+        return sep.join(cells).encode("utf-8")
+
+    _rewrite_line(artifacts[artifact], bad, index, change)
+    message = TOO_MANY_DIGITS[case]
+    with pytest.raises((MalformedRow, CorruptModel)) as info:
+        read(bad, artifacts)
+    assert str(info.value) == message
+    capsys.readouterr()
+    assert run_cli(*argv(bad, artifacts, tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("space", ["\v", "\f", "\r"], ids=repr)
 def test_hex_float_with_trailing_whitespace_is_corrupt(space, artifacts, tmp_path):
     # float.fromhex() takes surrounding ASCII whitespace; the means line

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtqe.errors import EmptyCorpus, InvalidEncoding, MalformedRow
-from mtqe.lexicon import TranslationLexicon, _dice_band, build_lexicon, load_lexicon
+from mtqe.lexicon import TranslationLexicon, build_lexicon, load_lexicon
 
 from conftest import brute_force_lexicon, make_corpus, read_lexicon_entries
 
@@ -18,7 +18,7 @@ _corpus_lists = st.lists(
     max_size=8,
 )
 
-# Wider corpora for the pruning: more words, so document frequencies spread.
+# Wider corpora: more words, so document frequencies spread.
 _wide_corpus_lists = st.lists(
     st.tuples(
         st.lists(st.sampled_from("abcdefghijkl"), max_size=7),
@@ -103,7 +103,7 @@ class TestBuildLexicon:
         assert tight.translations_per_word(sentence) <= loose.translations_per_word(sentence)
 
 
-class TestDiceBand:
+class TestEqualsBruteForce:
     @settings(max_examples=200)
     @given(_wide_corpus_lists, _thresholds)
     def test_equals_brute_force_reference(self, pair_lists, threshold):
@@ -118,7 +118,7 @@ class TestDiceBand:
     )
     def test_score_on_the_threshold_is_kept(self, sources, targets):
         # 2 * 1 / (1 + 9) is exactly the float 0.2, so the pair passes.  An
-        # exact-rational bound would drop it: the float 0.2 lies just above 1/5.
+        # exact-rational test would drop it: the float 0.2 lies just above 1/5.
         corpus = make_corpus(sources, targets)
         lexicon = build_lexicon(corpus, 0.2)
         assert lexicon.entries["a"]["x"] == 0.2
@@ -138,14 +138,6 @@ class TestDiceBand:
         lexicon = build_lexicon(corpus, threshold)
         assert lexicon.entries == expected
         assert _hex_entries(lexicon) == _hex_entries(brute_force_lexicon(corpus, threshold))
-
-    @pytest.mark.parametrize("threshold", [0.01, 0.2, 1 / 3, 0.5, 0.9, math.nextafter(1.0, 0.0)])
-    @pytest.mark.parametrize("ns", [1, 2, 3, 7, 9, 10, 50])
-    def test_band_is_exactly_the_feasible_frequencies(self, ns, threshold):
-        limit = 60
-        low, high = _dice_band(ns, threshold, limit)
-        feasible = [nt for nt in range(1, limit + 1) if 2 * min(ns, nt) / (ns + nt) >= threshold]
-        assert feasible == list(range(low, high + 1))
 
 
 class TestTranslationsPerWord:

@@ -1,4 +1,4 @@
-"""What a loaded model keeps, and what reading or writing a file or streaming extract costs at peak.
+"""What a loaded model keeps, and what building a lexicon, file reads and writes and extract cost at peak.
 
 tracemalloc counts the bytes still allocated after a load returns, so the
 file text and the parse's scratch objects do not count there; its peak
@@ -33,6 +33,15 @@ MAX_EXTRACT_PEAK_BYTES_PER_PAIR = 1200
 # of lines at a time, about 0.2 MB at peak; joining them all at once peaks
 # about twice the file, 7.1 MB.
 MAX_WRITE_PEAK_BYTES = 1 << 20
+# Counting one source word's targets at a time peaks about 1.4 KB per pair
+# on the pairs below; counting every (source, target) tuple at once peaks
+# about 3.4 KB.
+MAX_LEXICON_BUILD_PEAK_BYTES_PER_PAIR = 2048
+# Saving a model a chunk of lines at a time peaks about twice the lexicon
+# file and 4.5 times the language-model file below (most of it the sorted
+# gram keys); holding every line first peaks about 4.1 and 6.0 times.
+MAX_LEXICON_SAVE_PEAK_PER_FILE_BYTE = 3
+MAX_LM_SAVE_PEAK_PER_FILE_BYTE = 5
 
 
 def _traced(call, *args):
@@ -52,6 +61,31 @@ def corpus():
     words = [f"w{i}" for i in range(3000)]
     weights = [1 / (rank + 1) for rank in range(len(words))]
     return [rng.choices(words, weights, k=rng.randint(5, 20)) for _ in range(2500)]
+
+
+@pytest.fixture(scope="module")
+def pairs(corpus):
+    """Each sentence paired with the next, so the two sides share words."""
+    return tuple(
+        SentencePair(i, tuple(s), tuple(corpus[(i + 1) % len(corpus)])) for i, s in enumerate(corpus)
+    )
+
+
+def test_lm_save_peak_per_file_byte(corpus, tmp_path):
+    path = tmp_path / "m.lm"
+    _, _, peak = _traced(train_lm(corpus, 3).save, path)
+    assert peak / path.stat().st_size <= MAX_LM_SAVE_PEAK_PER_FILE_BYTE
+
+
+def test_lexicon_build_peak_per_pair(pairs):
+    _, _, peak = _traced(build_lexicon, pairs)
+    assert peak / len(pairs) <= MAX_LEXICON_BUILD_PEAK_BYTES_PER_PAIR
+
+
+def test_lexicon_save_peak_per_file_byte(pairs, tmp_path):
+    path = tmp_path / "lexicon.tsv"
+    _, _, peak = _traced(build_lexicon(pairs).save, path)
+    assert peak / path.stat().st_size <= MAX_LEXICON_SAVE_PEAK_PER_FILE_BYTE
 
 
 def test_lm_bytes_per_gram(corpus, tmp_path):
