@@ -103,7 +103,9 @@ class TestBuildLexicon:
         assert tight.translations_per_word(sentence) <= loose.translations_per_word(sentence)
 
 
-class TestEqualsBruteForce:
+class TestDiceBand:
+    """Dice scores at and near the threshold, against the brute-force reference."""
+
     @settings(max_examples=200)
     @given(_wide_corpus_lists, _thresholds)
     def test_equals_brute_force_reference(self, pair_lists, threshold):
