@@ -117,8 +117,8 @@ def _cmd_evaluate(args) -> int:
         raise LengthMismatch("grade files do not cover the same sentence ids")
     matrix = confusion(human.values(), map(predicted.__getitem__, human))
     report = matrix.agreement()
-    table = render_report_csv(matrix.human_histogram(), matrix.predicted_histogram(), report)
-    atomic_write_lines(args.out, table.splitlines())
+    lines = render_report_csv(matrix.human_histogram(), matrix.predicted_histogram(), report)
+    atomic_write_lines(args.out, lines)
     print(render_report_text(matrix, report), end="")
     return 0
 

@@ -72,7 +72,8 @@ def render_report_csv(
     human_hist: dict[Grade, int],
     predicted_hist: dict[Grade, int],
     report: AgreementReport,
-) -> str:
+) -> list[str]:
+    """The report file's lines: a row per grade, then the agreement footer."""
     lines = ["grade,human_count,predicted_count"]
     for grade in Grade:
         lines.append(
@@ -80,7 +81,7 @@ def render_report_csv(
         )
     lines.append("same,total,percentage")
     lines.append(f"{report.same},{report.total},{_report_percentage(report)}")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def render_report_text(matrix: ConfusionMatrix, report: AgreementReport) -> str:

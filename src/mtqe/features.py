@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 from typing import NamedTuple
 
 from .corpus import SentencePair, is_punctuation_token
 from .errors import MalformedRow, MixedLabeling
-from .fileio import atomic_write_lines, is_plain, not_rising, read_table
+from .fileio import atomic_write_lines, is_plain, not_rising, parse_int, read_table
 from .grading import Grade
 from .lexicon import TranslationCounts
 from .ngram import NgramModel
@@ -39,10 +38,6 @@ class FeatureVector(NamedTuple):
     pct_unigrams_seen: float        # f14, 0..100
     src_punct_count: int            # f15
     tgt_punct_count: int            # f16
-
-    def values(self) -> tuple[float, ...]:
-        """The 16 feature values as floats, in f1..f16 order."""
-        return tuple(map(float, self))
 
 
 def _low_high_pct(windows: int, low: int, high: int) -> tuple[float, float]:
@@ -97,21 +92,12 @@ def extract_features(
     )
 
 
-def _format_int(value: float) -> str:
-    return str(int(value))
-
-
-def _format_float(value: float) -> str:
-    return f"{value:.6f}"
-
-
-# One cell formatter and one cell parser per feature column, in f1..f16 order.
-_FORMATTERS = tuple(
-    _format_int if i in _INT_INDEXES else _format_float for i in range(N_FEATURES)
-)
-_PARSERS = tuple(int if i in _INT_INDEXES else float for i in range(N_FEATURES))
-# The integer feature cells of a row.
-_int_cells = itemgetter(*(1 + i for i in _INT_INDEXES))
+# One rule per feature column, in f1..f16 order: a count is an integer
+# and every other feature a float with six decimal places.  The template
+# of a labeled row ends in the grade's label.
+_CELLS = ",".join(["{}", *("{:d}" if i in _INT_INDEXES else "{:.6f}" for i in range(N_FEATURES))])
+_ROWS = (_CELLS, _CELLS + ",{.label}")
+_PARSERS = tuple(parse_int if i in _INT_INDEXES else float for i in range(N_FEATURES))
 
 
 def write_features(rows, path) -> None:
@@ -119,13 +105,16 @@ def write_features(rows, path) -> None:
 
     The header is ``id,f1,...,f16`` with a trailing ``grade`` column when
     rows are labeled.  Floats carry six decimal places.  Before any file is
-    written, a row labeled unlike the first raises MixedLabeling, and an id
-    not above the previous row's raises the MalformedRow that
-    :func:`read_features` would.
+    written, a row labeled unlike the first raises MixedLabeling, an id not
+    above the previous row's raises the MalformedRow that
+    :func:`read_features` would, and a count that is not an int raises
+    ValueError.
     """
     rows = list(rows)
     labeled = bool(rows) and rows[0][2] is not None
     lines = [FEATURE_HEADERS[labeled]]
+    # An unlabeled row's template has no grade field, so format ignores its None.
+    template = _ROWS[labeled]
     previous = -math.inf  # below every id
     for row, (row_id, vector, grade) in enumerate(rows):
         if (grade is not None) != labeled:
@@ -133,11 +122,7 @@ def write_features(rows, path) -> None:
         if row_id <= previous:
             raise not_rising(row, f"id {row_id}", f"id {previous}")
         previous = row_id
-        cells = [str(row_id)]
-        cells.extend(fmt(v) for fmt, v in zip(_FORMATTERS, vector.values()))
-        if labeled:
-            cells.append(grade.label)
-        lines.append(",".join(cells))
+        lines.append(template.format(row_id, *vector, grade))
     atomic_write_lines(path, lines)
 
 
@@ -152,9 +137,8 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     out: list[tuple[int, FeatureVector, Grade | None]] = []
     for row, row_id, line, cells in read_table(path, ",", FEATURE_HEADERS):
         try:
-            # The fileio number rule for every cell at once: a plain row,
-            # and no "+" (which int() takes) in a count cell.
-            if not is_plain(line) or "+" in "".join(_int_cells(cells)):
+            # The fileio rule for every float cell at once: a plain row.
+            if not is_plain(line):
                 raise ValueError("cells must be plain ASCII numbers")
             values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
             grade = Grade.from_label(cells[-1]) if len(cells) > 1 + N_FEATURES else None

@@ -240,9 +240,10 @@ def load_lm(path) -> NgramModel:
 
     Queries on the loaded model are bit-identical to the original.  Raises
     VersionMismatch for files written by a newer format and CorruptModel
-    for truncated or malformed files, a gram listed twice, holding UNK
-    or holding a token with no unigram line, and for a ``vocab_size`` or
-    quartile header line the counts do not give.
+    for truncated or malformed files, gram lines that do not rise strictly
+    in token-tuple order, a gram holding UNK or a token with no unigram
+    line, and a ``vocab_size`` or quartile header line the counts do not
+    give.
     """
     lines = read_model_lines(path, _MAGIC, _FORMAT_VERSION)
     order = header_int(lines, "order")
@@ -269,6 +270,12 @@ def load_lm(path) -> NgramModel:
     ids = {token: vocab[token] for token in unigrams - {UNK}}
     base = len(vocab) + 1
     counts: list[dict[int, int]] = [{} for _ in range(order)]
+    # A key padded with zero digits to ``order`` digits sorts in token-tuple
+    # order, the order save writes, so the padded keys must rise strictly.
+    # A gram length's padding factor is made at its first gram, so a huge
+    # ``order`` header builds no factor for lengths the file does not hold.
+    scales: dict[int, int] = {}
+    previous, previous_text = 0, None  # below every padded key
     for line in lines:
         try:
             gram_text, text = line.split("\t")
@@ -294,10 +301,13 @@ def load_lm(path) -> NgramModel:
         except KeyError:
             fault = f"holds {UNK!r}" if UNK in tokens else "has a token with no unigram line"
             raise CorruptModel(f"n-gram {gram_text!r} {fault}") from None
-        grams = counts[n - 1]
-        if key in grams:
-            raise CorruptModel(f"duplicate n-gram {gram_text!r}")
-        grams[key] = count
+        padded = key * (scales.get(n) or scales.setdefault(n, base ** (order - n)))
+        if padded <= previous:
+            if padded == previous:
+                raise CorruptModel(f"duplicate n-gram {gram_text!r}")
+            raise CorruptModel(f"n-gram {gram_text!r} out of order after n-gram {previous_text!r}")
+        previous, previous_text = padded, gram_text
+        counts[n - 1][key] = count
     if not all(counts):
         raise CorruptModel(f"some n-gram length in 1..{order} has no gram")
     model = NgramModel(order, vocab, counts)

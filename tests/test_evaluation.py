@@ -91,7 +91,7 @@ class TestAgreement:
             report = agreement(human, predicted)
             assert report.same == same
             footer = render_report_csv(*_histograms(human, predicted), report)
-            assert footer.splitlines()[-1] == f"{same},1300,{expected}"
+            assert footer[-1] == f"{same},1300,{expected}"
 
     def test_rounds_half_even_not_truncated(self):
         # 771/1300 is 59.3077 percent; two-decimal rendering rounds up.
@@ -99,7 +99,7 @@ class TestAgreement:
         predicted = [Grade.POOR] * 771 + [Grade.GOOD] * 529
         report = agreement(human, predicted)
         footer = render_report_csv(*_histograms(human, predicted), report)
-        assert footer.splitlines()[-1] == "771,1300,59.31"
+        assert footer[-1] == "771,1300,59.31"
 
     @pytest.mark.parametrize("same, total, expected", [(1, 4000, "0.02"), (203, 20000, "1.02")])
     def test_exact_ties_round_half_even_in_report(self, same, total, expected):
@@ -110,7 +110,7 @@ class TestAgreement:
         report = agreement(human, predicted)
         matrix = confusion(human, predicted)
         footer = render_report_csv(*_histograms(human, predicted), report)
-        assert footer.splitlines()[-1] == f"{same},{total},{expected}"
+        assert footer[-1] == f"{same},{total},{expected}"
         assert f"({expected}%)" in render_report_text(matrix, report)
 
     def test_fully_disjoint(self):
@@ -175,8 +175,7 @@ class TestReportRendering:
     def test_csv_layout(self):
         human = [Grade.POOR, Grade.GOOD, Grade.GOOD]
         predicted = [Grade.POOR, Grade.GOOD, Grade.AVERAGE]
-        text = render_report_csv(_tally(human), _tally(predicted), agreement(human, predicted))
-        lines = text.splitlines()
+        lines = render_report_csv(_tally(human), _tally(predicted), agreement(human, predicted))
         assert lines[0] == "grade,human_count,predicted_count"
         assert lines[1] == "Poor,1,1"
         assert lines[2] == "Average,0,1"

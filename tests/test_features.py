@@ -137,17 +137,6 @@ _tgt_tokens = st.lists(st.sampled_from(["क", "ख", "ज", "।", "?"]), max_s
 
 
 class TestProperties:
-    @given(
-        st.lists(
-            st.one_of(st.integers(-(2**60), 2**60), st.floats(allow_nan=False)),
-            min_size=16,
-            max_size=16,
-        )
-    )
-    def test_values_equal_astuple_floats(self, fields):
-        vector = FeatureVector(*fields)
-        assert vector.values() == tuple(float(v) for v in tuple(vector))
-
     @settings(max_examples=80)
     @given(_src_tokens, _tgt_tokens)
     def test_invariants_hold(self, source, target):
@@ -221,7 +210,7 @@ class TestVectorEqualsReference:
             loaded = (load_lm(paths[0]), load_lm(paths[1]), load_lexicon(paths[2]))
         for src_lm, tgt_lm, lexicon in (trained, loaded):
             vector = extract_features(_pair(source, target), src_lm, tgt_lm, lexicon)
-            assert [v.hex() for v in vector.values()] == [float(v).hex() for v in expected]
+            assert [v.hex() for v in map(float, vector)] == [float(v).hex() for v in expected]
 
 
 class TestFeatureFile:
@@ -238,7 +227,7 @@ class TestFeatureFile:
         assert [i for i, _, _ in loaded] == [0, 1]
         assert [g for _, _, g in loaded] == [Grade.GOOD, Grade.POOR]
         for (_, original, _), (_, reread, _) in zip(rows, loaded):
-            for a, b in zip(original.values(), reread.values()):
+            for a, b in zip(map(float, original), map(float, reread)):
                 assert abs(a - b) <= 1e-6
 
     def test_cells_match_per_index_reference(self, tmp_path):
@@ -250,7 +239,7 @@ class TestFeatureFile:
         for (row_id, vector, grade), line in zip(rows, lines[1:]):
             cells = [
                 str(int(v)) if i in int_columns else f"{v:.6f}"
-                for i, v in enumerate(vector.values())
+                for i, v in enumerate(map(float, vector))
             ]
             assert line == ",".join([str(row_id), *cells, grade.label])
         for (_, reread, _), line in zip(read_features(path), lines[1:]):
@@ -274,6 +263,20 @@ class TestFeatureFile:
         with pytest.raises(MalformedRow) as info:
             write_features(reversed(self._rows(labeled=False)), tmp_path / "f.csv")
         assert str(info.value) == "malformed row 1: id 0 out of order after id 1"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "field", ["src_token_count", "tgt_token_count", "src_punct_count", "tgt_punct_count"]
+    )
+    @pytest.mark.parametrize("value", [3.7, 3.0])
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_float_count_rejected_before_writing(self, tmp_path, field, value, labeled):
+        # A count cell is written as an integer, never truncated from a float.
+        rows = self._rows(labeled)
+        row_id, vector, grade = rows[1]
+        rows[1] = (row_id, vector._replace(**{field: value}), grade)
+        with pytest.raises(ValueError, match="'d'"):
+            write_features(rows, tmp_path / "f.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_file_is_header_only(self, tmp_path):

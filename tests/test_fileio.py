@@ -190,28 +190,69 @@ def test_repeated_lexicon_entry_is_located(artifacts, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys, n):
-    # The first length-n gram comes back just before the closing line,
-    # away from its first line; the header counts the repeated line, so
-    # only the repetition is wrong.
-    lines = read_lines(artifacts["src_lm"])
+def _gram_lines(path):
+    """The lines of a language model, the index of its ``ngrams`` line and that count."""
+    lines = read_lines(path)
     header = next(i for i, line in enumerate(lines) if line.startswith("ngrams\t"))
-    n_grams = int(lines[header].split("\t")[1])
-    first = next(i for i in range(header + 1, len(lines)) if lines[i].count(" ") == n - 1)
-    assert first < len(lines) - 2  # not the last gram line
-    gram, count = lines[first].split("\t")
-    lines[header] = f"ngrams\t{n_grams + 1}"
-    lines.insert(-1, f"{gram}\t{int(count) + 1}")
-    bad = tmp_path / "repeated.lm"
+    return lines, header, int(lines[header].split("\t")[1])
+
+
+def _first_gram(lines, header, n):
+    """The index of the first length-``n`` gram line after the ``ngrams`` line."""
+    return next(i for i in range(header + 1, len(lines)) if lines[i].count(" ") == n - 1)
+
+
+def _assert_corrupt_lm(artifacts, tmp_path, capsys, lines, message):
+    """``load_lm`` and ``extract`` both reject ``lines`` with ``message``."""
+    bad = tmp_path / "bad.lm"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorruptModel) as info:
         load_lm(bad)
-    assert f"duplicate n-gram {gram!r}" in str(info.value)
+    assert str(info.value) == f"corrupt model file: {message}"
     capsys.readouterr()
     assert run_cli(*_extract(artifacts, tmp_path / "out", src_lm=bad)) == 2
-    assert f"corrupt model file: duplicate n-gram {gram!r}" in capsys.readouterr().err
+    assert f"corrupt model file: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_repeated_gram_is_corrupt(artifacts, tmp_path, capsys, n):
+    # The first length-n gram comes again on the next line; the header
+    # counts the repeated line, so only the repetition is wrong.
+    lines, header, n_grams = _gram_lines(artifacts["src_lm"])
+    first = _first_gram(lines, header, n)
+    gram, count = lines[first].split("\t")
+    lines[header] = f"ngrams\t{n_grams + 1}"
+    lines.insert(first + 1, f"{gram}\t{int(count) + 1}")
+    _assert_corrupt_lm(artifacts, tmp_path, capsys, lines, f"duplicate n-gram {gram!r}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_repeated_gram_far_from_its_line_is_out_of_order(artifacts, tmp_path, capsys, n):
+    # The first length-n gram comes back just before the closing line,
+    # below the last gram line, which the rising check reports first.
+    lines, header, n_grams = _gram_lines(artifacts["src_lm"])
+    first = _first_gram(lines, header, n)
+    assert first < len(lines) - 2  # not the last gram line
+    gram, count = lines[first].split("\t")
+    last = lines[-2].split("\t")[0]
+    lines[header] = f"ngrams\t{n_grams + 1}"
+    lines.insert(-1, f"{gram}\t{int(count) + 1}")
+    message = f"n-gram {gram!r} out of order after n-gram {last!r}"
+    _assert_corrupt_lm(artifacts, tmp_path, capsys, lines, message)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_swapped_gram_lines_are_out_of_order(artifacts, tmp_path, capsys, n):
+    # The first length-n gram line trades places with the next gram line;
+    # the header still matches the counts, so only the order is wrong.
+    lines, header, _ = _gram_lines(artifacts["src_lm"])
+    first = _first_gram(lines, header, n)
+    assert first < len(lines) - 2  # a gram line follows it
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    earlier, later = (lines[i].split("\t")[0] for i in (first + 1, first))
+    message = f"n-gram {earlier!r} out of order after n-gram {later!r}"
+    _assert_corrupt_lm(artifacts, tmp_path, capsys, lines, message)
 
 
 def test_gram_with_unknown_token_is_corrupt(artifacts, tmp_path, capsys):
@@ -493,6 +534,7 @@ TOO_MANY_DIGITS = {
     "judgment id": "malformed row 0: too many digits",
     "judgment score": "malformed row 0: too many digits",
     "feature id": "malformed row 0: too many digits",
+    "feature count": "malformed row 0: too many digits",
     "grade id": "malformed row 0: too many digits",
     "lm version": "corrupt model file: too many digits in format version",
     "lm header": "corrupt model file: too many digits in header line 'order'",
