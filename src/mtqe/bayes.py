@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .defaults import ABSOLUTE_VARIANCE_FLOOR
 from .errors import CorruptModel, EmptyTrainingSet
-from .features import FEATURE_COLUMNS, N_FEATURES
+from .feature_csv import FEATURE_COLUMNS, N_FEATURES
 from .fileio import (
     header_int, header_value, is_plain, iter_lines, read_model_lines, write_model_lines,
 )
@@ -20,9 +21,9 @@ from .grading import Grade
 
 # The effective variance floor is the larger of these two terms:
 # RELATIVE_VARIANCE_FLOOR times the largest pooled per-feature variance,
-# and the absolute floor passed to train_nb.
+# and the absolute floor passed to train_nb, ABSOLUTE_VARIANCE_FLOOR by
+# default.
 RELATIVE_VARIANCE_FLOOR = 1e-9
-ABSOLUTE_VARIANCE_FLOOR = 1e-12
 
 _MAGIC = "mtqe-nb-model"
 _FORMAT_VERSION = 1

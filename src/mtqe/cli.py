@@ -4,6 +4,11 @@ Each subcommand reads and writes plain files, so every stage of the
 pipeline leaves an inspectable artifact: language models, the lexicon,
 feature CSVs, the classifier model, predicted grades, and the evaluation
 report.  All runs are deterministic given identical inputs and flags.
+
+Each stage imports the modules it runs when it starts, and the parser
+needs only :mod:`mtqe.defaults`.  Every stage runs in a fresh process,
+which compiles each module it imports from source where no bytecode is
+cached, so a stage pays for no module it does not run.
 """
 
 from __future__ import annotations
@@ -12,17 +17,14 @@ import argparse
 import math
 import sys
 
-from .bayes import ABSOLUTE_VARIANCE_FLOOR, load_model, train_nb
-from .corpus import SIDES, iter_corpus, iter_parallel, load_judgments
+from .defaults import ABSOLUTE_VARIANCE_FLOOR, DEFAULT_THRESHOLD, SIDES
 from .errors import EmptyCorpus, LengthMismatch, MalformedRow, QEError
-from .evaluation import confusion, render_report_csv, render_report_text
-from .features import FEATURE_HEADERS, extract_features, read_features, write_features
-from .fileio import atomic_write_lines, read_table
-from .grading import Grade, judgment_grade
-from .lexicon import DEFAULT_THRESHOLD, build_lexicon, load_lexicon
-from .ngram import load_lm, train_lm
+
 
 def _cmd_build_lm(args) -> int:
+    from .corpus import iter_corpus
+    from .ngram import train_lm
+
     sentences = list(iter_corpus(args.corpus, args.side))
     model = train_lm(sentences, args.order)
     model.save(args.out)
@@ -35,6 +37,9 @@ def _cmd_build_lm(args) -> int:
 
 
 def _cmd_build_lexicon(args) -> int:
+    from .corpus import iter_parallel
+    from .lexicon import build_lexicon
+
     corpus = tuple(iter_parallel(args.pairs_src, args.pairs_tgt))
     lexicon = build_lexicon(corpus, args.threshold)
     lexicon.save(args.out)
@@ -43,6 +48,12 @@ def _cmd_build_lexicon(args) -> int:
 
 
 def _cmd_extract(args) -> int:
+    from .corpus import iter_parallel, load_judgments
+    from .features import extract_features, write_features
+    from .grading import judgment_grade
+    from .lexicon import load_lexicon
+    from .ngram import load_lm
+
     src_lm = load_lm(args.src_lm)
     tgt_lm = load_lm(args.tgt_lm)
     lexicon = load_lexicon(args.lexicon)
@@ -73,6 +84,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .bayes import train_nb
+    from .feature_csv import read_features
+
     rows = read_features(args.features)
     if any(grade is None for _, _, grade in rows):
         raise ValueError("training requires a labeled feature file (grade column)")
@@ -86,6 +100,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .bayes import load_model
+    from .feature_csv import read_features
+    from .fileio import atomic_write_lines
+
     model = load_model(args.model)
     rows = read_features(args.features)
     lines = ["id,grade"]
@@ -99,8 +117,12 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _read_grade_file(path) -> dict[int, Grade]:
+def _read_grade_file(path):
     """``{id: grade}`` of an ``id,grade`` or labeled feature CSV: each row's first and last cell."""
+    from .feature_csv import FEATURE_HEADERS
+    from .fileio import read_table
+    from .grading import Grade
+
     grades = {}
     for row, row_id, _, cells in read_table(path, ",", ("id,grade", FEATURE_HEADERS[1])):
         try:
@@ -111,6 +133,9 @@ def _read_grade_file(path) -> dict[int, Grade]:
 
 
 def _cmd_evaluate(args) -> int:
+    from .evaluation import confusion, render_report_csv, render_report_text
+    from .fileio import atomic_write_lines
+
     human = _read_grade_file(args.human)
     predicted = _read_grade_file(args.predicted)
     if human.keys() != predicted.keys():

@@ -12,17 +12,14 @@ import unicodedata
 from itertools import zip_longest
 from typing import NamedTuple
 
+# bench/ imports SOURCE and TARGET from this module.
+from .defaults import SIDES, SOURCE, TARGET
 from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore, ReservedToken
 # bench/layers.py imports read_lines from this module.
 from .fileio import iter_lines, parse_int, read_lines, read_table
+from .grading import JUDGMENT_MAX, JUDGMENT_PARAMS, HumanJudgment
 from .ngram import BOS, END, UNK
 
-SOURCE = "source"
-TARGET = "target"
-SIDES = (SOURCE, TARGET)
-
-JUDGMENT_PARAMS = 10
-JUDGMENT_MAX = 4
 _JUDGMENT_HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1)])
 _MARKERS = (UNK, BOS, END)
 
@@ -93,13 +90,6 @@ class SentencePair(NamedTuple):
 # A parallel corpus is a tuple of SentencePairs, pair i at position i with id i,
 # as ``tuple(iter_parallel(...))`` gives it.
 ParallelCorpus = tuple
-
-
-class HumanJudgment(NamedTuple):
-    """Ten parameter scores for one translated sentence; load_judgments checks each is 0..4."""
-
-    sentence_id: int
-    params: tuple[int, ...]
 
 
 def iter_corpus(path, side: str):

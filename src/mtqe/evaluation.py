@@ -9,7 +9,6 @@ round-half-even.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import LengthMismatch
@@ -62,9 +61,11 @@ def agreement(human, predicted) -> AgreementReport:
 
 
 def _report_percentage(report: AgreementReport) -> str:
-    # Exact hundredths of a percent, which Fraction rounds half-even, so an
+    # Exact hundredths of a percent, rounded half-even in integers, so an
     # exact tie such as 0.025% goes to even where its float would not.
-    hundredths = round(Fraction(10000 * report.same, report.total))
+    hundredths, remainder = divmod(10000 * report.same, report.total)
+    if 2 * remainder > report.total or 2 * remainder == report.total and hundredths % 2:
+        hundredths += 1
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 

@@ -279,8 +279,9 @@ def _write_atomically(path, blocks) -> None:
 # that fix the payload's layout, then the sha256 of the payload, then the
 # payload, a marshal dump.  Bump the payload version whenever a loader's
 # payload changes shape or meaning, so no entry of the old layout is read.
+# Version 2 is never used: caches may hold ``v2`` entries of another layout.
 _CACHE_MAGIC = "mtqe-model-cache"
-_PAYLOAD_VERSION = 1
+_PAYLOAD_VERSION = 3
 _CACHE_TAG = f"v{_PAYLOAD_VERSION}-{sys.implementation.cache_tag}-m{marshal.version}"
 _CHECKSUM_BYTES = 32  # a sha256 digest
 # The most the cache directory holds.  After each store the least recently

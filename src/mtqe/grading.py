@@ -1,11 +1,21 @@
-"""Quality grades and the judgment-to-grade mapping."""
+"""Quality grades, human judgments and the judgment-to-grade mapping."""
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
+from typing import NamedTuple
 
-from .corpus import JUDGMENT_MAX, JUDGMENT_PARAMS, HumanJudgment
+# A judgment scores a translation on ten parameters, each from 0 to 4.
+JUDGMENT_PARAMS = 10
+JUDGMENT_MAX = 4
+
+
+class HumanJudgment(NamedTuple):
+    """Ten parameter scores for one translated sentence; load_judgments checks each is 0..4."""
+
+    sentence_id: int
+    params: tuple[int, ...]
 
 
 class Grade(enum.IntEnum):

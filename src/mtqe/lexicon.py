@@ -11,10 +11,9 @@ from collections import Counter
 from itertools import chain, repeat
 
 from .corpus import ParallelCorpus
+from .defaults import DEFAULT_THRESHOLD
 from .errors import EmptyCorpus, MalformedRow
 from .fileio import atomic_write_lines, is_plain, load_cached, not_rising, split_row
-
-DEFAULT_THRESHOLD = 0.2
 
 
 class TranslationCounts:

@@ -48,6 +48,14 @@ def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
     return sorted_values[rank - 1]
 
 
+def _quartiles(counts) -> dict[int, tuple[int, int]]:
+    """``{n: (Q1, Q3)}``, the nearest-rank quartiles of each length's type frequencies."""
+    return {
+        n: (_nearest_rank(values, 25), _nearest_rank(values, 75))
+        for n, values in enumerate((sorted(grams.values()) for grams in counts), start=1)
+    }
+
+
 def _vocabulary(tokens) -> dict[str, int]:
     """``{token: id}`` for the tokens and the reserved markers, ids 1.. in code-point order.
 
@@ -72,24 +80,30 @@ def _window_keys(ids, longest: int, base: int):
 class NgramModel:
     """Packed gram counts for orders 1..order and the facts the queries read.
 
-    ``vocab`` maps each token to its id, and ``counts[n - 1]`` each packed
-    length-n gram to its occurrences; every length has a gram.  The
-    constructor derives the rest: ``context_totals`` maps each packed
-    full-order context to sum_w counts[context + (w,)], which is what exact
-    Laplace normalization requires (a context ending a padded sentence
-    occurs but never continues, so its raw count would overstate the
-    total), and ``quartiles[n]`` is the nearest-rank (Q1, Q3) of the
-    length-n type frequencies.
+    ``vocab`` maps each token to its id, ``counts[n - 1]`` each packed
+    length-n gram to its occurrences (every length has a gram), and
+    ``quartiles[n]`` is the nearest-rank (Q1, Q3) of the length-n type
+    frequencies, as :func:`_quartiles` gives them.  The constructor builds
+    nothing that grows with the counts.
+
+    Exact Laplace normalization divides by a context's total,
+    sum_w counts[context + (w,)].  A context's occurrences are the
+    windows of its (order - 1)-gram, and each of them continues unless it
+    ends a padded sentence, which only ``</s>`` does.  So the total of a
+    context is its own count, 0 for a context ending in ``</s>``, and for
+    order 1, where the context is empty, the sum of the unigram counts.
+    ``load_lm`` refuses a file whose counts break this rule.
 
     The queries are ``sentence_log_prob`` (f4/f5) and ``bands`` (f8-f14).
     Immutable after construction; every query is pure, so concurrent
     readers are safe.
     """
 
-    def __init__(self, order, vocab, counts):
+    def __init__(self, order, vocab, counts, quartiles):
         self.order = order
         self.vocab = vocab
         self.counts = counts
+        self.quartiles = quartiles
         base = len(vocab) + 1
         self._base = base
         self._powers = [base**n for n in range(order + 1)]
@@ -98,14 +112,9 @@ class NgramModel:
         self._begin = 0
         for _ in range(order - 1):
             self._begin = self._begin * base + vocab[BOS]
-        self.context_totals = totals = {}
-        for key, count in counts[-1].items():
-            context = key // base
-            totals[context] = totals.get(context, 0) + count
-        self.quartiles = {
-            n: (_nearest_rank(values, 25), _nearest_rank(values, 75))
-            for n, values in enumerate((sorted(grams.values()) for grams in counts), start=1)
-        }
+        # The context counts: the (order - 1)-gram dict, or for order 1 the
+        # empty context 0 with every unigram's count.
+        self._context_counts = {0: sum(counts[0].values())} if order == 1 else counts[-2]
 
     def sentence_log_prob(self, tokens) -> float:
         """Mean natural-log probability per scored position (always <= 0).
@@ -119,18 +128,21 @@ class NgramModel:
         vocab = self.vocab
         ids = list(map(vocab.get, tokens, repeat(0)))
         ids.append(vocab[END])
+        end = ids[-1]
         base = self._base
         context_span = self._powers[self.order - 1]
         key = self._begin
         get_count = self.counts[-1].get
-        get_total = self.context_totals.get
+        get_total = self._context_counts.get
         size = len(vocab)
         log = math.log
         total = 0.0
         for word in ids:
-            key = key % context_span * base + word
+            context = key % context_span
+            key = context * base + word
             numerator = get_count(key, 0) + 1
-            denominator = get_total(key // base, 0) + size
+            # A context ending in </s> never continues (see the class docstring).
+            denominator = (get_total(context, 0) if context % base != end else 0) + size
             total += log(numerator / denominator)
         return total / len(ids)
 
@@ -232,7 +244,7 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
         ids.append(end)
         for grams, keys in zip(by_length, _window_keys(ids, order, base)):
             grams.update(keys)
-    return NgramModel(order, vocab, by_length)
+    return NgramModel(order, vocab, by_length, _quartiles(by_length))
 
 
 def load_lm(path) -> NgramModel:
@@ -242,20 +254,22 @@ def load_lm(path) -> NgramModel:
     VersionMismatch for files written by a newer format and CorruptModel
     for truncated or malformed files, gram lines that do not rise strictly
     in token-tuple order, a gram holding UNK or a token with no unigram
-    line, and a ``vocab_size`` or quartile header line the counts do not
-    give.  A file is parsed once per content: the model cache keeps
-    ``(order, vocab, counts)`` (see :func:`~mtqe.fileio.load_cached`).
+    line, a ``vocab_size`` or quartile header line the counts do not give,
+    and, last, counts that break the context rule of :class:`NgramModel`.
+    A file is parsed once per content: the model cache keeps ``(order,
+    vocab, counts, quartiles)`` (see :func:`~mtqe.fileio.load_cached`).
     """
     return load_cached(path, "lm", _parse, _from_payload)
 
 
 def _from_payload(payload) -> NgramModel | None:
-    """The model of a cached ``(order, vocab, counts)``, or None for any other shape."""
+    """The model of a cached ``(order, vocab, counts, quartiles)``, or None for any other shape."""
     match payload:
-        case (int() as order, dict() as vocab, list() as counts) if (
-            order == len(counts) >= 1 and all(type(grams) is dict and grams for grams in counts)
+        case (int() as order, dict() as vocab, list() as counts, dict() as quartiles) if (
+            order == len(counts) == len(quartiles) >= 1
+            and all(type(grams) is dict and grams for grams in counts)
         ):
-            return NgramModel(order, vocab, counts)
+            return NgramModel(order, vocab, counts, quartiles)
     return None
 
 
@@ -292,6 +306,13 @@ def _parse(lines) -> tuple[NgramModel, tuple]:
     # ``order`` header builds no factor for lengths the file does not hold.
     scales: dict[int, int] = {}
     previous, previous_text = 0, None  # below every padded key
+    # The context rule of NgramModel, checked in the same pass: the
+    # continuations of a context are the full-order lines right after its
+    # own line, so the pass keeps only the open context, the total its line
+    # gives and the sum so far.  The first context that breaks the rule is
+    # raised after every other check, so no other fault's message changes.
+    context, context_text, total, continued = -1, "", 0, 0  # -1: no context is open
+    broken = None
     for line in lines:
         try:
             gram_text, text = line.split("\t")
@@ -324,11 +345,36 @@ def _parse(lines) -> tuple[NgramModel, tuple]:
             raise CorruptModel(f"n-gram {gram_text!r} out of order after n-gram {previous_text!r}")
         previous, previous_text = padded, gram_text
         counts[n - 1][key] = count
+        if n == order and key // base == context:
+            continued += count
+        elif order > 1 and broken is None:
+            if continued != total:  # the open context has all its continuations
+                broken = _context_fault(context_text, total, continued)
+            elif n == order - 1:
+                context, context_text, continued = key, gram_text, 0
+                total = 0 if tokens[-1] == END else count
+            else:
+                context, total, continued = -1, 0, 0
+                if n == order:
+                    context_text = gram_text.rpartition(" ")[0]
+                    broken = (f"n-gram {gram_text!r} continues n-gram {context_text!r}, "
+                              "which has no line")
+    if order > 1 and broken is None and continued != total:
+        broken = _context_fault(context_text, total, continued)
     if not all(counts):
         raise CorruptModel(f"some n-gram length in 1..{order} has no gram")
-    model = NgramModel(order, vocab, counts)
-    derived = [len(vocab), *chain.from_iterable(model.quartiles.values())]
+    quartiles = _quartiles(counts)
+    derived = [len(vocab), *chain.from_iterable(quartiles.values())]
     for (key, value), expected in zip(header.items(), derived):
         if value != expected:
             raise CorruptModel(f"header line '{key}' says {value}, the counts give {expected}")
-    return model, (order, vocab, counts)
+    if broken is not None:
+        raise CorruptModel(broken)
+    return NgramModel(order, vocab, counts, quartiles), (order, vocab, counts, quartiles)
+
+
+def _context_fault(text: str, total: int, continued: int) -> str:
+    """The message for context ``text``, whose continuations sum to ``continued``, not ``total``."""
+    if text.rpartition(" ")[2] == END:
+        return f"n-gram {text!r} ends in {END!r}, yet its continuations sum to {continued}"
+    return f"n-gram {text!r} has count {total}, its continuations sum to {continued}"

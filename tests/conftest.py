@@ -4,6 +4,7 @@ import random
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from mtqe.cli import main as cli_main
 from mtqe.corpus import ParallelCorpus, SentencePair
-from mtqe.features import N_FEATURES
+from mtqe.feature_csv import N_FEATURES
 from mtqe.fileio import read_lines
 from mtqe.lexicon import TranslationLexicon
 from mtqe.ngram import BOS, END, UNK
@@ -90,7 +91,6 @@ class TupleLM:
     order: int
     vocab: frozenset
     counts: dict  # {gram tuple: occurrences}
-    context_totals: dict  # {full-order context tuple: sum of its continuations}
     quartiles: dict  # {n: (q1, q3)}
 
 
@@ -115,22 +115,15 @@ def decode_lm(model):
         model.order,
         frozenset(model.vocab),
         {decode(key): count for grams in model.counts for key, count in grams.items()},
-        {decode(key): total for key, total in model.context_totals.items()},
         dict(model.quartiles),
     )
 
 
 def reference_lm(sentences, order):
-    """The TupleLM of the reference counts, totals and quartiles."""
+    """The TupleLM of the reference counts and quartiles."""
     counts = reference_counts(sentences, order)
     vocab = frozenset({gram[0] for gram in counts if len(gram) == 1} | {UNK, BOS, END})
-    return TupleLM(
-        order,
-        vocab,
-        counts,
-        reference_context_totals(counts, order),
-        reference_quartiles(counts, order),
-    )
+    return TupleLM(order, vocab, counts, reference_quartiles(counts, order))
 
 
 def save_reference_lm(lm, path):
@@ -151,8 +144,7 @@ def with_unk_grams(lm):
     each.  ``<unk>`` is in every vocabulary, so ``vocab_size`` matches too.
     """
     counts = {**lm.counts, (BOS, BOS, UNK): 7, (BOS, UNK): 7, (UNK,): 7}
-    return TupleLM(lm.order, lm.vocab, counts, reference_context_totals(counts, lm.order),
-                   reference_quartiles(counts, lm.order))
+    return TupleLM(lm.order, lm.vocab, counts, reference_quartiles(counts, lm.order))
 
 
 def reference_cond_prob(lm, word, context=()):
@@ -229,6 +221,12 @@ def reference_vector(src_lm, tgt_lm, sizes, source, target):
         reference_punctuation(source),
         reference_punctuation(target),
     ]
+
+
+def reference_percentage(same, total):
+    """``same`` of ``total`` as a percentage with two decimals, Fraction rounding half-even."""
+    hundredths = round(Fraction(10000 * same, total))
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def reference_log_joint(model, x):

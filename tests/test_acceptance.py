@@ -8,7 +8,8 @@ from contextlib import contextmanager
 from mtqe.bayes import load_model, train_nb
 from mtqe.corpus import SOURCE, TARGET, HumanJudgment, read_lines, tokenize
 from mtqe.evaluation import agreement, confusion
-from mtqe.features import FeatureVector, N_FEATURES, extract_features, read_features
+from mtqe.feature_csv import FeatureVector, N_FEATURES
+from mtqe.features import extract_features, read_features
 from mtqe.grading import Grade, judgment_grade
 from mtqe.lexicon import build_lexicon
 from mtqe.ngram import load_lm, train_lm

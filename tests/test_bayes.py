@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mtqe.bayes import NaiveBayesModel, load_model, train_nb
 from mtqe.errors import CorruptModel, EmptyTrainingSet, VersionMismatch
-from mtqe.features import N_FEATURES
+from mtqe.feature_csv import N_FEATURES
 from mtqe.grading import Grade
 
 from conftest import reference_log_joint

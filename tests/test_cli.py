@@ -199,6 +199,16 @@ class TestReservedMarkers:
         assert not out.exists()
 
 
+# The order-3 model of the sentence "a b", but for the count of "a b": its
+# one continuation, "a b </s>", sums to 1.
+INCONSISTENT_LM = "".join(f"{line}\n" for line in [
+    "mtqe-ngram-lm\t1", "order\t3", "vocab_size\t5",
+    *(f"q{q}_{n}\t1" for n in (1, 2, 3) for q in (1, 3)),
+    "ngrams\t11", "</s>\t1", "<s>\t2", "<s> <s>\t1", "<s> <s> a\t1", "<s> a\t1",
+    "<s> a b\t1", "a\t1", "a b\t2", "a b </s>\t1", "b\t1", "b </s>\t1", "end",
+])
+
+
 class TestErrorPrecedence:
     """Which error extract reports first when its inputs have two faults.
 
@@ -276,10 +286,12 @@ class TestErrorPrecedence:
     @pytest.mark.parametrize("key, text, message", [
         ("src_lm", "", "corrupt model file: empty file"),
         ("tgt_lm", "", "corrupt model file: empty file"),
+        ("src_lm", INCONSISTENT_LM,
+         "corrupt model file: n-gram 'a b' has count 2, its continuations sum to 1"),
         ("lexicon", "a\tb\n", "malformed row 0: expected 3 cells, got 2"),
         ("judgments", "id\n", "malformed header: expected "
          f"{chr(9).join(['id'] + [f'p{i}' for i in range(1, 11)])!r}, got 'id'"),
-    ], ids=["src_lm", "tgt_lm", "lexicon", "judgments"])
+    ], ids=["src_lm", "tgt_lm", "inconsistent src_lm", "lexicon", "judgments"])
     def test_file_errors_come_before_corpus_errors(
         self, tmp_path, setup, capsys, key, text, message
     ):

@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from mtqe.errors import LengthMismatch
 from mtqe.evaluation import (
+    AgreementReport,
     agreement,
     confusion,
     render_report_csv,
     render_report_text,
 )
 from mtqe.grading import Grade
+
+from conftest import reference_percentage
 
 # Transcribed per-engine grade counts; each column totals the 1300-sentence
 # test corpus.
@@ -101,10 +104,13 @@ class TestAgreement:
         footer = render_report_csv(*_histograms(human, predicted), report)
         assert footer[-1] == "771,1300,59.31"
 
-    @pytest.mark.parametrize("same, total, expected", [(1, 4000, "0.02"), (203, 20000, "1.02")])
+    @pytest.mark.parametrize("same, total, expected", [
+        (1, 4000, "0.02"), (3, 4000, "0.08"), (203, 20000, "1.02"),
+    ])
     def test_exact_ties_round_half_even_in_report(self, same, total, expected):
-        # 0.025 and 1.015 are exact ties; their floats lie just above and
-        # just below the tie, so rounding the float would give 0.03 and 1.01.
+        # 0.025, 0.075 and 1.015 are exact ties, which go to even; the
+        # floats of the first and last lie just above and just below the
+        # tie, so rounding the float would give 0.03 and 1.01.
         human = [Grade.POOR] * total
         predicted = [Grade.POOR] * same + [Grade.GOOD] * (total - same)
         report = agreement(human, predicted)
@@ -171,7 +177,29 @@ class TestConfusion:
             confusion([Grade.POOR], [])
 
 
+# (same, total) with same <= total; the second kind is an exact tie, a
+# percentage of an odd number of thousandths: same / total = odd / 20000.
+_agreement_counts = st.one_of(
+    st.integers(min_value=1, max_value=10**40).flatmap(
+        lambda total: st.tuples(st.integers(0, total), st.just(total))
+    ),
+    st.builds(lambda odd, scale: (odd * scale, 20000 * scale),
+              st.integers(0, 9999).map(lambda i: 2 * i + 1), st.integers(1, 10**12)),
+)
+
+
 class TestReportRendering:
+    @given(_agreement_counts)
+    @example((1, 4000))  # 0.025%, a tie, goes down to even: 0.02
+    @example((3, 4000))  # 0.075%, a tie, goes up to even: 0.08
+    @example((1, 8))  # 12.5% is exact
+    @example((10**40 - 1, 10**40))  # 99.99999...% rounds up to 100.00
+    def test_percentage_is_half_even_fraction_reference(self, case):
+        same, total = case
+        report = AgreementReport(same, total)
+        expected = reference_percentage(same, total)
+        assert render_report_csv(_tally([]), _tally([]), report)[-1] == f"{same},{total},{expected}"
+
     def test_csv_layout(self):
         human = [Grade.POOR, Grade.GOOD, Grade.GOOD]
         predicted = [Grade.POOR, Grade.GOOD, Grade.AVERAGE]

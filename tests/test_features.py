@@ -8,13 +8,8 @@ from hypothesis import strategies as st
 
 from mtqe.corpus import SentencePair
 from mtqe.errors import MalformedRow, MixedLabeling
-from mtqe.features import (
-    FEATURE_COLUMNS,
-    FeatureVector,
-    extract_features,
-    read_features,
-    write_features,
-)
+from mtqe.feature_csv import FEATURE_COLUMNS, FeatureVector
+from mtqe.features import extract_features, read_features, write_features
 from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, build_lexicon, load_lexicon
 from mtqe.ngram import load_lm, train_lm

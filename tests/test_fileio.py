@@ -23,7 +23,7 @@ from mtqe.errors import (
     OutOfRangeScore,
     VersionMismatch,
 )
-from mtqe.features import N_FEATURES, FeatureVector, read_features, write_features
+from mtqe.feature_csv import N_FEATURES, FeatureVector, read_features, write_features
 from mtqe.fileio import atomic_write_lines, iter_lines, parse_int, read_lines
 from mtqe.grading import Grade
 from mtqe.lexicon import TranslationLexicon, load_lexicon

@@ -21,10 +21,10 @@ from mtqe.ngram import load_lm, train_lm
 
 from conftest import cache_entries, model_cache
 
-# Packed keys cost about 115 bytes per gram and per-source counts about 6
+# Packed keys cost about 75 bytes per gram and per-source counts about 6
 # bytes per lexicon row; tuple-keyed grams cost about 270 and scored
 # entries about 135.
-MAX_BYTES_PER_GRAM = 170
+MAX_BYTES_PER_GRAM = 120
 MAX_BYTES_PER_LEXICON_ROW = 40
 # Reading the lexicon a block at a time peaks about 30 bytes per row on
 # the 20k-row file below; holding the whole file as lines peaks about 110.

@@ -2,11 +2,14 @@ import math
 import random
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtqe import ngram
 from mtqe.errors import CorruptModel, EmptyCorpus, VersionMismatch
 from mtqe.fileio import read_lines
 from mtqe.ngram import (
@@ -21,7 +24,9 @@ from mtqe.ngram import (
 from conftest import (
     SPECIAL_TOKENS,
     TRAINING_TOKENS,
+    TupleLM,
     decode_lm,
+    index_windows,
     reference_band_counts,
     reference_cond_prob,
     reference_context_totals,
@@ -51,6 +56,25 @@ def _check_bands(model, reference, tokens):
         got, seen = model.bands(tokens, longest)
         assert got == tallies[:longest]
         assert (seen / len(tokens) if tokens else 0.0).hex() == share
+
+
+def _laplace_totals(model, counts, tokens):
+    """``(context, total)`` at each position ``model.sentence_log_prob(tokens)`` scores.
+
+    The query's ``math.log`` records its argument, (count + 1) / (total +
+    |V|), and the reference ``counts`` of the gram give the total back.
+    """
+    ratios = []
+    with mock.patch.object(ngram, "math", SimpleNamespace(log=lambda x: ratios.append(x) or 0.0)):
+        model.sentence_log_prob(tokens)
+    padded = [BOS] * (model.order - 1) + list(tokens) + [END]
+    grams = index_windows(padded, model.order)
+    assert len(ratios) == len(grams)
+    size = len(model.vocab)
+    return [
+        (gram[:-1], round((counts.get(gram, 0) + 1) / ratio) - size)
+        for gram, ratio in zip(grams, ratios)
+    ]
 
 
 class TestTraining:
@@ -94,12 +118,6 @@ class TestTraining:
     def test_quartiles_equal_per_order_reference(self, sentences, order):
         model = decode_lm(train_lm(sentences, order))
         assert model.quartiles == reference_quartiles(model.counts, order)
-
-    @settings(max_examples=60)
-    @given(_sentences, st.integers(min_value=1, max_value=4))
-    def test_context_totals_equal_counter_reference(self, sentences, order):
-        model = decode_lm(train_lm(sentences, order))
-        assert model.context_totals == reference_context_totals(model.counts, order)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -180,6 +198,23 @@ class TestSentenceLogProb:
         model = train_lm(corpus, order)
         expected = reference_sentence_log_prob(decode_lm(model), sentence)
         assert model.sentence_log_prob(sentence) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sentences, st.integers(min_value=1, max_value=5), _queries)
+    def test_laplace_total_equals_counter_reference(self, sentences, order, query):
+        # On a trained model, and on a cold and a warm load of its file.
+        counts = reference_counts(sentences, order)
+        totals = reference_context_totals(counts, order)
+        trained = train_lm(sentences, order)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            trained.save(path)
+            models = [trained, load_lm(path), load_lm(path)]
+        for model in models:
+            for context, total in _laplace_totals(model, counts, query):
+                assert total == totals.get(context, 0)
+                if context[-1:] == (END,):
+                    assert total == 0
 
     def test_empty_sentence_scores_end_alone(self):
         model = train_lm([["a", "b"]], order=3)
@@ -410,3 +445,102 @@ class TestDerivedHeaders:
             loaded = load_lm(path)
         assert decode_lm(loaded) == decode_lm(model)
         assert loaded.vocab == model.vocab
+
+
+def _first_broken_context(counts, order):
+    """The first context, in token-tuple order, whose continuations do not sum to its total.
+
+    A context's total is its own count, 0 when it ends in END or has no line.
+    """
+    sums = reference_context_totals(counts, order)
+    contexts = {gram for gram in counts if len(gram) == order - 1} | set(sums)
+    for context in sorted(contexts):
+        total = 0 if context[-1] == END else counts.get(context, 0)
+        if sums.get(context, 0) != total:
+            return context
+    return None
+
+
+def _save_counts(counts, order, path):
+    """Write ``counts`` as a model file whose header lines are what the counts give."""
+    vocab = frozenset({gram[0] for gram in counts if len(gram) == 1} | {UNK, BOS, END})
+    save_reference_lm(TupleLM(order, vocab, counts, reference_quartiles(counts, order)), path)
+
+
+class TestContextRule:
+    """A context's count is the sum of its continuations, and no gram continues END."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sentences, st.integers(min_value=2, max_value=4), st.data())
+    def test_broken_counts_are_corrupt(self, sentences, order, data):
+        counts = reference_counts(sentences, order)
+        contexts = sorted(gram for gram in counts if len(gram) == order - 1)
+        # Below order 3 a context is a unigram, whose line no file may drop.
+        edits = ["bump", "continue end"] + (["drop"] if order > 2 else [])
+        edit = data.draw(st.sampled_from(edits), label="edit")
+        if edit == "bump":
+            grams = sorted(gram for gram in counts if len(gram) >= order - 1)
+            gram = data.draw(st.sampled_from(grams), label="gram")
+            counts[gram] += data.draw(st.integers(1, 3), label="by")
+        elif edit == "drop":
+            del counts[data.draw(st.sampled_from(contexts), label="context")]
+        else:
+            ended = [context for context in contexts if context[-1] == END]
+            words = sorted(gram[0] for gram in counts if len(gram) == 1)
+            gram = data.draw(st.sampled_from(ended), label="context") + (
+                data.draw(st.sampled_from(words), label="word"),
+            )
+            counts[gram] = data.draw(st.integers(1, 3), label="count")
+        broken = _first_broken_context(counts, order)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            _save_counts(counts, order, path)
+            if broken is None:  # an edit of a context ending in END breaks nothing
+                assert decode_lm(load_lm(path)).counts == counts
+                return
+            with pytest.raises(CorruptModel) as info:
+                load_lm(path)
+        assert f"n-gram {' '.join(broken)!r}" in str(info.value)
+
+
+class TestContextRuleMessages:
+    """Hand-checked edits of the order-3 model of the one sentence ``a b``."""
+
+    BASE = {("a",): 1, ("b",): 1, (BOS,): 2, (END,): 1, (BOS, BOS): 1, (BOS, "a"): 1,
+            ("a", "b"): 1, ("b", END): 1, (BOS, BOS, "a"): 1, (BOS, "a", "b"): 1,
+            ("a", "b", END): 1}
+
+    @pytest.mark.parametrize("edit, message", [
+        ({("a", "b"): 2}, "n-gram 'a b' has count 2, its continuations sum to 1"),
+        ({("a", "b", END): 2}, "n-gram 'a b' has count 1, its continuations sum to 2"),
+        ({("b", END, "a"): 1}, "n-gram 'b </s>' ends in '</s>', yet its continuations sum to 1"),
+        ({("a", "b"): None},
+         "n-gram 'a b </s>' continues n-gram 'a b', which has no line"),
+    ], ids=["context count", "continuation count", "continues end", "no context line"])
+    def test_message_names_the_context(self, tmp_path, edit, message):
+        path = tmp_path / "m.lm"
+        _save_counts(self.BASE, 3, path)
+        assert decode_lm(load_lm(path)).counts == self.BASE
+        counts = {**self.BASE, **edit}
+        _save_counts({gram: count for gram, count in counts.items() if count}, 3, path)
+        with pytest.raises(CorruptModel) as info:
+            load_lm(path)
+        assert str(info.value) == f"corrupt model file: {message}"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines.__setitem__(1, "order\t3x"),
+         "non-integer value in header line 'order'"),
+        (lambda lines: lines.__setitem__(2, "vocab_size\t9"),
+         "header line 'vocab_size' says 9, the counts give 5"),
+        (lambda lines: lines.insert(-4, lines.pop(-4)),
+         "n-gram 'a b' out of order after n-gram 'a b </s>'"),
+    ], ids=["header", "derived header", "order"])
+    def test_every_other_fault_comes_first(self, tmp_path, edit, message):
+        path = tmp_path / "m.lm"
+        _save_counts({**self.BASE, ("a", "b"): 2}, 3, path)
+        lines = read_lines(path)
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel) as info:
+            load_lm(path)
+        assert str(info.value) == f"corrupt model file: {message}"

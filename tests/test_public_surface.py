@@ -6,13 +6,19 @@ must be referred to (as a name, an attribute or an import) somewhere under
 A private (``_name``) one must be referred to under ``src/mtqe/`` itself, so
 a helper left behind by its last caller fails here.  Records are
 ``NamedTuple``s, so no stage pays for importing ``dataclasses``, and only
-a model-cache lookup pays for importing ``hashlib``.
+a model-cache lookup pays for importing ``hashlib``.  Each stage imports
+only the modules it runs: ``train``, ``predict`` and ``evaluate`` load
+neither the tokenizer nor the n-gram code.
 """
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import run_toy_pipeline
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "mtqe").glob("*.py"))
@@ -95,13 +101,67 @@ def test_every_private_name_is_used_in_the_package():
     assert unused == []
 
 
-def test_cli_imports_no_dataclasses_inspect_or_hashlib():
-    # -S keeps site packages (and whatever their .pth files import) out.
-    # hashlib is imported only when a model file is looked up in the cache.
+def _modules_after(argv):
+    """The exit status of ``mtqe argv`` in a fresh interpreter, and the modules it loaded.
+
+    -S keeps site packages (and whatever their .pth files import) out.
+    """
+    run = f"mtqe.cli.main({[str(arg) for arg in argv]!r})" if argv else "None"
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import mtqe.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"
+        f"status = {run}; print(status, *sorted(sys.modules))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code],
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    status, *modules = result.stdout.splitlines()[-1].split(" ")
+    return status, set(modules)
+
+
+# No stage loads these.
+NEVER = {"dataclasses", "fractions", "inspect"}
+# The tokenizer, the n-gram code, and hashlib, which only a model-cache
+# lookup imports: train, predict and evaluate load none of them.
+NOT_GRADING = {"mtqe.corpus", "mtqe.lexicon", "mtqe.ngram", "unicodedata", "hashlib"}
+
+
+def test_cli_imports_no_dataclasses_inspect_or_hashlib():
+    _, modules = _modules_after([])
+    assert modules & (NEVER | NOT_GRADING) == set()
+    # The parser needs no stage's module.
+    assert {name for name in modules if name.startswith("mtqe.")} == {
+        "mtqe.cli", "mtqe.defaults", "mtqe.errors"
+    }
+
+
+@pytest.fixture(scope="module")
+def toy_run(tmp_path_factory):
+    """The paths of a toy pipeline run, and a directory for each stage's outputs."""
+    data = tmp_path_factory.mktemp("data")
+    paths, codes = run_toy_pipeline(data, tmp_path_factory.mktemp("models"), n_pairs=40)
+    assert codes == [0] * 7
+    return paths, tmp_path_factory.mktemp("out")
+
+
+STAGES = {
+    "build-lm": lambda p, out: ["--corpus", p["src"], "--side", "source", "--out", out],
+    "build-lexicon": lambda p, out: ["--pairs-src", p["src"], "--pairs-tgt", p["tgt"],
+                                     "--out", out],
+    "extract": lambda p, out: ["--pairs-src", p["src"], "--pairs-tgt", p["tgt"],
+                               "--src-lm", p["src_lm"], "--tgt-lm", p["tgt_lm"],
+                               "--lexicon", p["lexicon"], "--judgments", p["judgments"],
+                               "--out", out],
+    "train": lambda p, out: ["--features", p["features"], "--out", out],
+    "predict": lambda p, out: ["--model", p["model"], "--features", p["features"], "--out", out],
+    "evaluate": lambda p, out: ["--human", p["features"], "--predicted", p["predictions"],
+                                "--out", out],
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_stage_imports_only_its_own_modules(stage, toy_run):
+    paths, out_dir = toy_run
+    status, modules = _modules_after([stage, *STAGES[stage](paths, out_dir / stage)])
+    assert status == "0"
+    assert modules & NEVER == set()
+    if stage in ("train", "predict", "evaluate"):
+        assert modules & NOT_GRADING == set()
