@@ -18,7 +18,12 @@ from .errors import LineCountMismatch, MalformedRow, OutOfRangeScore, ReservedTo
 # bench/layers.py imports read_lines from this module.
 from .fileio import iter_lines, parse_int, read_lines, read_table
 from .grading import JUDGMENT_MAX, JUDGMENT_PARAMS, HumanJudgment
-from .ngram import BOS, END, UNK
+
+# The language model's markers, which no corpus token may be: an unknown
+# word, a sentence's begin and its end.  mtqe.ngram imports them from here.
+UNK = "<unk>"
+BOS = "<s>"
+END = "</s>"
 
 _JUDGMENT_HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1)])
 _MARKERS = (UNK, BOS, END)
@@ -34,26 +39,7 @@ def is_punctuation_char(ch: str) -> bool:
 
 def is_punctuation_token(token: str) -> bool:
     """True when the token consists entirely of punctuation characters."""
-    # Most tokens are words, which their first character settles without
-    # building a generator.
-    if not token or not is_punctuation_char(token[0]):
-        return False
-    return all(is_punctuation_char(ch) for ch in token[1:])
-
-
-def _split_chunk(chunk: str) -> list[str]:
-    head: list[str] = []
-    while chunk and is_punctuation_char(chunk[0]):
-        head.append(chunk[0])
-        chunk = chunk[1:]
-    tail: list[str] = []
-    while chunk and is_punctuation_char(chunk[-1]):
-        tail.append(chunk[-1])
-        chunk = chunk[:-1]
-    tail.reverse()
-    if chunk:
-        head.append(chunk)
-    return head + tail
+    return bool(token) and all(map(is_punctuation_char, token))
 
 
 def tokenize(text: str, side: str) -> list[str]:
@@ -75,7 +61,19 @@ def tokenize(text: str, side: str) -> list[str]:
         text = text.lower()
     tokens: list[str] = []
     for chunk in text.split():
-        tokens.extend(_split_chunk(chunk))
+        if not (is_punctuation_char(chunk[0]) or is_punctuation_char(chunk[-1])):
+            tokens.append(chunk)  # most chunks are words
+            continue
+        # Peel punctuation off both ends by index: chunk[start:end] is the rest.
+        start, end = 0, len(chunk)
+        while start < end and is_punctuation_char(chunk[start]):
+            start += 1
+        while start < end and is_punctuation_char(chunk[end - 1]):
+            end -= 1
+        tokens.extend(chunk[:start])  # one token per character
+        if start < end:
+            tokens.append(chunk[start:end])
+        tokens.extend(chunk[end:])
     return tokens
 
 

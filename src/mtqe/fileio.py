@@ -1,12 +1,12 @@
 """The mtqe file format in one place: how every file is read and written.
 
-Every file is UTF-8 text split on LF alone, read forward and decoded a
-block at a time, so the first faulty line is the one reported.  Every
-line written ends with one LF.  Tabular files split a line into cells on
-one separator; a table opens with a header line naming its columns, and
-each data row's first cell is an integer id.  The rows of every keyed
-file rise strictly by key, so one comparison with the previous row finds
-a repeat.  Model files open with a ``magic<TAB>version`` signature, then
+Every file is UTF-8 text split on LF alone, read forward a block at a
+time, each line decoded once its LF arrives, so the first faulty line is
+the one reported.  Every line written ends with one LF.  Tabular files
+split a line into cells on one separator; a table opens with a header
+line naming its columns, and each data row's first cell is an integer
+id.  The rows of every keyed file rise strictly by key, so one
+comparison with the previous row finds a repeat.  Model files open with a ``magic<TAB>version`` signature, then
 ``key<TAB>value`` header lines read by name in turn, and close with an
 ``end`` line.  Every number read from a file is plain ASCII: an integer
 matches ``-?[0-9]+``, and a float cell has no whitespace and no ``_``
@@ -20,7 +20,6 @@ loaded again (see :func:`load_cached`).  The cache holds at most 256 MiB:
 past that, the least recently used entries are deleted.
 """
 
-import codecs
 import marshal
 import math
 import os
@@ -31,22 +30,23 @@ from itertools import chain, islice
 from .errors import CorruptModel, InvalidEncoding, MalformedRow, VersionMismatch
 
 
-# Bytes read and decoded, and lines joined and encoded, at a time.  A
-# block's or a chunk's text is the most of a file a reader or a writer
-# holds beyond its own data.
+# Bytes read, and lines joined and encoded, at a time.  A block (or a
+# line longer than one) and a chunk's text are the most of a file a
+# reader or a writer holds beyond its own data.
 _BLOCK_BYTES = 1 << 16
 _CHUNK_LINES = 4096
 
 
 def iter_lines(path):
-    """Yield the lines of a UTF-8, LF-terminated text file, one block at a time.
+    """Yield the lines of a UTF-8, LF-terminated text file, read a block at a time.
 
     Only LF ends a line; a trailing LF ends the last line rather than
-    starting an empty one.  Invalid UTF-8 raises InvalidEncoding naming
-    ``path`` and the 1-based line, after yielding every line before it:
-    the line is the count of LF bytes before the bad byte, plus one (0x0A
-    never occurs inside a multi-byte UTF-8 sequence, so this is the line a
-    per-line decode finds).
+    starting an empty one.  0x0A never occurs inside a multi-byte UTF-8
+    sequence, so the text up to a block's last LF decodes at once, and a
+    line longer than a block is held as bytes until its LF.  Invalid UTF-8
+    raises InvalidEncoding naming ``path`` and the 1-based line, after
+    yielding every line before it: the count of LF bytes before the bad
+    byte, plus one, the line a per-line decode finds.
     """
     with open(path, "rb") as handle:
         yield from _decode_lines(_blocks(handle), path)
@@ -62,25 +62,27 @@ def _blocks(handle, digest=None):
 
 def _decode_lines(blocks, path):
     """The lines of the text in ``blocks``, as :func:`iter_lines` yields them for ``path``."""
-    pending = b""  # the start of a character split by a block edge
-    tail = ""  # the text after the last LF read so far
+    pieces = []  # the bytes read since the last LF, as they were read
     line_no = 0  # the lines yielded so far
-    for block in chain(blocks, [b""]):  # the empty block ends the text
-        data = pending + block
-        try:
-            text, used = codecs.utf_8_decode(data, "strict", not block)
-        except UnicodeDecodeError as exc:
-            # Everything before the first bad byte decodes.
-            lines = (tail + data[: exc.start].decode("utf-8")).split("\n")
-            yield from lines[:-1]
-            raise InvalidEncoding(line_no + len(lines), path) from exc
-        pending = data[used:]
-        lines = (tail + text).split("\n")
-        tail = lines.pop()
-        line_no += len(lines)
-        yield from lines
-    if tail:
-        yield tail
+    try:
+        for block in blocks:
+            end = block.rfind(b"\n") + 1  # 0 when the block holds no LF
+            if not end:
+                pieces.append(block)
+                continue
+            pieces.append(block[:end])
+            lines = b"".join(pieces).decode("utf-8").split("\n")
+            pieces = [block[end:]]
+            lines.pop()  # the empty text after the last LF
+            line_no += len(lines)
+            yield from lines
+        if last := b"".join(pieces).decode("utf-8"):
+            yield last
+    except UnicodeDecodeError as exc:
+        # Everything before the first bad byte decodes.
+        lines = exc.object[: exc.start].decode("utf-8").split("\n")
+        yield from lines[:-1]
+        raise InvalidEncoding(line_no + len(lines), path) from exc
 
 
 def read_lines(path) -> list[str]:

@@ -30,12 +30,9 @@ from bisect import bisect_right
 from collections import Counter
 from itertools import chain, islice, repeat
 
+from .corpus import BOS, END, UNK
 from .errors import CorruptModel, EmptyCorpus
 from .fileio import header_int, load_cached, read_model_lines, write_model_lines
-
-UNK = "<unk>"
-BOS = "<s>"
-END = "</s>"
 
 _MAGIC = "mtqe-ngram-lm"
 _FORMAT_VERSION = 1
@@ -300,12 +297,10 @@ def _parse(lines) -> tuple[NgramModel, tuple]:
     ids = {token: vocab[token] for token in unigrams - {UNK}}
     base = len(vocab) + 1
     counts: list[dict[int, int]] = [{} for _ in range(order)]
-    # A key padded with zero digits to ``order`` digits sorts in token-tuple
-    # order, the order save writes, so the padded keys must rise strictly.
-    # A gram length's padding factor is made at its first gram, so a huge
-    # ``order`` header builds no factor for lengths the file does not hold.
-    scales: dict[int, int] = {}
-    previous, previous_text = 0, None  # below every padded key
+    # Lists of str compare in code-point order, a prefix before its
+    # extensions, and ids are code-point ranks: token lists compare in
+    # token-tuple order, the order save writes, so they must rise strictly.
+    previous = []  # below every gram's tokens
     # The context rule of NgramModel, checked in the same pass: the
     # continuations of a context are the full-order lines right after its
     # own line, so the pass keeps only the open context, the total its line
@@ -338,12 +333,12 @@ def _parse(lines) -> tuple[NgramModel, tuple]:
         except KeyError:
             fault = f"holds {UNK!r}" if UNK in tokens else "has a token with no unigram line"
             raise CorruptModel(f"n-gram {gram_text!r} {fault}") from None
-        padded = key * (scales.get(n) or scales.setdefault(n, base ** (order - n)))
-        if padded <= previous:
-            if padded == previous:
+        if tokens <= previous:
+            if tokens == previous:
                 raise CorruptModel(f"duplicate n-gram {gram_text!r}")
-            raise CorruptModel(f"n-gram {gram_text!r} out of order after n-gram {previous_text!r}")
-        previous, previous_text = padded, gram_text
+            raise CorruptModel(f"n-gram {gram_text!r} out of order after n-gram "
+                               f"{' '.join(previous)!r}")
+        previous = tokens
         counts[n - 1][key] = count
         if n == order and key // base == context:
             continued += count

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import strategies as st
 
 from mtqe.cli import main as cli_main
-from mtqe.corpus import ParallelCorpus, SentencePair
+from mtqe.corpus import SOURCE, ParallelCorpus, SentencePair, is_punctuation_char
 from mtqe.feature_csv import N_FEATURES
 from mtqe.fileio import read_lines
 from mtqe.lexicon import TranslationLexicon
@@ -137,6 +137,33 @@ def save_reference_lm(lm, path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def reference_order_fault(gram_lines, order):
+    """The message for the first of a model's ``gram_lines`` out of token-tuple order, or None.
+
+    The reference for ``load_lm``'s order check, by integer keys: each
+    gram's ids (1.. in code-point order, as ``load_lm`` assigns them) are
+    read as digits in base |V| + 1 and padded with zero digits to
+    ``order`` digits, and the padded keys must rise strictly.
+    """
+    grams = [line.split("\t")[0] for line in gram_lines]
+    vocab = sorted({gram for gram in grams if " " not in gram} | {UNK, BOS, END})
+    ids = {token: i for i, token in enumerate(vocab, start=1)}
+    base = len(ids) + 1
+    previous, previous_gram = 0, None  # below every padded key
+    for gram in grams:
+        tokens = gram.split(" ")
+        key = 0
+        for token in tokens:
+            key = key * base + ids[token]
+        padded = key * base ** (order - len(tokens))
+        if padded == previous:
+            return f"duplicate n-gram {gram!r}"
+        if padded < previous:
+            return f"n-gram {gram!r} out of order after n-gram {previous_gram!r}"
+        previous, previous_gram = padded, gram
+    return None
+
+
 def with_unk_grams(lm):
     """An order-3 TupleLM plus three grams no training run counts, its derived facts to match.
 
@@ -199,6 +226,31 @@ def reference_punctuation(tokens):
         all(unicodedata.category(ch).startswith("P") or ch in "।॥" for ch in token)
         for token in tokens
     )
+
+
+def reference_tokenize(text, side):
+    """The tokens of ``text``, each chunk's punctuation peeled off by copying the chunk.
+
+    The reference for ``tokenize``: a chunk loses its first character, then
+    its last, one copy at a time, while that character is punctuation.
+    """
+    if side == SOURCE:
+        text = text.lower()
+    tokens = []
+    for chunk in text.split():
+        head = []
+        while chunk and is_punctuation_char(chunk[0]):
+            head.append(chunk[0])
+            chunk = chunk[1:]
+        tail = []
+        while chunk and is_punctuation_char(chunk[-1]):
+            tail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tail.reverse()
+        if chunk:
+            head.append(chunk)
+        tokens += head + tail
+    return tokens
 
 
 def reference_vector(src_lm, tgt_lm, sizes, source, target):

@@ -1,4 +1,5 @@
 import tempfile
+import time
 import unicodedata
 from pathlib import Path
 
@@ -24,12 +25,16 @@ from mtqe.errors import (
     ReservedToken,
 )
 
-from conftest import run_cli
+from conftest import reference_tokenize, run_cli
 
 _CHARS = list("abcXY zq.?!,()-'।॥") + ["लड़", "का", "दौ"]
 _text = st.text(alphabet=st.sampled_from("".join(_CHARS)), max_size=40)
 # Any punctuation, math symbols and digits, so all-punctuation runs are common.
 _symbols = st.text(st.characters(whitelist_categories=("P", "Sm", "Nd")))
+# Runs of punctuation on both sides of words, and the characters of the
+# CLI's byte-identity property: "\x00" is not whitespace, "İ" lowercases
+# to two code points and "\U0001d49c" lies above U+FFFF.
+_peel_text = st.text(alphabet="ab .!?-'।\t\x00\U0001d49cİ", max_size=40)
 
 
 class TestTokenize:
@@ -62,6 +67,21 @@ class TestTokenize:
         for token in tokens:
             assert token != ""
             assert not any(ch.isspace() for ch in token)
+
+    @given(st.one_of(_peel_text, _text, _symbols, st.text()), st.sampled_from([SOURCE, TARGET]))
+    def test_equals_chunk_copying_reference(self, text, side):
+        assert tokenize(text, side) == reference_tokenize(text, side)
+
+    def test_long_punctuation_run_takes_linear_time(self):
+        # Peeling a run by copying the chunk at each character is quadratic:
+        # about 25 s of CPU for this one on a 2-core Xeon under CPython 3.11,
+        # against under 1 s peeled by index.
+        run = "!" * (1 << 20)
+        start = time.process_time()
+        tokens = tokenize("a" + run, TARGET)
+        elapsed = time.process_time() - start
+        assert tokens == ["a", *run]
+        assert elapsed < 4.5
 
 
 class TestPunctuationTokens:

@@ -32,6 +32,7 @@ from conftest import (
     reference_context_totals,
     reference_counts,
     reference_lm,
+    reference_order_fault,
     reference_quartiles,
     reference_seen_fraction,
     reference_sentence_log_prob,
@@ -405,6 +406,37 @@ class TestPersistence:
         with pytest.raises(CorruptModel) as info:
             load_lm(path)
         assert str(info.value) == f"corrupt model file: count too large for a float in {lines[index]!r}"
+
+    # Tokens that are prefixes of others, and ones holding a character
+    # below the space that joins a gram's tokens: "a b" is below "a\x01" in
+    # token-tuple order but above it as text.
+    @settings(max_examples=60)
+    @given(st.lists(st.lists(st.sampled_from(["a", "ab", "a\x01", "\x01", "b"]),
+                             min_size=1, max_size=5), min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=3), st.booleans(), st.data())
+    def test_out_of_order_gram_message_matches_padded_keys(self, sentences, order, repeat, data):
+        # A gram line moved or repeated elsewhere: no unigram line goes
+        # missing and the header matches, so the order check faults first.
+        # Every model has at least two gram lines, a word's and "</s>".
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            train_lm(sentences, order).save(path)
+            lines = read_lines(path)
+            header = next(i for i, line in enumerate(lines) if line.startswith("ngrams\t"))
+            grams = lines[header + 1 : -1]
+            assert reference_order_fault(grams, order) is None
+            i = data.draw(st.integers(0, len(grams) - 1))
+            if repeat:
+                grams.insert(data.draw(st.integers(i + 1, len(grams))), grams[i])
+            else:
+                j = data.draw(st.integers(0, len(grams) - 1).filter(lambda j: j != i))
+                grams[i], grams[j] = grams[j], grams[i]
+            message = reference_order_fault(grams, order)
+            lines[header:] = [f"ngrams\t{len(grams)}", *grams, "end"]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            with pytest.raises(CorruptModel) as info:
+                load_lm(path)
+        assert str(info.value) == f"corrupt model file: {message}"
 
     def test_garbage_file(self, tmp_path):
         (tmp_path / "x.lm").write_text("not a model\n", encoding="utf-8")

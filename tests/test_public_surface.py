@@ -8,7 +8,8 @@ a helper left behind by its last caller fails here.  Records are
 ``NamedTuple``s, so no stage pays for importing ``dataclasses``, and only
 a model-cache lookup pays for importing ``hashlib``.  Each stage imports
 only the modules it runs: ``train``, ``predict`` and ``evaluate`` load
-neither the tokenizer nor the n-gram code.
+neither the tokenizer nor the n-gram code, and ``build-lexicon`` loads no
+n-gram code.
 """
 
 import ast
@@ -165,3 +166,5 @@ def test_stage_imports_only_its_own_modules(stage, toy_run):
     assert modules & NEVER == set()
     if stage in ("train", "predict", "evaluate"):
         assert modules & NOT_GRADING == set()
+    if stage == "build-lexicon":  # the markers it checks for live in mtqe.corpus
+        assert "mtqe.ngram" not in modules
