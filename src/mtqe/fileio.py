@@ -319,25 +319,25 @@ def _private(directory) -> bool:
 
 
 def load_cached(path, kind: str, parse, build):
-    """The model ``parse`` reads from the file at ``path``, parsed once per file content.
+    """The model of the file at ``path``, parsed once per file content.
 
     ``parse(lines)`` checks every line of the file, as :func:`iter_lines`
-    yields them, and returns ``(model, payload)``; ``build(payload)``
-    makes the same model from a cached payload, or returns None for a
-    payload of the wrong shape.  The file is opened once.  A regular file
-    is hashed, and the ``kind`` entry keyed by that digest and the
-    payload's versions gives the model.  On a miss the file is parsed from
-    the same handle, and only once the parse succeeds is its payload
-    stored, under the digest of the bytes the parse read.  A damaged,
-    unreadable or misshapen entry is a miss, and a failed store costs the
-    next load a parse, nothing more.  Any other file, a pipe say, is
-    parsed uncached, since it cannot be read twice.  A cache directory
-    that another user owns or can write is neither read nor written.
+    yields them, and returns the model's payload; ``build(payload)`` makes
+    every model, parsed or cached, from its payload, and returns None for a
+    payload of the wrong shape.  The file is opened once.  A regular file is
+    hashed, and the ``kind`` entry keyed by that digest and the payload's
+    versions gives the payload.  On a miss the file is parsed from the same
+    handle, and only once the parse succeeds and ``build`` takes its payload
+    is the payload stored, under the digest of the bytes the parse read.  A
+    damaged, unreadable or misshapen entry is a miss, and a failed store costs
+    the next load a parse, nothing more.  Any other file, a pipe say, is
+    parsed uncached, since it cannot be read twice.  A cache directory that
+    another user owns or can write is neither read nor written.
     """
     with open(path, "rb") as handle:
         directory = _cache_directory()
         if directory is None or not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            return parse(_decode_lines(_blocks(handle), path))[0]
+            return build(parse(_decode_lines(_blocks(handle), path)))
         from hashlib import sha256  # only here: the import costs every stage a few ms
 
         header = f"{_CACHE_MAGIC}\t{kind}\t{_CACHE_TAG}\n".encode("ascii")
@@ -346,7 +346,17 @@ def load_cached(path, kind: str, parse, build):
         for _ in _blocks(handle, digest):
             pass
         entry = prefix + digest.hexdigest()
-        payload = _read_entry(entry, header) if _private(directory) else None
+        payload = None  # the entry's, if it is intact
+        if _private(directory):
+            start = len(header) + _CHECKSUM_BYTES
+            try:
+                with open(entry, "rb") as cached:
+                    data = memoryview(cached.read())
+                if (data[: len(header)] == header
+                        and sha256(data[start:]).digest() == data[len(header) : start]):
+                    payload = marshal.loads(data[start:])
+            except (OSError, EOFError, ValueError, TypeError):  # unreadable, or bad marshal data
+                pass
         model = None if payload is None else build(payload)
         if model is not None:
             try:
@@ -356,10 +366,11 @@ def load_cached(path, kind: str, parse, build):
             return model
         handle.seek(0)
         digest = sha256()
-        model, payload = parse(_decode_lines(_blocks(handle, digest), path))
+        payload = parse(_decode_lines(_blocks(handle, digest), path))
+    model = build(payload)
     try:
         os.makedirs(directory, mode=0o700, exist_ok=True)
-        if _private(directory):
+        if model is not None and _private(directory):
             data = marshal.dumps(payload)
             blocks = [header, sha256(data).digest(), data]
             if sum(map(len, blocks)) <= _CACHE_BYTES:
@@ -368,24 +379,6 @@ def load_cached(path, kind: str, parse, build):
     except OSError:  # no home, a read-only one, a full disk: the next load parses
         pass
     return model
-
-
-def _read_entry(path, header: bytes):
-    """The payload of the cache entry at ``path``; None if it is missing, unreadable or damaged."""
-    from hashlib import sha256
-
-    try:
-        with open(path, "rb") as handle:
-            data = memoryview(handle.read())
-    except OSError:
-        return None
-    start = len(header) + _CHECKSUM_BYTES
-    if data[: len(header)] != header or sha256(data[start:]).digest() != data[len(header) : start]:
-        return None
-    try:
-        return marshal.loads(data[start:])
-    except (EOFError, ValueError, TypeError):  # marshal's errors for bad or cut-short data
-        return None
 
 
 def _evict(directory) -> None:

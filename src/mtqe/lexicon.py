@@ -97,8 +97,9 @@ def load_lexicon(path) -> TranslationCounts:
     Every line is a ``source<TAB>target<TAB>score`` row with a score in
     (0, 1], and the rows rise strictly in (source, target) order, as the
     writer sorts them, so a repeated pair lies on the line after its first.
-    A file is parsed once per content: the model cache keeps the counts
-    (see :func:`~mtqe.fileio.load_cached`).
+    A file is parsed once per content: the model cache keeps the counts the
+    parse returns, and the model is built from them, parsed or cached (see
+    :func:`~mtqe.fileio.load_cached`).
     """
     return load_cached(path, "lexicon", _parse, _from_payload)
 
@@ -108,8 +109,8 @@ def _from_payload(payload) -> TranslationCounts | None:
     return TranslationCounts(payload) if type(payload) is dict else None
 
 
-def _parse(lines) -> tuple[TranslationCounts, dict[str, int]]:
-    """The counts a lexicon file's ``lines`` give, checked, and their cache payload."""
+def _parse(lines) -> dict[str, int]:
+    """The payload, per-source target counts, a lexicon file's ``lines`` give, checked."""
     sizes: dict[str, int] = {}
     get = sizes.get
     previous = ()  # sorts before every (source, target) pair
@@ -129,4 +130,4 @@ def _parse(lines) -> tuple[TranslationCounts, dict[str, int]]:
             raise not_rising(row, entry(*pair), entry(*previous))
         previous = pair
         sizes[source] = get(source, 0) + 1
-    return TranslationCounts(sizes), sizes
+    return sizes

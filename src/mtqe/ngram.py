@@ -253,8 +253,9 @@ def load_lm(path) -> NgramModel:
     in token-tuple order, a gram holding UNK or a token with no unigram
     line, a ``vocab_size`` or quartile header line the counts do not give,
     and, last, counts that break the context rule of :class:`NgramModel`.
-    A file is parsed once per content: the model cache keeps ``(order,
-    vocab, counts, quartiles)`` (see :func:`~mtqe.fileio.load_cached`).
+    A file is parsed once per content: the model cache keeps the ``(order,
+    vocab, counts, quartiles)`` the parse returns, and the model is built
+    from them, parsed or cached (see :func:`~mtqe.fileio.load_cached`).
     """
     return load_cached(path, "lm", _parse, _from_payload)
 
@@ -270,8 +271,8 @@ def _from_payload(payload) -> NgramModel | None:
     return None
 
 
-def _parse(lines) -> tuple[NgramModel, tuple]:
-    """The model a language-model file's ``lines`` give, checked, and its cache payload."""
+def _parse(lines) -> tuple:
+    """The payload ``(order, vocab, counts, quartiles)`` a model file's ``lines`` give, checked."""
     lines = read_model_lines(lines, _MAGIC, _FORMAT_VERSION)
     order = header_int(lines, "order")
     if order < 1:
@@ -365,7 +366,7 @@ def _parse(lines) -> tuple[NgramModel, tuple]:
             raise CorruptModel(f"header line '{key}' says {value}, the counts give {expected}")
     if broken is not None:
         raise CorruptModel(broken)
-    return NgramModel(order, vocab, counts, quartiles), (order, vocab, counts, quartiles)
+    return order, vocab, counts, quartiles
 
 
 def _context_fault(text: str, total: int, continued: int) -> str:

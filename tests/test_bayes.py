@@ -269,6 +269,17 @@ class TestPersistence:
         with pytest.raises(CorruptModel):
             load_model(tmp_path / "x.model")
 
+    def test_unknown_class_label_is_corrupt(self, tmp_path):
+        path = tmp_path / "nb.model"
+        train_nb(_random_rows(random.Random(13))).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if line.startswith("class\t"))
+        lines[index] = "class\tBad"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel) as info:
+            load_model(path)
+        assert str(info.value) == "corrupt model file: unknown class label 'Bad'"
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -485,6 +485,19 @@ class TestTrainPredictEvaluate:
         assert code == 2
         assert capsys.readouterr().err == "error: grade files do not cover the same sentence ids\n"
 
+    @pytest.mark.parametrize("bad", ["human", "predicted"])
+    def test_evaluate_unknown_grade_label(self, tmp_path, capsys, bad):
+        files = {"human": ["id,grade", "0,Good", "1,Poor"],
+                 "predicted": ["id,grade", "0,Good", "1,Poor"]}
+        files[bad][2] = "1,Bad"
+        for name, lines in files.items():
+            _write_lines(tmp_path / f"{name}.csv", lines)
+        out = tmp_path / "r.csv"
+        assert run_cli("evaluate", "--human", tmp_path / "human.csv",
+                       "--predicted", tmp_path / "predicted.csv", "--out", out) == 2
+        assert capsys.readouterr().err == "error: malformed row 1: unknown grade label 'Bad'\n"
+        assert not out.exists()
+
     def test_evaluate_published_fixture(self, tmp_path):
         human = ["id,grade"] + [f"{i},Poor" for i in range(1300)]
         predicted = ["id,grade"] + [

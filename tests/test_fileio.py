@@ -667,6 +667,17 @@ def test_rewritten_output_keeps_its_mode(tmp_path, mode):
     assert path.read_text(encoding="utf-8") == "new\n"
 
 
+def test_unencodable_line_leaves_the_old_output(tmp_path):
+    # A lone surrogate has no UTF-8 form: the write fails, and neither the
+    # old file nor a temp file is left half written.
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_lines(path, ["x", "\ud800"])
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
 def test_output_is_fsynced_before_rename(tmp_path, monkeypatch):
     events = []
     real_fsync, real_replace = os.fsync, os.replace

@@ -21,10 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtqe import fileio
+from mtqe import fileio, lexicon, ngram
 from mtqe.errors import CorruptModel, QEError
-from mtqe.lexicon import TranslationLexicon, load_lexicon
-from mtqe.ngram import load_lm, train_lm
+from mtqe.fileio import iter_lines
+from mtqe.lexicon import TranslationCounts, TranslationLexicon, load_lexicon
+from mtqe.ngram import NgramModel, load_lm, train_lm
 
 from conftest import (
     CELL_WORDS,
@@ -108,6 +109,66 @@ def test_files_of_the_same_bytes_share_an_entry(cache, tmp_path):
     _without_parsing(load_lm, tmp_path / "b.lm")
     assert len(cache_entries(cache)) == 1
     assert stat.S_IMODE(os.stat(cache / "mtqe").st_mode) == 0o700
+
+
+# One way to a model: the parse returns the payload that is stored, and
+# every load, cached or not, builds its model from a payload.
+
+LOADERS = {  # kind: (load, its module, the class its build makes, a toy model's writer)
+    "lm": (load_lm, ngram, NgramModel, lambda path: train_lm(SENTENCES, 3).save(path)),
+    "lexicon": (load_lexicon, lexicon, TranslationCounts,
+                lambda path: TranslationLexicon(ENTRIES).save(path)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_stored_payload_is_what_the_parse_returned(kind, cache, tmp_path):
+    load, module, _, write = LOADERS[kind]
+    path = tmp_path / "model"
+    write(path)
+    load(path)
+    (entry,) = cache_entries(cache)
+    data = entry.read_bytes()
+    parsed = module._parse(iter_lines(path))
+    # repr, unlike ==, also tells dicts apart by their order.
+    assert repr(_payload(data)) == repr(parsed)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_load_builds_its_model_once_from_a_payload(kind, cache, tmp_path):
+    load, module, model_class, write = LOADERS[kind]
+    path = tmp_path / "model"
+    write(path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def counted(how):
+        """Load the model ``how``, counting the calls of ``_from_payload`` and of the model class."""
+        with mock.patch.object(module, "_from_payload", wraps=module._from_payload) as build, \
+                mock.patch.object(module, model_class.__name__, wraps=model_class) as made:
+            how()
+        return build.call_count, made.call_count
+
+    assert counted(lambda: _load_fifo(load, fifo, path.read_bytes())) == (1, 1)
+    assert cache_entries(cache) == []
+    assert counted(lambda: load(path)) == (1, 1)  # a miss
+    assert len(cache_entries(cache)) == 1
+    assert counted(lambda: _without_parsing(load, path)) == (1, 1)  # a hit
+
+
+@pytest.mark.parametrize("xdg", [None, "relative/cache"], ids=["unset", "relative"])
+def test_cache_falls_back_to_home(xdg, tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    if xdg is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", xdg)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "m.lm"
+    train_lm(SENTENCES, 3).save(path)
+    load_lm(path)
+    assert len(cache_entries(tmp_path / "home" / ".cache")) == 1
+    assert sorted(os.listdir(tmp_path)) == ["home", "m.lm"]
 
 
 # Invalidation: the key is the file's bytes, not its name, size or mtime.

@@ -407,6 +407,18 @@ class TestPersistence:
             load_lm(path)
         assert str(info.value) == f"corrupt model file: count too large for a float in {lines[index]!r}"
 
+    @pytest.mark.parametrize("order, gram", [(2, "a b a"), (3, "a  b")],
+                             ids=["longer than the order", "empty token"])
+    def test_malformed_gram_is_corrupt(self, tmp_path, order, gram):
+        path = tmp_path / "m.lm"
+        train_lm([["a", "b"]], order).save(path)
+        lines = read_lines(path)
+        lines[lines.index("a b\t1")] = f"{gram}\t1"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorruptModel) as info:
+            load_lm(path)
+        assert str(info.value) == f"corrupt model file: bad n-gram {gram!r}"
+
     # Tokens that are prefixes of others, and ones holding a character
     # below the space that joins a gram's tokens: "a b" is below "a\x01" in
     # token-tuple order but above it as text.

@@ -8,8 +8,8 @@ a helper left behind by its last caller fails here.  Records are
 ``NamedTuple``s, so no stage pays for importing ``dataclasses``, and only
 a model-cache lookup pays for importing ``hashlib``.  Each stage imports
 only the modules it runs: ``train``, ``predict`` and ``evaluate`` load
-neither the tokenizer nor the n-gram code, and ``build-lexicon`` loads no
-n-gram code.
+neither the tokenizer nor the n-gram code, ``build-lexicon`` loads no
+n-gram code, and neither model writer loads ``hashlib``.
 """
 
 import ast
@@ -168,3 +168,5 @@ def test_stage_imports_only_its_own_modules(stage, toy_run):
         assert modules & NOT_GRADING == set()
     if stage == "build-lexicon":  # the markers it checks for live in mtqe.corpus
         assert "mtqe.ngram" not in modules
+    if stage in ("build-lm", "build-lexicon"):  # they write models; only extract loads them
+        assert "hashlib" not in modules
