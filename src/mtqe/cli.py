@@ -3,12 +3,18 @@
 Each subcommand reads and writes plain files, so every stage of the
 pipeline leaves an inspectable artifact: language models, the lexicon,
 feature CSVs, the classifier model, predicted grades, and the evaluation
-report.  All runs are deterministic given identical inputs and flags.
+report.  All runs are deterministic given identical inputs and flags, at
+any CPU count.
 
 Each stage imports the modules it runs when it starts, and the parser
 needs only :mod:`mtqe.defaults`.  Every stage runs in a fresh process,
 which compiles each module it imports from source where no bytecode is
 cached, so a stage pays for no module it does not run.
+
+``extract`` scores its sentence pairs on every usable CPU, through
+:mod:`mtqe.workers`, once its models and judgments are loaded: every error
+comes from the parent process, with the message and at the point a single
+process gives.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ def _cmd_extract(args) -> int:
     from .grading import judgment_grade
     from .lexicon import load_lexicon
     from .ngram import load_lm
+    from .workers import score_in_workers
 
     src_lm = load_lm(args.src_lm)
     tgt_lm = load_lm(args.tgt_lm)
@@ -61,10 +68,17 @@ def _cmd_extract(args) -> int:
     grades = {}
     if args.judgments is not None:
         grades = {j.sentence_id: judgment_grade(j) for j in load_judgments(args.judgments)}
-    rows = [
-        (pair.id, extract_features(pair, src_lm, tgt_lm, lexicon), grades.get(pair.id))
-        for pair in iter_parallel(args.pairs_src, args.pairs_tgt)
-    ]
+
+    def score(shard):
+        """The number of pairs in the corpus, and the feature vectors of the pairs ``shard`` owns."""
+        n_pairs, vectors = 0, []
+        for n_pairs, pair in enumerate(iter_parallel(args.pairs_src, args.pairs_tgt, shard), 1):
+            if pair is not None:
+                vectors.append(extract_features(pair, src_lm, tgt_lm, lexicon))
+        return n_pairs, vectors
+
+    vectors = score_in_workers(score, args.pairs_src, args.pairs_tgt)
+    rows = [(i, vector, grades.get(i)) for i, vector in enumerate(vectors)]
     if args.judgments is not None:
         for row, sentence_id in enumerate(grades):
             if not 0 <= sentence_id < len(rows):

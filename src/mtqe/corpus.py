@@ -27,6 +27,8 @@ END = "</s>"
 
 _JUDGMENT_HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1)])
 _MARKERS = (UNK, BOS, END)
+# What zip_longest gives in place of a line when one corpus file is shorter.
+_NO_LINE = object()
 
 
 def is_punctuation_char(ch: str) -> bool:
@@ -90,24 +92,31 @@ class SentencePair(NamedTuple):
 ParallelCorpus = tuple
 
 
-def iter_corpus(path, side: str):
+def iter_corpus(path, side: str, shard=(0, 1)):
     """Yield each line of a UTF-8 text file tokenized for ``side``, checking it as it is read.
 
     Raises InvalidEncoding for non-UTF-8 content, and ReservedToken naming
     ``path`` and the 1-based line for a token that is one of the language
     model's markers ``<unk>``, ``<s>`` and ``</s>``, after yielding every
     line before it.
+
+    With ``shard=(k, n)``, line i (counted from 0) is yielded as its tokens
+    only when ``i % n == k``, and every other line as None: it is still
+    decoded and checked, but tokenized only when it holds a ``<``, as a
+    marker does.  The default ``(0, 1)`` yields every line's tokens.
     """
-    for line_no, line in enumerate(iter_lines(path), start=1):
-        tokens = tuple(tokenize(line, side))
+    k, n = shard
+    for index, line in enumerate(iter_lines(path)):
+        mine = index % n == k
+        tokens = tuple(tokenize(line, side)) if mine or "<" in line else None
         if "<" in line:  # every marker holds one, so most lines skip the scan
             for token in tokens:
                 if token in _MARKERS:
-                    raise ReservedToken(token, line_no, path)
-        yield tokens
+                    raise ReservedToken(token, index + 1, path)
+        yield tokens if mine else None
 
 
-def iter_parallel(source_path, target_path):
+def iter_parallel(source_path, target_path, shard=(0, 1)):
     """Yield the SentencePairs of two line-aligned text files, one line of each at a time.
 
     Line i of each file becomes pair i.  The files are read in step, so
@@ -115,13 +124,23 @@ def iter_parallel(source_path, target_path):
     source side's first when both sides fault on one line.  When one file
     is longer, the rest of it is read and checked too, and then
     LineCountMismatch gives both line counts.
+
+    With ``shard=(k, n)``, pair i is tokenized and yielded only when
+    ``i % n == k``, and None stands in for every other pair, so every
+    line is read and checked and the caller still counts every pair.
+    ``extract`` gives each of its n processes one shard.
     """
-    lines = zip_longest(iter_corpus(source_path, SOURCE), iter_corpus(target_path, TARGET))
+    lines = zip_longest(
+        iter_corpus(source_path, SOURCE, shard),
+        iter_corpus(target_path, TARGET, shard),
+        fillvalue=_NO_LINE,
+    )
     for pair_id, (source, target) in enumerate(lines):
-        if source is None or target is None:
+        if source is _NO_LINE or target is _NO_LINE:
             longer = pair_id + 1 + sum(1 for _ in lines)
-            raise LineCountMismatch(*((pair_id, longer) if source is None else (longer, pair_id)))
-        yield SentencePair(pair_id, source, target)
+            counts = (pair_id, longer) if source is _NO_LINE else (longer, pair_id)
+            raise LineCountMismatch(*counts)
+        yield None if source is None else SentencePair(pair_id, source, target)
 
 
 def load_judgments(path) -> list[HumanJudgment]:

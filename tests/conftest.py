@@ -3,6 +3,7 @@ import os
 import random
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import strategies as st
 
+from mtqe import workers
 from mtqe.cli import main as cli_main
 from mtqe.corpus import SOURCE, ParallelCorpus, SentencePair, is_punctuation_char
 from mtqe.feature_csv import N_FEATURES
@@ -430,6 +432,18 @@ def run_cli(*argv):
         return cli_main([str(a) for a in argv])
     except SystemExit as exc:  # argparse usage errors
         return exc.code if isinstance(exc.code, int) else 2
+
+
+@contextmanager
+def extract_workers(n):
+    """Make ``extract`` score a corpus of at least one byte in ``n`` processes while the context lasts.
+
+    Every byte of source text is worth a worker, and the host has ``n``
+    usable CPUs; the other conditions for a fork still hold.
+    """
+    with mock.patch.object(workers, "_BYTES_PER_WORKER", 1), \
+            mock.patch.object(workers, "_usable_cpus", return_value=n):
+        yield
 
 
 def run_toy_pipeline(data_dir, out_dir, n_pairs=200, seed=0):

@@ -9,7 +9,8 @@ a helper left behind by its last caller fails here.  Records are
 a model-cache lookup pays for importing ``hashlib``.  Each stage imports
 only the modules it runs: ``train``, ``predict`` and ``evaluate`` load
 neither the tokenizer nor the n-gram code, ``build-lexicon`` loads no
-n-gram code, and neither model writer loads ``hashlib``.
+n-gram code, neither model writer loads ``hashlib``, and only ``extract``
+loads ``mtqe.workers``, which forks its worker processes.
 """
 
 import ast
@@ -170,3 +171,4 @@ def test_stage_imports_only_its_own_modules(stage, toy_run):
         assert "mtqe.ngram" not in modules
     if stage in ("build-lm", "build-lexicon"):  # they write models; only extract loads them
         assert "hashlib" not in modules
+    assert ("mtqe.workers" in modules) == (stage == "extract")
