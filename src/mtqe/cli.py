@@ -11,10 +11,12 @@ needs only :mod:`mtqe.defaults`.  Every stage runs in a fresh process,
 which compiles each module it imports from source where no bytecode is
 cached, so a stage pays for no module it does not run.
 
-``extract`` scores its sentence pairs on every usable CPU, through
-:mod:`mtqe.workers`, once its models and judgments are loaded: every error
-comes from the parent process, with the message and at the point a single
-process gives.
+``extract`` scores its sentence pairs and ``predict`` grades its feature
+rows on every usable CPU, through :mod:`mtqe.workers`, once their models
+(and ``extract``'s judgments) are loaded.  Every error comes from the
+parent process, with the message and at the point a single process gives:
+``extract``'s parent checks every line itself, and ``predict``'s raises the
+first fault that any process's rows meet.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 
 from .defaults import ABSOLUTE_VARIANCE_FLOOR, DEFAULT_THRESHOLD, SIDES
-from .errors import EmptyCorpus, LengthMismatch, MalformedRow, QEError
+from .errors import EmptyCorpus, InvalidEncoding, LengthMismatch, MalformedRow, QEError
 
 
 def _cmd_build_lm(args) -> int:
@@ -55,11 +58,13 @@ def _cmd_build_lexicon(args) -> int:
 
 def _cmd_extract(args) -> int:
     from .corpus import iter_parallel, load_judgments
-    from .features import extract_features, write_features
+    from .feature_csv import FEATURE_HEADERS, feature_line
+    from .features import extract_features
+    from .fileio import atomic_write_lines
     from .grading import judgment_grade
     from .lexicon import load_lexicon
     from .ngram import load_lm
-    from .workers import score_in_workers
+    from .workers import interleave, run_in_workers
 
     src_lm = load_lm(args.src_lm)
     tgt_lm = load_lm(args.tgt_lm)
@@ -70,30 +75,33 @@ def _cmd_extract(args) -> int:
         grades = {j.sentence_id: judgment_grade(j) for j in load_judgments(args.judgments)}
 
     def score(shard):
-        """The number of pairs in the corpus, and the feature vectors of the pairs ``shard`` owns."""
-        n_pairs, vectors = 0, []
+        """The number of pairs in the corpus, and the feature CSV lines of the pairs ``shard`` owns."""
+        n_pairs, lines = 0, []
         for n_pairs, pair in enumerate(iter_parallel(args.pairs_src, args.pairs_tgt, shard), 1):
             if pair is not None:
-                vectors.append(extract_features(pair, src_lm, tgt_lm, lexicon))
-        return n_pairs, vectors
+                vector = extract_features(pair, src_lm, tgt_lm, lexicon)
+                lines.append(feature_line(pair.id, vector, grades.get(pair.id)))
+        return n_pairs, lines
 
-    vectors = score_in_workers(score, args.pairs_src, args.pairs_tgt)
-    rows = [(i, vector, grades.get(i)) for i, vector in enumerate(vectors)]
+    shards = run_in_workers("extract", score, args.pairs_src, args.pairs_tgt)
+    n_pairs = shards[0][0]
+    lines = interleave("extract", [lines for _, lines in shards], n_pairs)
     if args.judgments is not None:
         for row, sentence_id in enumerate(grades):
-            if not 0 <= sentence_id < len(rows):
+            if not 0 <= sentence_id < n_pairs:
                 raise MalformedRow(
                     row,
                     f"judgment id {sentence_id} is not a sentence pair id; "
-                    f"the corpus has {len(rows)} pairs",
+                    f"the corpus has {n_pairs} pairs",
                 )
-        # Every id is in range and unique, so the count is the coverage.
-        if len(grades) != len(rows):
-            raise LengthMismatch(f"judgments cover {len(grades)} of {len(rows)} sentence pairs")
-    if not rows:
+        # Every id is in range and unique, so the count is the coverage:
+        # every line is labeled.
+        if len(grades) != n_pairs:
+            raise LengthMismatch(f"judgments cover {len(grades)} of {n_pairs} sentence pairs")
+    if not lines:
         raise EmptyCorpus()
-    write_features(rows, args.out)
-    print(f"features rows={len(rows)} labeled={args.judgments is not None}")
+    atomic_write_lines(args.out, chain([FEATURE_HEADERS[args.judgments is not None]], lines))
+    print(f"features rows={n_pairs} labeled={args.judgments is not None}")
     return 0
 
 
@@ -115,19 +123,49 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     from .bayes import load_model
-    from .feature_csv import read_features
+    from .feature_csv import iter_features
     from .fileio import atomic_write_lines
+    from .workers import interleave, run_in_workers
 
     model = load_model(args.model)
-    rows = read_features(args.features)
-    lines = ["id,grade"]
-    for row, (row_id, vector, _) in enumerate(rows):
-        scores, grade = model.predict(vector)
-        if scores[grade] == -math.inf:  # the best score, so every class gives -inf
-            raise MalformedRow(row, "no class gives the features a finite score")
-        lines.append(f"{row_id},{grade.label}")
-    atomic_write_lines(args.out, lines)
-    print(f"predicted {len(rows)} rows")
+
+    def grade(shard):
+        """Grade the rows ``shard`` owns, raising no input error: ``(rows read, fault, lines)``.
+
+        ``lines`` are the ``id,grade`` lines of the rows graded.  ``fault``
+        is None, or the shard's first fault as ``(phase, row, detail)``:
+        phase 0 for a MalformedRow (row -1 for the header) or an
+        InvalidEncoding (detail None), which stops the shard, and phase 1
+        for a row that every class scores -inf.
+        """
+        n_rows, fault, lines = 0, None, []
+        try:
+            for n_rows, item in enumerate(iter_features(args.features, shard), 1):
+                if item is not None:
+                    row_id, vector, _ = item
+                    scores, grade = model.predict(vector)
+                    # The best score, so every class gives -inf.
+                    if fault is None and scores[grade] == -math.inf:
+                        fault = (1, n_rows - 1, "no class gives the features a finite score")
+                    lines.append(f"{row_id},{grade.label}")
+        except MalformedRow as exc:
+            fault = (0, -1 if exc.row is None else exc.row, exc.detail)
+        except InvalidEncoding as exc:  # raised once every line before it is read
+            fault = (0, exc.line_no - 2, None)  # the data row on that line
+        return n_rows, fault, lines
+
+    shards = run_in_workers("predict", grade, args.features)
+    faults = [fault for _, fault, _ in shards if fault is not None]
+    if faults:
+        # The first one process meets: every row is read before any is graded.
+        _, row, detail = min(faults, key=lambda fault: fault[:2])
+        if detail is None:
+            raise InvalidEncoding(row + 2, args.features)
+        raise MalformedRow(None if row < 0 else row, detail)
+    n_rows = shards[0][0]
+    lines = interleave("predict", [lines for _, _, lines in shards], n_rows)
+    atomic_write_lines(args.out, chain(["id,grade"], lines))
+    print(f"predicted {n_rows} rows")
     return 0
 
 

@@ -27,6 +27,9 @@ END = "</s>"
 
 _JUDGMENT_HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, JUDGMENT_PARAMS + 1)])
 _MARKERS = (UNK, BOS, END)
+# The parameter cells a judgment file holds, and the scores they read as;
+# any other cell is read and checked on its own.
+_SCORES = {str(score): score for score in range(JUDGMENT_MAX + 1)}
 # What zip_longest gives in place of a line when one corpus file is shorter.
 _NO_LINE = object()
 
@@ -153,14 +156,22 @@ def load_judgments(path) -> list[HumanJudgment]:
     """
     judgments = []
     for row, sentence_id, _, cells in read_table(path, "\t", (_JUDGMENT_HEADER,)):
-        try:
-            params = [parse_int(cell) for cell in cells[1:]]
-        except ValueError:
-            raise MalformedRow(row, "non-integer cell") from None
-        except OverflowError as exc:
-            raise MalformedRow(row, str(exc)) from None
-        for col, value in enumerate(params, start=1):
-            if not 0 <= value <= JUDGMENT_MAX:
-                raise OutOfRangeScore(row, col, value)
-        judgments.append(HumanJudgment(sentence_id, tuple(params)))
+        params = tuple(map(_SCORES.get, cells[1:]))
+        if None in params:  # a cell other than "0" to "4", such as "00", or a fault to name
+            params = _checked_params(row, cells[1:])
+        judgments.append(HumanJudgment(sentence_id, params))
     return judgments
+
+
+def _checked_params(row: int, cells) -> tuple[int, ...]:
+    """The parameters of judgment data row ``row``, each checked to be an integer in 0..4."""
+    try:
+        params = tuple(parse_int(cell) for cell in cells)
+    except ValueError:
+        raise MalformedRow(row, "non-integer cell") from None
+    except OverflowError as exc:
+        raise MalformedRow(row, str(exc)) from None
+    for col, value in enumerate(params, start=1):
+        if not 0 <= value <= JUDGMENT_MAX:
+            raise OutOfRangeScore(row, col, value)
+    return params

@@ -50,6 +50,12 @@ _ROWS = (_CELLS, _CELLS + ",{.label}")
 _PARSERS = tuple(parse_int if i in _INT_INDEXES else float for i in range(N_FEATURES))
 
 
+def feature_line(row_id: int, vector: FeatureVector, grade) -> str:
+    """The feature CSV line of one row: labeled when ``grade`` is a Grade, not when it is None."""
+    # An unlabeled row's template has no grade field, so format ignores its None.
+    return _ROWS[grade is not None].format(row_id, *vector, grade)
+
+
 def write_features(rows, path) -> None:
     """Write ``(id, FeatureVector, Grade | None)`` rows as CSV, in the order given.
 
@@ -60,32 +66,41 @@ def write_features(rows, path) -> None:
     :func:`read_features` would, and a count that is not an int raises
     ValueError.
     """
-    rows = list(rows)
-    labeled = bool(rows) and rows[0][2] is not None
-    lines = [FEATURE_HEADERS[labeled]]
-    # An unlabeled row's template has no grade field, so format ignores its None.
-    template = _ROWS[labeled]
+    lines = [FEATURE_HEADERS[0]]  # the labeled header replaces it once row 0 is labeled
+    labeled = False
     previous = -math.inf  # below every id
     for row, (row_id, vector, grade) in enumerate(rows):
+        if row == 0 and grade is not None:
+            labeled, lines[0] = True, FEATURE_HEADERS[1]
         if (grade is not None) != labeled:
             raise MixedLabeling()
         if row_id <= previous:
             raise not_rising(row, f"id {row_id}", f"id {previous}")
         previous = row_id
-        lines.append(template.format(row_id, *vector, grade))
+        lines.append(feature_line(row_id, vector, grade))
     atomic_write_lines(path, lines)
 
 
-def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
-    """Read a feature CSV written by :func:`write_features`.
+def iter_features(path, shard=(0, 1)):
+    """Yield the rows of a feature CSV written by :func:`write_features`, checking each.
 
-    A row of the wrong width, a bad id or one not above the previous
-    row's (see :func:`~mtqe.fileio.read_table`), an unparseable cell, a
-    non-finite value or a count too large for a float raises MalformedRow
-    with the row's 0-based index.
+    Each row is yielded as ``(id, FeatureVector, Grade | None)``.  A row of
+    the wrong width, a bad id or one not above the previous row's (see
+    :func:`~mtqe.fileio.read_table`), an unparseable cell, a non-finite
+    value or a count too large for a float raises MalformedRow with the
+    row's 0-based index, after yielding every row before it.
+
+    With ``shard=(k, n)``, row i (counted from 0) is yielded only when ``i
+    % n == k``, and None stands in for every other row: each row's width
+    and id are still checked, but only the rows the shard owns have their
+    cells parsed and checked.  The default ``(0, 1)`` yields every row.
+    ``predict`` gives each of its n processes one shard.
     """
-    out: list[tuple[int, FeatureVector, Grade | None]] = []
+    k, n = shard
     for row, row_id, line, cells in read_table(path, ",", FEATURE_HEADERS):
+        if row % n != k:
+            yield None
+            continue
         try:
             # The fileio rule for every float cell at once: a plain row.
             if not is_plain(line):
@@ -98,5 +113,9 @@ def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
                 raise ValueError("non-finite feature value")
         except (ValueError, OverflowError) as exc:
             raise MalformedRow(row, str(exc)) from None
-        out.append((row_id, FeatureVector(*values), grade))
-    return out
+        yield row_id, FeatureVector(*values), grade
+
+
+def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
+    """Every row of a feature CSV, as :func:`iter_features` yields them."""
+    return list(iter_features(path))

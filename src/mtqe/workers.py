@@ -1,40 +1,40 @@
-"""``extract``'s sentence pairs, scored in one process per usable CPU.
+"""Per-row work split over one process per usable CPU.
 
-Each pair's features depend on that pair alone, so the pairs split into
-shards: with n processes, shard k holds the pairs whose id is k mod n.
-The parent forks a worker for each shard k >= 1 once the models are
-loaded, so the workers share the models copy-on-write.  A worker reads
-both corpus files again, scores its shard, and sends its feature vectors
-back down a pipe as one marshal dump.  The parent scores shard 0, which
-holds pair 0, and reads and checks every line, so it raises every input
-error itself, with the message and at the point a single process gives.
+``extract`` scores each sentence pair on its own and ``predict`` grades
+each feature row on its own, so each splits its rows into shards: with n
+processes, shard k holds the rows whose index is k mod n.  The stage forks
+a worker for each shard k >= 1 once its models are loaded, so the workers
+share them copy-on-write.  A worker reads the input files again, does its
+shard's work, and sends the result back down a pipe as one marshal dump.
+The parent does shard 0, which holds row 0, itself, and every process
+reads and checks every line, so the stage raises every input error with
+the message and at the point a single process gives.
 
-Only ``extract`` imports this module, so no other stage pays for it.
+Only ``extract`` and ``predict`` import this module, so no other stage
+pays for it.
 """
 
 import marshal
 import os
 
-from .feature_csv import FeatureVector
-
-# Bytes of source text per process: a corpus smaller than this is scored
-# in one process, so a small input (one pair, say) never pays for a fork.
+# Bytes of input per process: an input smaller than this is read in one
+# process, so a small input (one pair, say) never pays for a fork.
 _BYTES_PER_WORKER = 1 << 16
 
 
-def score_in_workers(score, source_path, target_path) -> list[FeatureVector]:
-    """Every pair's feature vector, in id order, from one process per usable CPU.
+def run_in_workers(stage: str, work, *paths) -> list:
+    """``[work((k, n)) for k in range(n)]``, run in n processes, one per usable CPU.
 
-    ``score(shard)`` reads the two corpus files and returns their pair
-    count and the vectors of the pairs ``shard=(k, n)`` owns, those with
-    ``id % n == k``.  Worker k of 1..n-1 is a forked child that runs
-    ``score((k, n))``; this process runs ``score((0, n))``.  A worker that
-    fails, is killed or sends the wrong number of vectors raises
-    RuntimeError.  On any exception every worker still running is killed,
-    and every worker is reaped and every pipe closed before this returns
-    or raises.
+    ``work(shard)`` reads the input files ``paths`` itself and returns a
+    value marshal can dump; n follows from the first path's size (see
+    :func:`_worker_count`).  Worker k of 1..n-1 is a forked child that runs
+    ``work((k, n))`` and sends its result back; this process runs
+    ``work((0, n))``.  A worker that fails or is killed raises RuntimeError
+    naming ``stage``.  On any exception every worker still running is
+    killed, and every worker is reaped and every pipe closed before this
+    returns or raises.
     """
-    workers = _worker_count(source_path, target_path)
+    workers = _worker_count(*paths)
     children = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:
         for k in range(1, workers):
@@ -46,17 +46,20 @@ def score_in_workers(score, source_path, target_path) -> list[FeatureVector]:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _run_worker(score, (k, workers), write_fd, [read_fd, *(fd for _, fd in children)])
+                _run_worker(work, (k, workers), write_fd, [read_fd, *(fd for _, fd in children)])
             os.close(write_fd)
             children.append((pid, read_fd))
-        n_pairs, own = score((0, workers))
-        shards = [own]
+        results = [work((0, workers))]
         for k, (pid, read_fd) in enumerate(list(children), 1):
             data = _read_to_end(read_fd)
             status = os.waitpid(pid, 0)[1]
             children.remove((pid, read_fd))
             os.close(read_fd)
-            shards.append(_worker_vectors(k, status, data, len(range(k, n_pairs, workers))))
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise RuntimeError(f"{stage} worker {k} exited with code {code}")
+            results.append(marshal.loads(data))
+            del data  # the dump, which the parent need not hold beside the next one
     finally:
         if children:  # an exception left workers unreaped
             from signal import SIGKILL
@@ -65,7 +68,24 @@ def score_in_workers(score, source_path, target_path) -> list[FeatureVector]:
                 os.close(read_fd)
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return [shards[i % workers][i // workers] for i in range(n_pairs)]
+    return results
+
+
+def interleave(stage: str, shards, total: int) -> list:
+    """The ``total`` rows of ``shards``, the rows of each shard k of n, in row order.
+
+    Shard k holds rows k, k + n, k + 2n and so on, so row i is
+    ``shards[i % n][i // n]``.  A worker's shard of the wrong length raises
+    RuntimeError naming ``stage``.
+    """
+    n = len(shards)
+    rows = [None] * total
+    for k, shard in enumerate(shards):
+        expected = len(range(k, total, n))
+        if len(shard) != expected:
+            raise RuntimeError(f"{stage} worker {k} sent {len(shard)} rows, expected {expected}")
+        rows[k::n] = shard
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -75,18 +95,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(source_path, target_path) -> int:
-    """The number of processes that score the pairs of two corpus files.
+def _worker_count(path, *more_paths) -> int:
+    """The number of processes that share the rows of the input files.
 
     It is one per usable CPU, at most one per ``_BYTES_PER_WORKER`` bytes
-    of source text, and at least one.  It is one wherever a fork is
-    unsafe: without ``os.fork``, when a corpus path is not a regular file
-    (a pipe can be read only once, and every process reads both files),
-    and when the process runs a second thread.
+    of ``path``, and at least one.  It is one wherever a fork is unsafe:
+    without ``os.fork``, when an input path is not a regular file (a pipe
+    can be read only once, and every process reads every file), and when
+    the process runs a second thread.
     """
-    if not (hasattr(os, "fork") and os.path.isfile(source_path) and os.path.isfile(target_path)):
+    if not (hasattr(os, "fork") and all(map(os.path.isfile, (path, *more_paths)))):
         return 1
-    workers = min(_usable_cpus(), os.path.getsize(source_path) // _BYTES_PER_WORKER)
+    workers = min(_usable_cpus(), os.path.getsize(path) // _BYTES_PER_WORKER)
     if workers > 1:
         import threading  # only a run that may fork pays for it
 
@@ -95,8 +115,8 @@ def _worker_count(source_path, target_path) -> int:
     return max(1, workers)
 
 
-def _run_worker(score, shard, write_fd, inherited_fds) -> None:
-    """In a forked child: send ``score(shard)``'s vectors down ``write_fd``, then exit.
+def _run_worker(work, shard, write_fd, inherited_fds) -> None:
+    """In a forked child: send ``work(shard)`` down ``write_fd`` as a marshal dump, then exit.
 
     It never returns.  It prints nothing: it exits 0 once every byte is
     written and 1 on any failure, which the parent reports.
@@ -105,8 +125,7 @@ def _run_worker(score, shard, write_fd, inherited_fds) -> None:
     try:
         for fd in inherited_fds:
             os.close(fd)
-        _, vectors = score(shard)
-        data = memoryview(marshal.dumps([tuple(vector) for vector in vectors]))
+        data = memoryview(marshal.dumps(work(shard)))
         while data:
             data = data[os.write(write_fd, data):]
         status = 0
@@ -120,14 +139,3 @@ def _read_to_end(fd) -> bytes:
     while chunk := os.read(fd, 1 << 16):
         chunks.append(chunk)
     return b"".join(chunks)
-
-
-def _worker_vectors(k, status, data, expected) -> list[FeatureVector]:
-    """Worker ``k``'s ``expected`` vectors from the bytes it sent; RuntimeError if it failed."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"extract worker {k} exited with code {code}")
-    rows = marshal.loads(data)
-    if len(rows) != expected:
-        raise RuntimeError(f"extract worker {k} sent {len(rows)} rows, expected {expected}")
-    return [FeatureVector(*row) for row in rows]

@@ -435,11 +435,11 @@ def run_cli(*argv):
 
 
 @contextmanager
-def extract_workers(n):
-    """Make ``extract`` score a corpus of at least one byte in ``n`` processes while the context lasts.
+def forced_workers(n):
+    """Make ``extract`` and ``predict`` read an input of at least one byte in ``n`` processes.
 
-    Every byte of source text is worth a worker, and the host has ``n``
-    usable CPUs; the other conditions for a fork still hold.
+    While the context lasts, every byte of input is worth a worker, and the
+    host has ``n`` usable CPUs; the other conditions for a fork still hold.
     """
     with mock.patch.object(workers, "_BYTES_PER_WORKER", 1), \
             mock.patch.object(workers, "_usable_cpus", return_value=n):

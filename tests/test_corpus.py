@@ -4,7 +4,7 @@ import unicodedata
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtqe.corpus import (
@@ -22,8 +22,11 @@ from mtqe.errors import (
     LineCountMismatch,
     MalformedRow,
     OutOfRangeScore,
+    QEError,
     ReservedToken,
 )
+from mtqe.fileio import parse_int, read_table
+from mtqe.grading import HumanJudgment
 
 from conftest import reference_tokenize, run_cli
 
@@ -162,6 +165,43 @@ class TestLoadParallel:
 _HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, 11)])
 
 
+# Cells other than "0" to "4": look-alikes that are valid integers ("-0",
+# "00"), ones int() reads but parse_int refuses ("+1", " 1", the
+# Arabic-Indic one), out-of-range scores, an empty cell and more digits
+# than int() reads.
+_ODD_CELLS = ["-0", "00", "04", "+1", " 1", "1 ", "\u0661", "5", "-1", "", "x", "1" * 5000]
+# A judgment row's ten cells: "0" to "4", with up to two of them odd.
+_judgment_cells = st.tuples(
+    st.lists(st.sampled_from("01234"), min_size=10, max_size=10),
+    st.dictionaries(st.integers(0, 9), st.sampled_from(_ODD_CELLS), max_size=2),
+).map(lambda drawn: [drawn[1].get(col, cell) for col, cell in enumerate(drawn[0])])
+
+
+def _outcome(load, path):
+    """What ``load(path)`` returns, or the type and message of the error it raises."""
+    try:
+        return load(path)
+    except QEError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_load_judgments(path):
+    """load_judgments as it read every cell: one parse_int call and range check per cell."""
+    judgments = []
+    for row, sentence_id, _, cells in read_table(path, "\t", (_HEADER,)):
+        try:
+            params = [parse_int(cell) for cell in cells[1:]]
+        except ValueError:
+            raise MalformedRow(row, "non-integer cell") from None
+        except OverflowError as exc:
+            raise MalformedRow(row, str(exc)) from None
+        for col, value in enumerate(params, start=1):
+            if not 0 <= value <= 4:
+                raise OutOfRangeScore(row, col, value)
+        judgments.append(HumanJudgment(sentence_id, tuple(params)))
+    return judgments
+
+
 class TestLoadJudgments:
     def test_full_marks_row(self, tmp_path):
         _write(tmp_path / "j.tsv", [_HEADER, "\t".join(["0"] + ["4"] * 10)])
@@ -210,6 +250,16 @@ class TestLoadJudgments:
         with pytest.raises(MalformedRow) as info:
             load_judgments(tmp_path / "j.tsv")
         assert str(info.value).startswith("malformed header: ")
+
+    @settings(max_examples=200)
+    @given(rows=st.lists(_judgment_cells, max_size=4))
+    def test_equals_the_per_cell_reference(self, rows):
+        # load_judgments reads the cells "0" to "4" through a table and
+        # every other cell one at a time, as the reference reads them all.
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "j.tsv"
+            _write(path, [_HEADER] + ["\t".join([str(i), *cells]) for i, cells in enumerate(rows)])
+            assert _outcome(load_judgments, path) == _outcome(_reference_load_judgments, path)
 
 
 class TestReservedMarkers:

@@ -6,7 +6,8 @@ must have the digest written here.  So the README's determinism promise
 is checked against fixed bytes, not only run against run, on every
 interpreter the tests run on.  A change that means to change what a stage
 writes or prints updates these digests and says so.  ``extract`` splits
-its pairs over worker processes, so the test runs at 1, 2 and 3 workers.
+its pairs and ``predict`` its feature rows over worker processes, so the
+test runs at 1, 2 and 3 workers.
 """
 
 import io
@@ -20,7 +21,7 @@ import pytest
 from mtqe.cli import main
 
 import conftest
-from conftest import extract_workers, run_toy_pipeline
+from conftest import forced_workers, run_toy_pipeline
 
 ARTIFACT_DIGESTS = {
     "src": "9bae75a59f8fe91b23af347bc04141be0781fbde6816347171874673349c5abb",
@@ -60,12 +61,13 @@ def test_toy_pipeline_bytes_are_pinned(tmp_path, workers):
 
     (tmp_path / "data").mkdir()
     (tmp_path / "out").mkdir()
-    with extract_workers(workers), \
+    with forced_workers(workers), \
             mock.patch.object(conftest, "cli_main", main_printing_to_a_buffer), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         paths, codes = run_toy_pipeline(tmp_path / "data", tmp_path / "out", n_pairs=200, seed=0)
     assert codes == [0] * 7
-    assert fork.call_count == workers - 1  # extract's workers, and no other stage forks
+    # extract's and predict's workers, and no other stage forks
+    assert fork.call_count == 2 * (workers - 1)
     digests = {key: sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
     assert digests == ARTIFACT_DIGESTS
     assert printed == STDOUT_DIGESTS

@@ -1,9 +1,9 @@
 """``extract`` scores its pairs in one process per usable CPU, with the bytes and errors of one.
 
 Worker k of n is a forked child that scores the pairs whose id is k mod n
-and sends their vectors back down a pipe; the parent scores shard 0 and
-checks every line itself.  These tests force a worker count with
-``conftest.extract_workers`` and check that:
+and sends their feature CSV lines back down a pipe; the parent scores
+shard 0 and checks every line itself.  These tests force a worker count with
+``conftest.forced_workers`` and check that:
 
 - the features file has the same bytes at any worker count;
 - every step of the README's error order gives the same exit code and
@@ -33,7 +33,7 @@ import mtqe.workers
 from mtqe.corpus import SOURCE, iter_corpus
 from mtqe.ngram import train_lm
 
-from conftest import extract_workers, run_cli, run_toy_pipeline
+from conftest import forced_workers, run_cli, run_toy_pipeline
 
 HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, 11)])
 N_LINES = 8
@@ -100,7 +100,7 @@ def test_same_bytes_at_any_worker_count(models, pairs, labeled):
         written = {}
         for n in (1, 2, 3, 5):  # 5 workers leave some shards empty
             out = work / f"features-{n}.csv"
-            with extract_workers(n), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            with forced_workers(n), mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert extract(models, work / "s.txt", work / "t.txt", out, judgments) == 0
             # One worker per byte of source text at most: a one-byte corpus forks nothing.
             assert fork.call_count == min(n, (work / "s.txt").stat().st_size) - 1
@@ -146,12 +146,12 @@ def test_errors_match_one_process(models, tmp_path, capsys, fault, workers):
         labels = tmp_path / "j.tsv"
         labels.write_text("\n".join(judgments) + "\n")
     out = tmp_path / "features.csv"
-    with extract_workers(1):
+    with forced_workers(1):
         expected = extract(models, tmp_path / "s.txt", tmp_path / "t.txt", out, labels)
     expected_err = capsys.readouterr().err
     assert expected == 2 and expected_err.startswith("error: ")
     before = open_fds()
-    with extract_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+    with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         assert extract(models, tmp_path / "s.txt", tmp_path / "t.txt", out, labels) == expected
     assert capsys.readouterr().err == expected_err
     # An empty corpus is under one byte per worker, so it is scored in one process.
@@ -168,7 +168,7 @@ def test_low_order_model_fails_at_the_first_pair(models, tmp_path, capsys, worke
     src, tgt, _ = _valid(models)
     write_lines(tmp_path / "s.txt", _set(src, FAULT, b"<s>"))
     write_lines(tmp_path / "t.txt", tgt)
-    with extract_workers(workers):
+    with forced_workers(workers):
         code = extract(models, tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "f.csv",
                        src_lm=low)
     assert code == 2
@@ -218,7 +218,7 @@ def test_a_failed_worker_is_an_internal_error(models, tmp_path, capsys, failure)
     write_lines(tmp_path / "t.txt", tgt)
     out = tmp_path / "features.csv"
     before = open_fds()
-    with extract_workers(2), patch():
+    with forced_workers(2), patch():
         assert extract(models, tmp_path / "s.txt", tmp_path / "t.txt", out) == 1
     assert capsys.readouterr().err == f"internal error: RuntimeError('extract worker 1 {message}')\n"
     assert not out.exists()
@@ -239,7 +239,7 @@ def test_an_interrupted_parent_kills_and_reaps_its_workers(models, tmp_path):
     write_lines(tmp_path / "t.txt", tgt)
     out = tmp_path / "features.csv"
     before = open_fds()
-    with extract_workers(3), mock.patch.object(mtqe.features, "extract_features", interrupted):
+    with forced_workers(3), mock.patch.object(mtqe.features, "extract_features", interrupted):
         with pytest.raises(KeyboardInterrupt):
             extract(models, tmp_path / "s.txt", tmp_path / "t.txt", out)
     assert not out.exists()
@@ -255,7 +255,7 @@ def _expected_features(models, tmp_path):
     src, tgt, _ = _valid(models)
     write_lines(tmp_path / "s.txt", src)
     write_lines(tmp_path / "t.txt", tgt)
-    with extract_workers(1):
+    with forced_workers(1):
         assert extract(models, tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "one.csv") == 0
     return (tmp_path / "one.csv").read_bytes()
 
@@ -270,7 +270,7 @@ def test_a_pipe_is_read_in_one_process(models, tmp_path, side):
     writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', paths[side], fifo])
     paths[side] = fifo
     try:
-        with extract_workers(2), _no_fork():
+        with forced_workers(2), _no_fork():
             assert extract(models, paths["s"], paths["t"], tmp_path / "f.csv") == 0
     finally:
         writer.kill()
@@ -284,7 +284,7 @@ def test_a_second_thread_keeps_one_process(models, tmp_path):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        with extract_workers(2), _no_fork():
+        with forced_workers(2), _no_fork():
             assert extract(models, tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "f.csv") == 0
     finally:
         stop.set()
@@ -296,7 +296,7 @@ def test_a_second_thread_keeps_one_process(models, tmp_path):
 def test_no_fork_in_the_os_keeps_one_process(models, tmp_path, monkeypatch):
     expected = _expected_features(models, tmp_path)
     monkeypatch.delattr(os, "fork")
-    with extract_workers(2):
+    with forced_workers(2):
         assert extract(models, tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "f.csv") == 0
     assert (tmp_path / "f.csv").read_bytes() == expected
 

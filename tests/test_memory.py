@@ -33,6 +33,10 @@ MAX_PEAK_BYTES_PER_LEXICON_ROW = 60
 # bytes; a held tokenized corpus adds about 1.6 KB more on this corpus
 # (2.7 KB on the benchmark's).
 MAX_EXTRACT_PEAK_BYTES_PER_PAIR = 1200
+# predict reads its rows one at a time and holds the id,grade line of each,
+# about 300 bytes per row; holding every parsed row first, as
+# read_features returns them, peaks about 660.
+MAX_PREDICT_PEAK_BYTES_PER_ROW = 450
 # Writing the 200k lines below (a 3.6 MB file) joins and encodes a chunk
 # of lines at a time, about 0.2 MB at peak; joining them all at once peaks
 # about twice the file, 7.1 MB.
@@ -170,3 +174,38 @@ def test_extract_peak_grows_little_per_pair(corpus, tmp_path):
         code, _, peaks[pairs] = _traced(main, argv)
         assert code == 0
     assert (peaks[4 * n] - peaks[n]) / (3 * n) <= MAX_EXTRACT_PEAK_BYTES_PER_PAIR
+
+
+def test_predict_peak_grows_little_per_row(corpus, tmp_path):
+    # A model trained on the features of 200 judged pairs grades the
+    # features of N and 4N more pairs, each a sentence and its reverse.
+    header = "\t".join(["id"] + [f"p{i}" for i in range(1, 11)])
+    train = [SentencePair(i, tuple(s), tuple(reversed(s))) for i, s in enumerate(corpus[:200])]
+    train_lm([pair.source for pair in train], 3).save(tmp_path / "src.lm")
+    train_lm([pair.target for pair in train], 3).save(tmp_path / "tgt.lm")
+    build_lexicon(train).save(tmp_path / "lexicon.tsv")
+    peaks = {}
+    n = 250
+    for start, pairs in ((0, 200), (200, n), (200, 4 * n)):
+        sentences = corpus[start : start + pairs]
+        _write_lines(tmp_path / "src.txt", [" ".join(s) for s in sentences])
+        _write_lines(tmp_path / "tgt.txt", [" ".join(reversed(s)) for s in sentences])
+        _write_lines(tmp_path / "j.tsv", [header] + [
+            "\t".join([str(i)] + [str((i + j) % 5) for j in range(10)]) for i in range(pairs)
+        ])
+        assert main([str(item) for item in (
+            "extract", "--pairs-src", tmp_path / "src.txt", "--pairs-tgt", tmp_path / "tgt.txt",
+            "--src-lm", tmp_path / "src.lm", "--tgt-lm", tmp_path / "tgt.lm",
+            "--lexicon", tmp_path / "lexicon.tsv", "--judgments", tmp_path / "j.tsv",
+            "--out", tmp_path / "features.csv",
+        )]) == 0
+        if start == 0:
+            assert main(["train", "--features", str(tmp_path / "features.csv"),
+                         "--out", str(tmp_path / "nb.model")]) == 0
+            continue
+        code, _, peaks[pairs] = _traced(main, [
+            "predict", "--model", str(tmp_path / "nb.model"),
+            "--features", str(tmp_path / "features.csv"), "--out", str(tmp_path / "pred.csv"),
+        ])
+        assert code == 0
+    assert (peaks[4 * n] - peaks[n]) / (3 * n) <= MAX_PREDICT_PEAK_BYTES_PER_ROW

@@ -10,7 +10,7 @@ a model-cache lookup pays for importing ``hashlib``.  Each stage imports
 only the modules it runs: ``train``, ``predict`` and ``evaluate`` load
 neither the tokenizer nor the n-gram code, ``build-lexicon`` loads no
 n-gram code, neither model writer loads ``hashlib``, and only ``extract``
-loads ``mtqe.workers``, which forks its worker processes.
+and ``predict`` load ``mtqe.workers``, which forks their worker processes.
 """
 
 import ast
@@ -171,4 +171,4 @@ def test_stage_imports_only_its_own_modules(stage, toy_run):
         assert "mtqe.ngram" not in modules
     if stage in ("build-lm", "build-lexicon"):  # they write models; only extract loads them
         assert "hashlib" not in modules
-    assert ("mtqe.workers" in modules) == (stage == "extract")
+    assert ("mtqe.workers" in modules) == (stage in ("extract", "predict"))
