@@ -12,11 +12,9 @@ which compiles each module it imports from source where no bytecode is
 cached, so a stage pays for no module it does not run.
 
 ``extract`` scores its sentence pairs and ``predict`` grades its feature
-rows on every usable CPU, through :mod:`mtqe.workers`, once their models
-(and ``extract``'s judgments) are loaded.  Every error comes from the
-parent process, with the message and at the point a single process gives:
-``extract``'s parent checks every line itself, and ``predict``'s raises the
-first fault that any process's rows meet.
+rows on every usable CPU, through :mod:`mtqe.workers`.  Each first reads
+and checks every input line itself, in the order one process reads them,
+so every error comes from the parent with the message one process gives.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import sys
 from itertools import chain
 
 from .defaults import ABSOLUTE_VARIANCE_FLOOR, DEFAULT_THRESHOLD, SIDES
-from .errors import EmptyCorpus, InvalidEncoding, LengthMismatch, MalformedRow, QEError
+from .errors import EmptyCorpus, LengthMismatch, MalformedRow, QEError
 
 
 def _cmd_build_lm(args) -> int:
@@ -57,14 +55,14 @@ def _cmd_build_lexicon(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from .corpus import iter_parallel, load_judgments
+    from .corpus import iter_parallel_lines, load_judgments, sentence_pair
     from .feature_csv import FEATURE_HEADERS, feature_line
     from .features import extract_features
     from .fileio import atomic_write_lines
     from .grading import judgment_grade
     from .lexicon import load_lexicon
     from .ngram import load_lm
-    from .workers import interleave, run_in_workers
+    from .workers import run_in_workers
 
     src_lm = load_lm(args.src_lm)
     tgt_lm = load_lm(args.tgt_lm)
@@ -73,35 +71,37 @@ def _cmd_extract(args) -> int:
     grades = {}
     if args.judgments is not None:
         grades = {j.sentence_id: judgment_grade(j) for j in load_judgments(args.judgments)}
-
-    def score(shard):
-        """The number of pairs in the corpus, and the feature CSV lines of the pairs ``shard`` owns."""
-        n_pairs, lines = 0, []
-        for n_pairs, pair in enumerate(iter_parallel(args.pairs_src, args.pairs_tgt, shard), 1):
-            if pair is not None:
-                vector = extract_features(pair, src_lm, tgt_lm, lexicon)
-                lines.append(feature_line(pair.id, vector, grades.get(pair.id)))
-        return n_pairs, lines
-
-    shards = run_in_workers("extract", score, args.pairs_src, args.pairs_tgt)
-    n_pairs = shards[0][0]
-    lines = interleave("extract", [lines for _, lines in shards], n_pairs)
+    # The bigram and trigram frequency bands need order 3, which build-lm never goes below.
+    if src_lm.order < 3 or tgt_lm.order < 3:
+        raise ValueError("language models must have order >= 3")
+    pairs = list(iter_parallel_lines(args.pairs_src, args.pairs_tgt))
     if args.judgments is not None:
         for row, sentence_id in enumerate(grades):
-            if not 0 <= sentence_id < n_pairs:
+            if not 0 <= sentence_id < len(pairs):
                 raise MalformedRow(
                     row,
                     f"judgment id {sentence_id} is not a sentence pair id; "
-                    f"the corpus has {n_pairs} pairs",
+                    f"the corpus has {len(pairs)} pairs",
                 )
         # Every id is in range and unique, so the count is the coverage:
         # every line is labeled.
-        if len(grades) != n_pairs:
-            raise LengthMismatch(f"judgments cover {len(grades)} of {n_pairs} sentence pairs")
-    if not lines:
+        if len(grades) != len(pairs):
+            raise LengthMismatch(f"judgments cover {len(grades)} of {len(pairs)} sentence pairs")
+    if not pairs:
         raise EmptyCorpus()
+
+    def score(start, stop):
+        """The feature CSV lines of pairs ``start`` to ``stop - 1``."""
+        lines = []
+        for pair_id in range(start, stop):
+            pair = sentence_pair(pair_id, *pairs[pair_id])
+            vector = extract_features(pair, src_lm, tgt_lm, lexicon)
+            lines.append(feature_line(pair_id, vector, grades.get(pair_id)))
+        return lines
+
+    lines = run_in_workers("extract", score, len(pairs))
     atomic_write_lines(args.out, chain([FEATURE_HEADERS[args.judgments is not None]], lines))
-    print(f"features rows={n_pairs} labeled={args.judgments is not None}")
+    print(f"features rows={len(pairs)} labeled={args.judgments is not None}")
     return 0
 
 
@@ -123,49 +123,60 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     from .bayes import load_model
-    from .feature_csv import iter_features
-    from .fileio import atomic_write_lines
-    from .workers import interleave, run_in_workers
+    from .feature_csv import FEATURE_HEADERS, parse_row
+    from .fileio import atomic_write_lines, parse_int, read_table
+    from .workers import run_in_workers
 
     model = load_model(args.model)
+    held = []  # the line of each data row, its width and id checked
 
-    def grade(shard):
-        """Grade the rows ``shard`` owns, raising no input error: ``(rows read, fault, lines)``.
+    def features(row):
+        """Data row ``row`` as read_features gives it, parsed from its held line."""
+        line = held[row]
+        cells = line.split(",")
+        return parse_row(row, parse_int(cells[0]), line, cells)
 
-        ``lines`` are the ``id,grade`` lines of the rows graded.  ``fault``
-        is None, or the shard's first fault as ``(phase, row, detail)``:
-        phase 0 for a MalformedRow (row -1 for the header) or an
-        InvalidEncoding (detail None), which stops the shard, and phase 1
-        for a row that every class scores -inf.
+    def parse_held():
+        """Parse the held rows in order, raising the first bad cell.
+
+        One process parses a row's cells as it reads the row, and grades no
+        row until it has read them all, so it meets a bad cell of a held row
+        before the fault that ended the read and before any -inf row.
         """
-        n_rows, fault, lines = 0, None, []
-        try:
-            for n_rows, item in enumerate(iter_features(args.features, shard), 1):
-                if item is not None:
-                    row_id, vector, _ = item
-                    scores, grade = model.predict(vector)
-                    # The best score, so every class gives -inf.
-                    if fault is None and scores[grade] == -math.inf:
-                        fault = (1, n_rows - 1, "no class gives the features a finite score")
-                    lines.append(f"{row_id},{grade.label}")
-        except MalformedRow as exc:
-            fault = (0, -1 if exc.row is None else exc.row, exc.detail)
-        except InvalidEncoding as exc:  # raised once every line before it is read
-            fault = (0, exc.line_no - 2, None)  # the data row on that line
-        return n_rows, fault, lines
+        for row in range(len(held)):
+            features(row)
 
-    shards = run_in_workers("predict", grade, args.features)
-    faults = [fault for _, fault, _ in shards if fault is not None]
-    if faults:
-        # The first one process meets: every row is read before any is graded.
-        _, row, detail = min(faults, key=lambda fault: fault[:2])
-        if detail is None:
-            raise InvalidEncoding(row + 2, args.features)
-        raise MalformedRow(None if row < 0 else row, detail)
-    n_rows = shards[0][0]
-    lines = interleave("predict", [lines for _, _, lines in shards], n_rows)
+    try:
+        for _, _, line, _ in read_table(args.features, ",", FEATURE_HEADERS):
+            held.append(line)
+    except (QEError, OSError):
+        parse_held()
+        raise
+
+    def grade(start, stop):
+        """The ``id,grade`` lines of rows ``start`` to ``stop - 1``.
+
+        None stands in for a row with a bad cell and for one that every
+        class scores -inf.
+        """
+        lines = []
+        for row in range(start, stop):
+            try:
+                row_id, vector, _ = features(row)
+            except MalformedRow:
+                lines.append(None)
+                continue
+            scores, grade = model.predict(vector)
+            # The best score, so every class gives -inf.
+            lines.append(None if scores[grade] == -math.inf else f"{row_id},{grade.label}")
+        return lines
+
+    lines = run_in_workers("predict", grade, len(held))
+    if None in lines:
+        parse_held()
+        raise MalformedRow(lines.index(None), "no class gives the features a finite score")
     atomic_write_lines(args.out, chain(["id,grade"], lines))
-    print(f"predicted {n_rows} rows")
+    print(f"predicted {len(lines)} rows")
     return 0
 
 

@@ -95,47 +95,42 @@ class SentencePair(NamedTuple):
 ParallelCorpus = tuple
 
 
-def iter_corpus(path, side: str, shard=(0, 1)):
-    """Yield each line of a UTF-8 text file tokenized for ``side``, checking it as it is read.
+def _checked_lines(path, side: str):
+    """Yield each line of a UTF-8 text file, checking it as it is read.
 
     Raises InvalidEncoding for non-UTF-8 content, and ReservedToken naming
-    ``path`` and the 1-based line for a token that is one of the language
-    model's markers ``<unk>``, ``<s>`` and ``</s>``, after yielding every
-    line before it.
-
-    With ``shard=(k, n)``, line i (counted from 0) is yielded as its tokens
-    only when ``i % n == k``, and every other line as None: it is still
-    decoded and checked, but tokenized only when it holds a ``<``, as a
-    marker does.  The default ``(0, 1)`` yields every line's tokens.
+    ``path`` and the 1-based line for a token, tokenized for ``side``,
+    that is one of the language model's markers ``<unk>``, ``<s>`` and
+    ``</s>``, after yielding every line before it.
     """
-    k, n = shard
-    for index, line in enumerate(iter_lines(path)):
-        mine = index % n == k
-        tokens = tuple(tokenize(line, side)) if mine or "<" in line else None
+    for line_no, line in enumerate(iter_lines(path), 1):
         if "<" in line:  # every marker holds one, so most lines skip the scan
-            for token in tokens:
+            for token in tokenize(line, side):
                 if token in _MARKERS:
-                    raise ReservedToken(token, index + 1, path)
-        yield tokens if mine else None
+                    raise ReservedToken(token, line_no, path)
+        yield line
 
 
-def iter_parallel(source_path, target_path, shard=(0, 1)):
-    """Yield the SentencePairs of two line-aligned text files, one line of each at a time.
+def iter_corpus(path, side: str):
+    """Yield each line of a UTF-8 text file tokenized for ``side``, checked as it is read.
 
-    Line i of each file becomes pair i.  The files are read in step, so
-    the first faulty line raises the errors of :func:`iter_corpus`, the
-    source side's first when both sides fault on one line.  When one file
-    is longer, the rest of it is read and checked too, and then
-    LineCountMismatch gives both line counts.
+    The checks and their errors are those of :func:`_checked_lines`.
+    """
+    for line in _checked_lines(path, side):
+        yield tuple(tokenize(line, side))
 
-    With ``shard=(k, n)``, pair i is tokenized and yielded only when
-    ``i % n == k``, and None stands in for every other pair, so every
-    line is read and checked and the caller still counts every pair.
-    ``extract`` gives each of its n processes one shard.
+
+def iter_parallel_lines(source_path, target_path):
+    """Yield the ``(source, target)`` lines of two line-aligned text files, read in step.
+
+    Line i of each file makes pair i.  The first faulty line raises the
+    errors of :func:`_checked_lines`, the source side's first when both sides
+    fault on one line.  When one file is longer, the rest of it is read
+    and checked too, and then LineCountMismatch gives both line counts.
     """
     lines = zip_longest(
-        iter_corpus(source_path, SOURCE, shard),
-        iter_corpus(target_path, TARGET, shard),
+        _checked_lines(source_path, SOURCE),
+        _checked_lines(target_path, TARGET),
         fillvalue=_NO_LINE,
     )
     for pair_id, (source, target) in enumerate(lines):
@@ -143,7 +138,18 @@ def iter_parallel(source_path, target_path, shard=(0, 1)):
             longer = pair_id + 1 + sum(1 for _ in lines)
             counts = (pair_id, longer) if source is _NO_LINE else (longer, pair_id)
             raise LineCountMismatch(*counts)
-        yield None if source is None else SentencePair(pair_id, source, target)
+        yield source, target
+
+
+def sentence_pair(pair_id: int, source: str, target: str) -> SentencePair:
+    """Pair ``pair_id`` of a source and a target line, each tokenized for its side."""
+    return SentencePair(pair_id, tuple(tokenize(source, SOURCE)), tuple(tokenize(target, TARGET)))
+
+
+def iter_parallel(source_path, target_path):
+    """Yield pair i of :func:`iter_parallel_lines` as :func:`sentence_pair` ``i``, one at a time."""
+    for pair_id, (source, target) in enumerate(iter_parallel_lines(source_path, target_path)):
+        yield sentence_pair(pair_id, source, target)
 
 
 def load_judgments(path) -> list[HumanJudgment]:

@@ -24,7 +24,6 @@ class InvalidEncoding(QEError):
     """A line of an input file is not valid UTF-8."""
 
     def __init__(self, line_no: int, path):
-        self.line_no = line_no
         super().__init__(f"invalid UTF-8 at {path}:{line_no}")
 
 
@@ -36,7 +35,6 @@ class MalformedRow(QEError):
     """
 
     def __init__(self, row, detail: str):
-        self.row, self.detail = row, detail
         where = "header" if row is None else f"row {row}"
         super().__init__(f"malformed {where}: {detail}")
 

@@ -8,6 +8,7 @@ none of them loads the tokenizer or the n-gram code.
 from __future__ import annotations
 
 import math
+from itertools import starmap
 from typing import NamedTuple
 
 from .errors import MalformedRow, MixedLabeling
@@ -81,41 +82,33 @@ def write_features(rows, path) -> None:
     atomic_write_lines(path, lines)
 
 
-def iter_features(path, shard=(0, 1)):
-    """Yield the rows of a feature CSV written by :func:`write_features`, checking each.
+def parse_row(row, row_id, line, cells) -> tuple[int, FeatureVector, Grade | None]:
+    """Data row ``row`` of a feature CSV as ``(id, FeatureVector, Grade | None)``, each cell checked.
 
-    Each row is yielded as ``(id, FeatureVector, Grade | None)``.  A row of
-    the wrong width, a bad id or one not above the previous row's (see
-    :func:`~mtqe.fileio.read_table`), an unparseable cell, a non-finite
-    value or a count too large for a float raises MalformedRow with the
-    row's 0-based index, after yielding every row before it.
-
-    With ``shard=(k, n)``, row i (counted from 0) is yielded only when ``i
-    % n == k``, and None stands in for every other row: each row's width
-    and id are still checked, but only the rows the shard owns have their
-    cells parsed and checked.  The default ``(0, 1)`` yields every row.
-    ``predict`` gives each of its n processes one shard.
+    ``row_id``, ``line`` and ``cells`` are what :func:`~mtqe.fileio.read_table`
+    yields for the row once it has checked its width and id.  An
+    unparseable cell, a non-finite value or a count too large for a float
+    raises MalformedRow with ``row``.
     """
-    k, n = shard
-    for row, row_id, line, cells in read_table(path, ",", FEATURE_HEADERS):
-        if row % n != k:
-            yield None
-            continue
-        try:
-            # The fileio rule for every float cell at once: a plain row.
-            if not is_plain(line):
-                raise ValueError("cells must be plain ASCII numbers")
-            values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
-            grade = Grade.from_label(cells[-1]) if len(cells) > 1 + N_FEATURES else None
-            # isfinite converts a count to a float, so a count too large
-            # for one raises OverflowError.
-            if not all(map(math.isfinite, values)):
-                raise ValueError("non-finite feature value")
-        except (ValueError, OverflowError) as exc:
-            raise MalformedRow(row, str(exc)) from None
-        yield row_id, FeatureVector(*values), grade
+    try:
+        # The fileio rule for every float cell at once: a plain row.
+        if not is_plain(line):
+            raise ValueError("cells must be plain ASCII numbers")
+        values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
+        grade = Grade.from_label(cells[-1]) if len(cells) > 1 + N_FEATURES else None
+        # isfinite converts a count to a float, so a count too large
+        # for one raises OverflowError.
+        if not all(map(math.isfinite, values)):
+            raise ValueError("non-finite feature value")
+    except (ValueError, OverflowError) as exc:
+        raise MalformedRow(row, str(exc)) from None
+    return row_id, FeatureVector(*values), grade
 
 
 def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
-    """Every row of a feature CSV, as :func:`iter_features` yields them."""
-    return list(iter_features(path))
+    """Every row of a feature CSV written by :func:`write_features`, each checked.
+
+    Each row is read by :func:`~mtqe.fileio.read_table` and then parsed by
+    :func:`parse_row`, so the first faulty row raises MalformedRow.
+    """
+    return list(starmap(parse_row, read_table(path, ",", FEATURE_HEADERS)))

@@ -1,40 +1,38 @@
 """Per-row work split over one process per usable CPU.
 
 ``extract`` scores each sentence pair on its own and ``predict`` grades
-each feature row on its own, so each splits its rows into shards: with n
-processes, shard k holds the rows whose index is k mod n.  The stage forks
-a worker for each shard k >= 1 once its models are loaded, so the workers
-share them copy-on-write.  A worker reads the input files again, does its
-shard's work, and sends the result back down a pipe as one marshal dump.
-The parent does shard 0, which holds row 0, itself, and every process
-reads and checks every line, so the stage raises every input error with
-the message and at the point a single process gives.
-
-Only ``extract`` and ``predict`` import this module, so no other stage
-pays for it.
+each feature row on its own.  Each stage reads and checks all its input
+itself and raises every input error before it forks, so a worker opens
+no input file: it inherits the loaded models and the held rows
+copy-on-write, computes its contiguous slice of them and sends the result
+back down a pipe.  Only ``extract`` and ``predict`` import this module,
+so no other stage pays for it.
 """
 
 import marshal
 import os
 
-# Bytes of input per process: an input smaller than this is read in one
+# Rows per process: fewer rows than twice this are computed in one
 # process, so a small input (one pair, say) never pays for a fork.
-_BYTES_PER_WORKER = 1 << 16
+_ROWS_PER_WORKER = 1 << 9
 
 
-def run_in_workers(stage: str, work, *paths) -> list:
-    """``[work((k, n)) for k in range(n)]``, run in n processes, one per usable CPU.
+def run_in_workers(stage: str, work, total: int) -> list:
+    """``work(0, total)``, computed in n processes, one per usable CPU.
 
-    ``work(shard)`` reads the input files ``paths`` itself and returns a
-    value marshal can dump; n follows from the first path's size (see
-    :func:`_worker_count`).  Worker k of 1..n-1 is a forked child that runs
-    ``work((k, n))`` and sends its result back; this process runs
-    ``work((0, n))``.  A worker that fails or is killed raises RuntimeError
-    naming ``stage``.  On any exception every worker still running is
-    killed, and every worker is reaped and every pipe closed before this
-    returns or raises.
+    ``work(start, stop)`` returns a list of one value marshal can dump for
+    each row in ``range(start, stop)``, and n follows from ``total`` (see
+    :func:`_worker_count`).  Slice k of n holds rows ``total * k // n`` up
+    to ``total * (k + 1) // n``.  Worker k of 1..n-1 is a forked child that
+    computes slice k and sends its list back as one marshal dump; this
+    process computes slice 0, then joins the lists in slice order.  A
+    worker that fails, is killed or sends a list of the wrong length raises
+    RuntimeError naming ``stage``.  On any exception every worker still
+    running is killed, and every worker is reaped and every pipe closed
+    before this returns or raises.
     """
-    workers = _worker_count(*paths)
+    workers = _worker_count(total)
+    bounds = [total * k // workers for k in range(workers + 1)]
     children = []  # (pid, read end of its pipe) of each worker not yet reaped
     try:
         for k in range(1, workers):
@@ -46,10 +44,11 @@ def run_in_workers(stage: str, work, *paths) -> list:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _run_worker(work, (k, workers), write_fd, [read_fd, *(fd for _, fd in children)])
+                _run_worker(work, bounds[k : k + 2], write_fd,
+                            [read_fd, *(fd for _, fd in children)])
             os.close(write_fd)
             children.append((pid, read_fd))
-        results = [work((0, workers))]
+        rows = work(0, bounds[1])
         for k, (pid, read_fd) in enumerate(list(children), 1):
             data = _read_to_end(read_fd)
             status = os.waitpid(pid, 0)[1]
@@ -58,8 +57,12 @@ def run_in_workers(stage: str, work, *paths) -> list:
             code = os.waitstatus_to_exitcode(status)
             if code != 0:
                 raise RuntimeError(f"{stage} worker {k} exited with code {code}")
-            results.append(marshal.loads(data))
-            del data  # the dump, which the parent need not hold beside the next one
+            part = marshal.loads(data)
+            del data  # the dump, which the parent need not hold beside the rows
+            expected = bounds[k + 1] - bounds[k]
+            if len(part) != expected:
+                raise RuntimeError(f"{stage} worker {k} sent {len(part)} rows, expected {expected}")
+            rows += part
     finally:
         if children:  # an exception left workers unreaped
             from signal import SIGKILL
@@ -68,23 +71,6 @@ def run_in_workers(stage: str, work, *paths) -> list:
                 os.close(read_fd)
                 os.kill(pid, SIGKILL)
                 os.waitpid(pid, 0)
-    return results
-
-
-def interleave(stage: str, shards, total: int) -> list:
-    """The ``total`` rows of ``shards``, the rows of each shard k of n, in row order.
-
-    Shard k holds rows k, k + n, k + 2n and so on, so row i is
-    ``shards[i % n][i // n]``.  A worker's shard of the wrong length raises
-    RuntimeError naming ``stage``.
-    """
-    n = len(shards)
-    rows = [None] * total
-    for k, shard in enumerate(shards):
-        expected = len(range(k, total, n))
-        if len(shard) != expected:
-            raise RuntimeError(f"{stage} worker {k} sent {len(shard)} rows, expected {expected}")
-        rows[k::n] = shard
     return rows
 
 
@@ -95,18 +81,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(path, *more_paths) -> int:
-    """The number of processes that share the rows of the input files.
+def _worker_count(total: int) -> int:
+    """The number of processes that share ``total`` rows.
 
-    It is one per usable CPU, at most one per ``_BYTES_PER_WORKER`` bytes
-    of ``path``, and at least one.  It is one wherever a fork is unsafe:
-    without ``os.fork``, when an input path is not a regular file (a pipe
-    can be read only once, and every process reads every file), and when
-    the process runs a second thread.
+    It is one per usable CPU, at most one per ``_ROWS_PER_WORKER`` rows,
+    and at least one.  It is one wherever a fork is unsafe: without
+    ``os.fork``, and when the process runs a second thread.
     """
-    if not (hasattr(os, "fork") and all(map(os.path.isfile, (path, *more_paths)))):
+    if not hasattr(os, "fork"):
         return 1
-    workers = min(_usable_cpus(), os.path.getsize(path) // _BYTES_PER_WORKER)
+    workers = min(_usable_cpus(), total // _ROWS_PER_WORKER)
     if workers > 1:
         import threading  # only a run that may fork pays for it
 
@@ -115,8 +99,8 @@ def _worker_count(path, *more_paths) -> int:
     return max(1, workers)
 
 
-def _run_worker(work, shard, write_fd, inherited_fds) -> None:
-    """In a forked child: send ``work(shard)`` down ``write_fd`` as a marshal dump, then exit.
+def _run_worker(work, bounds, write_fd, inherited_fds) -> None:
+    """In a forked child: send ``work(*bounds)`` down ``write_fd`` as a marshal dump, then exit.
 
     It never returns.  It prints nothing: it exits 0 once every byte is
     written and 1 on any failure, which the parent reports.
@@ -125,7 +109,7 @@ def _run_worker(work, shard, write_fd, inherited_fds) -> None:
     try:
         for fd in inherited_fds:
             os.close(fd)
-        data = memoryview(marshal.dumps(work(shard)))
+        data = memoryview(marshal.dumps(work(*bounds)))
         while data:
             data = data[os.write(write_fd, data):]
         status = 0

@@ -436,13 +436,51 @@ def run_cli(*argv):
 
 @contextmanager
 def forced_workers(n):
-    """Make ``extract`` and ``predict`` read an input of at least one byte in ``n`` processes.
+    """Make ``extract`` and ``predict`` split an input of at least ``n`` rows over ``n`` processes.
 
-    While the context lasts, every byte of input is worth a worker, and the
-    host has ``n`` usable CPUs; the other conditions for a fork still hold.
+    While the context lasts, every row is worth a worker, and the host has
+    ``n`` usable CPUs; the other conditions for a fork still hold.
     """
-    with mock.patch.object(workers, "_BYTES_PER_WORKER", 1), \
+    with mock.patch.object(workers, "_ROWS_PER_WORKER", 1), \
             mock.patch.object(workers, "_usable_cpus", return_value=n):
+        yield
+
+
+def one_row_short_in_child():
+    """run_in_workers, except that a forked worker's slice drops its last row.
+
+    ``extract`` and ``predict`` import run_in_workers when they run, so the
+    patch reaches both stages' work functions.
+    """
+    real = workers.run_in_workers
+
+    def patched(stage, work, total):
+        parent = os.getpid()
+
+        def short(start, stop):
+            rows = work(start, stop)
+            return rows if os.getpid() == parent else rows[:-1]
+
+        return real(stage, short, total)
+
+    return mock.patch.object(workers, "run_in_workers", patched)
+
+
+@contextmanager
+def logged_opens(log):
+    """Append the path of every file ``open`` opens to ``log``, in any process, while it lasts.
+
+    A forked worker inherits the patch, and each entry is one short append,
+    so the log holds the opens of the parent and of every worker.
+    """
+    real = open
+
+    def logged(file, *args, **kwargs):
+        with real(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{file}\n")
+        return real(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", logged):
         yield
 
 

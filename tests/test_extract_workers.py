@@ -1,18 +1,23 @@
 """``extract`` scores its pairs in one process per usable CPU, with the bytes and errors of one.
 
-Worker k of n is a forked child that scores the pairs whose id is k mod n
-and sends their feature CSV lines back down a pipe; the parent scores
-shard 0 and checks every line itself.  These tests force a worker count with
-``conftest.forced_workers`` and check that:
+The parent reads and checks every corpus line, holds each pair's two
+lines and raises every input error before it forks.  Worker k of n is a
+forked child that tokenizes and scores slice k of the held pairs and
+sends their feature CSV lines back down a pipe; the parent scores slice 0.
+These tests force a worker count with ``conftest.forced_workers`` and
+check that:
 
-- the features file has the same bytes at any worker count;
+- the features file has the same bytes at any worker count, and when the
+  inputs are pipes;
 - every step of the README's error order gives the same exit code and
-  stderr at 2 and 3 workers as at 1, with the fault on a worker's line,
-  and leaves no features file, no child process and no open pipe;
+  stderr at 2 and 3 workers as at 1, forks no worker, and leaves no
+  features file, no child process and no open pipe;
+- a language model below order 3 is refused before the corpus is read;
+- each input file is opened once, by the parent;
 - a worker that fails, is killed or sends the wrong number of rows makes
   ``extract`` exit 1 with no features file;
-- a pipe for a corpus file, a second thread, or no ``os.fork`` keeps
-  ``extract`` in one process, and so does a corpus under 64 KiB.
+- a second thread or no ``os.fork`` keeps ``extract`` in one process, and
+  so does a corpus under two workers' rows.
 """
 
 import os
@@ -27,17 +32,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mtqe.corpus
 import mtqe.features
 import mtqe.workers
 from mtqe.corpus import SOURCE, iter_corpus
 from mtqe.ngram import train_lm
 
-from conftest import forced_workers, run_cli, run_toy_pipeline
+from conftest import (
+    forced_workers, logged_opens, one_row_short_in_child, run_cli, run_toy_pipeline,
+)
 
 HEADER = "\t".join(["id"] + [f"p{i}" for i in range(1, 11)])
 N_LINES = 8
-# A worker owns this line at 2 workers (5 % 2 == 1) and at 3 (5 % 3 == 2).
+# A worker's slice holds this line at 2 workers (pairs 4-7) and at 3 (5-7).
 FAULT = 5
 
 
@@ -76,7 +82,7 @@ def assert_no_child_left():
 
 
 # Words for random corpora: punctuation to peel, and "<" outside any marker,
-# so a line another worker owns is sometimes tokenized for the marker check.
+# so the parent sometimes tokenizes a line for the marker check.
 WORDS = ["the", "Dog", "runs", "घर", "नदी", ".", "।", "!", "(", "a<b", "<x", "<<", "x>", ""]
 
 
@@ -98,12 +104,12 @@ def test_same_bytes_at_any_worker_count(models, pairs, labeled):
             judgments = work / "j.tsv"
             judgments.write_text("\n".join(judgment_rows(range(len(pairs)))) + "\n")
         written = {}
-        for n in (1, 2, 3, 5):  # 5 workers leave some shards empty
+        for n in (1, 2, 3, 5):
             out = work / f"features-{n}.csv"
             with forced_workers(n), mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert extract(models, work / "s.txt", work / "t.txt", out, judgments) == 0
-            # One worker per byte of source text at most: a one-byte corpus forks nothing.
-            assert fork.call_count == min(n, (work / "s.txt").stat().st_size) - 1
+            # One worker per pair at most: a one-pair corpus forks nothing.
+            assert fork.call_count == min(n, len(pairs)) - 1
             written[n] = out.read_bytes()
         assert written[2] == written[3] == written[5] == written[1]
 
@@ -121,7 +127,7 @@ def _set(lines, index, line):
 
 # Each step of the README's error order for extract, as (source lines,
 # target lines, judgment rows or None) made from valid inputs; the fault
-# sits on line FAULT, which a worker owns.
+# sits on line FAULT, in a worker's slice.
 FAULTS = {
     "invalid UTF-8 in the source": lambda s, t, j: (_set(s, FAULT, b"the \xff dog"), t, j),
     "invalid UTF-8 in the target": lambda s, t, j: (s, _set(t, FAULT, b"\xe0\xa4 x"), j),
@@ -154,8 +160,8 @@ def test_errors_match_one_process(models, tmp_path, capsys, fault, workers):
     with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
         assert extract(models, tmp_path / "s.txt", tmp_path / "t.txt", out, labels) == expected
     assert capsys.readouterr().err == expected_err
-    # An empty corpus is under one byte per worker, so it is scored in one process.
-    assert fork.call_count == (0 if fault == "empty corpus" else workers - 1)
+    # The parent raises every input error before it forks.
+    assert fork.call_count == 0
     assert not out.exists()
     assert_no_child_left()
     assert open_fds() == before
@@ -176,6 +182,32 @@ def test_low_order_model_fails_at_the_first_pair(models, tmp_path, capsys, worke
     assert_no_child_left()
 
 
+# Corpora whose own fault comes before any pair is scored; the model's
+# order is checked before the corpus is read, so its error comes first.
+LOW_ORDER_CASES = {
+    "empty corpus": lambda s, t: ([], []),
+    "bad line 0": lambda s, t: (_set(s, 0, b"the \xff dog"), t),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(LOW_ORDER_CASES))
+def test_low_order_model_fails_before_the_corpus_is_read(models, tmp_path, capsys, case, workers):
+    low = tmp_path / "low.lm"
+    train_lm(list(iter_corpus(models["src"], SOURCE)), 2).save(low)
+    src, tgt, _ = _valid(models)
+    src, tgt = LOW_ORDER_CASES[case](src, tgt)
+    write_lines(tmp_path / "s.txt", src)
+    write_lines(tmp_path / "t.txt", tgt)
+    with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        code = extract(models, tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "f.csv",
+                       src_lm=low)
+    assert code == 2
+    assert capsys.readouterr().err == "error: language models must have order >= 3\n"
+    assert fork.call_count == 0
+    assert not (tmp_path / "f.csv").exists()
+
+
 def _in_child(action):
     """extract_features, except that in a forked child it calls ``action`` first."""
     parent, real = os.getpid(), mtqe.features.extract_features
@@ -188,25 +220,11 @@ def _in_child(action):
     return mock.patch.object(mtqe.features, "extract_features", patched)
 
 
-def _one_pair_short_in_child():
-    """iter_parallel, except that in a forked child it drops the last pair the child owns."""
-    parent, real = os.getpid(), mtqe.corpus.iter_parallel
-
-    def patched(*args):
-        pairs = list(real(*args))
-        if os.getpid() != parent:
-            last = max(i for i, pair in enumerate(pairs) if pair is not None)
-            pairs[last] = None
-        return iter(pairs)
-
-    return mock.patch.object(mtqe.corpus, "iter_parallel", patched)
-
-
 FAILED_WORKERS = {
     "exits 3": (lambda: _in_child(lambda: os._exit(3)), "exited with code 3"),
     "killed": (lambda: _in_child(lambda: os.kill(os.getpid(), signal.SIGKILL)),
                f"exited with code -{int(signal.SIGKILL)}"),
-    "sends one row short": (_one_pair_short_in_child, "sent 3 rows, expected 4"),
+    "sends one row short": (one_row_short_in_child, "sent 3 rows, expected 4"),
 }
 
 
@@ -260,22 +278,51 @@ def _expected_features(models, tmp_path):
     return (tmp_path / "one.csv").read_bytes()
 
 
-@pytest.mark.parametrize("side", ["s", "t"])
-def test_a_pipe_is_read_in_one_process(models, tmp_path, side):
-    expected = _expected_features(models, tmp_path)
-    fifo = tmp_path / "fifo"
+def _piped(path, fifo):
+    """A process that writes the bytes of ``path`` into the named pipe ``fifo``, made here."""
     os.mkfifo(fifo)
-    paths = {"s": tmp_path / "s.txt", "t": tmp_path / "t.txt"}
     # A process, not a thread, writes the pipe, so extract runs no second thread.
-    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', paths[side], fifo])
-    paths[side] = fifo
+    return subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', path, fifo])
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pipes_are_split_like_files(models, tmp_path, workers):
+    src, tgt, judgments = _valid(models)
+    write_lines(tmp_path / "s.txt", src)
+    write_lines(tmp_path / "t.txt", tgt)
+    (tmp_path / "j.tsv").write_text("\n".join(judgments) + "\n")
+    files = [tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "j.tsv"]
+    with forced_workers(1):
+        assert extract(models, *files[:2], tmp_path / "one.csv", files[2]) == 0
+    fifos = [tmp_path / f"fifo-{path.name}" for path in files]
+    writers = [_piped(path, fifo) for path, fifo in zip(files, fifos)]
     try:
-        with forced_workers(2), _no_fork():
-            assert extract(models, paths["s"], paths["t"], tmp_path / "f.csv") == 0
+        with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert extract(models, *fifos[:2], tmp_path / "f.csv", fifos[2]) == 0
     finally:
-        writer.kill()
-        writer.wait(timeout=10)
-    assert (tmp_path / "f.csv").read_bytes() == expected
+        for writer in writers:
+            writer.kill()
+            writer.wait(timeout=10)
+    assert fork.call_count == workers - 1
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_each_input_is_opened_once(models, tmp_path):
+    src, tgt, judgments = _valid(models)
+    write_lines(tmp_path / "s.txt", src)
+    write_lines(tmp_path / "t.txt", tgt)
+    (tmp_path / "j.tsv").write_text("\n".join(judgments) + "\n")
+    inputs = [tmp_path / "s.txt", tmp_path / "t.txt", tmp_path / "j.tsv",
+              models["src_lm"], models["tgt_lm"], models["lexicon"]]
+    log = tmp_path / "opens.log"
+    with forced_workers(3), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            logged_opens(log):
+        assert extract(models, *inputs[:2], tmp_path / "f.csv", inputs[2]) == 0
+    assert fork.call_count == 2
+    opened = log.read_text(encoding="utf-8").splitlines()
+    assert {str(path): opened.count(str(path)) for path in inputs} == {
+        str(path): 1 for path in inputs
+    }
 
 
 def test_a_second_thread_keeps_one_process(models, tmp_path):
@@ -302,22 +349,22 @@ def test_no_fork_in_the_os_keeps_one_process(models, tmp_path, monkeypatch):
 
 
 def test_a_small_corpus_never_forks(models, tmp_path):
-    # The toy corpus is a few KiB: under 64 KiB, as the benchmark's one-pair inputs are.
-    assert os.path.getsize(models["src"]) < mtqe.workers._BYTES_PER_WORKER
+    # The toy corpus has 40 pairs: under two workers' rows, as the
+    # benchmark's one-pair inputs are.
+    assert len(models["src"].read_bytes().splitlines()) < 2 * mtqe.workers._ROWS_PER_WORKER
     with _no_fork():
         assert extract(models, models["src"], models["tgt"], tmp_path / "f.csv",
                        models["judgments"]) == 0
 
 
-def test_worker_count(tmp_path, monkeypatch):
-    src, tgt = tmp_path / "s.txt", tmp_path / "t.txt"
-    src.write_bytes(b"x\n" * (3 * mtqe.workers._BYTES_PER_WORKER // 2))  # three blocks of 64 KiB
-    tgt.write_bytes(b"y\n")
+def test_worker_count(monkeypatch):
+    rows = mtqe.workers._ROWS_PER_WORKER
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5, 7}, raising=False)
     assert mtqe.workers._usable_cpus() == 4
-    assert mtqe.workers._worker_count(src, tgt) == 3  # one per 64 KiB of source text
-    src.write_bytes(b"x\n" * (mtqe.workers._BYTES_PER_WORKER // 2 - 1))  # under 64 KiB
-    assert mtqe.workers._worker_count(src, tgt) == 1
+    assert mtqe.workers._worker_count(3 * rows) == 3  # one per _ROWS_PER_WORKER rows
+    assert mtqe.workers._worker_count(100 * rows) == 4  # one per usable CPU
+    assert mtqe.workers._worker_count(2 * rows - 1) == 1
+    assert mtqe.workers._worker_count(0) == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 6)
     assert mtqe.workers._usable_cpus() == 6

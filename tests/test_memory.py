@@ -29,12 +29,12 @@ MAX_BYTES_PER_LEXICON_ROW = 40
 # Reading the lexicon a block at a time peaks about 30 bytes per row on
 # the 20k-row file below; holding the whole file as lines peaks about 110.
 MAX_PEAK_BYTES_PER_LEXICON_ROW = 60
-# Streaming extract holds a row and its CSV line per pair, about 800
-# bytes; a held tokenized corpus adds about 1.6 KB more on this corpus
-# (2.7 KB on the benchmark's).
+# extract holds each pair's two decoded lines and its CSV line, and its
+# peak grows about 720 bytes per pair here; a held tokenized corpus adds
+# about 1.6 KB more on this corpus (2.7 KB on the benchmark's).
 MAX_EXTRACT_PEAK_BYTES_PER_PAIR = 1200
-# predict reads its rows one at a time and holds the id,grade line of each,
-# about 300 bytes per row; holding every parsed row first, as
+# predict holds the line and the id,grade line of each row, and its peak
+# grows about 420 bytes per row here; holding every parsed row first, as
 # read_features returns them, peaks about 660.
 MAX_PREDICT_PEAK_BYTES_PER_ROW = 450
 # Writing the 200k lines below (a 3.6 MB file) joins and encodes a chunk

@@ -1,22 +1,25 @@
 """``predict`` grades its rows in one process per usable CPU, with the bytes and errors of one.
 
-Every process reads every row of the feature CSV and checks its width and
-id; worker k of n parses, checks and grades only the rows whose index is
-k mod n, and sends its ``id,grade`` lines, or the first fault of its
-rows, back down a pipe.  The parent raises the fault one process would
-meet first.  These tests force a worker count with
-``conftest.forced_workers`` and check that:
+The parent reads every row of the feature CSV, checks its width and id
+and holds its line; a read fault is raised before any fork.  Worker k of n
+parses, checks and grades slice k of the held rows and sends back an
+``id,grade`` line per row, or None for a row with a bad cell or one that
+every class scores -inf.  On a None the parent parses its held rows again
+in order and raises the fault one process would meet first.  These tests
+force a worker count with ``conftest.forced_workers`` and check that:
 
-- the predictions file has the same bytes at any worker count;
-- a fault, or two faults in rows that different processes parse, gives
-  the same exit code and stderr at 2 and 3 workers as at 1, and leaves no
-  predictions file, no child process and no open pipe;
+- the predictions file has the same bytes at any worker count, and when
+  the feature CSV is a pipe;
+- a fault, or two faults in rows of different slices, gives the same exit
+  code and stderr at 2 and 3 workers as at 1, and leaves no predictions
+  file, no child process and no open pipe;
+- each input file is opened once, by the parent;
 - a worker that fails, is killed or sends the wrong number of rows makes
   ``predict`` exit 1 with no predictions file, and an interrupted parent
   kills and reaps its workers;
-- a pipe for the feature CSV, a second thread, or no ``os.fork`` keeps
-  ``predict`` in one process, and so does a small input in both
-  ``extract`` and ``predict``.
+- a second thread or no ``os.fork`` keeps ``predict`` in one process, and
+  so does a small input in both ``extract`` and ``predict``, whose worker
+  count follows the rows they hold.
 """
 
 import math
@@ -33,15 +36,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtqe.bayes
-import mtqe.feature_csv
 import mtqe.workers
 from mtqe.bayes import load_model
 from mtqe.errors import MalformedRow, QEError
 from mtqe.feature_csv import FEATURE_HEADERS, N_FEATURES, read_features
+from mtqe.fileio import read_table
 
-from conftest import forced_workers, run_cli, run_toy_pipeline
+from conftest import (
+    forced_workers, logged_opens, one_row_short_in_child, run_cli, run_toy_pipeline,
+)
 
-# Rows 5 and 7 are a worker's at 2 workers and at 3; row 6 is the parent's at both.
+# The fault names below call rows 5 and 7 a worker's and row 6 the
+# parent's, and the rows of one process its shard.  Each case runs on the
+# toy's 40 rows, where rows 5-7 lie in the parent's slice, and on its first
+# 10, where they lie in workers' slices: worker 1's at 2 workers, and
+# worker 1's (row 5) and worker 2's (rows 6-7) at 3.  So every row is
+# parsed by the parent in one file and by a worker in the other.
 WORKER_ROW, LATER_WORKER_ROW, PARENT_ROW = 5, 7, 6
 
 
@@ -94,11 +104,11 @@ def test_same_bytes_at_any_worker_count(toy, rows, labeled):
             lines.append(_row(row_id, values, "Good" if labeled else None))
         features.write_text("".join(line + "\n" for line in lines))
         written = {}
-        for n in (1, 2, 3, 5):  # 5 workers leave some shards empty
+        for n in (1, 2, 3, 5):
             out = work / f"pred-{n}.csv"
             with forced_workers(n), mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 assert predict(toy["model"], features, out) == 0
-            assert fork.call_count == n - 1  # the CSV is never under n bytes
+            assert fork.call_count == max(1, min(n, len(rows))) - 1  # one worker per row at most
             written[n] = out.read_bytes()
         assert written[2] == written[3] == written[5] == written[1]
         assert written[1].count(b"\n") == len(rows) + 1
@@ -187,31 +197,44 @@ def _one_process_error(toy, features):
     return None
 
 
+def _reads_cleanly(features):
+    """True when every row of ``features`` passes the read, whatever its feature cells hold."""
+    try:
+        for _ in read_table(features, ",", FEATURE_HEADERS):
+            pass
+    except QEError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_errors_match_one_process(toy, tmp_path, capsys, fault, workers):
-    features = tmp_path / "features.csv"
-    lines = FAULTS[fault](toy["features"].read_bytes().splitlines())
-    features.write_bytes(b"".join(line + b"\n" for line in lines))
-    out = tmp_path / "pred.csv"
-    with forced_workers(1):
-        expected = predict(toy["model"], features, out)
-    expected_err = capsys.readouterr().err
-    assert expected == 2 and expected_err == f"error: {_one_process_error(toy, features)}\n"
-    before = open_fds()
-    with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        assert predict(toy["model"], features, out) == expected
-    assert capsys.readouterr().err == expected_err
-    # An empty file is under one byte per worker, so it is read in one process.
-    assert fork.call_count == (0 if fault == "empty file" else workers - 1)
-    assert not out.exists()
-    assert_no_child_left()
-    assert open_fds() == before
+    lines = toy["features"].read_bytes().splitlines()
+    for n_rows in (40, 10):
+        features = tmp_path / f"features-{n_rows}.csv"
+        faulty = FAULTS[fault](lines[:1 + n_rows])
+        features.write_bytes(b"".join(line + b"\n" for line in faulty))
+        out = tmp_path / "pred.csv"
+        with forced_workers(1):
+            expected = predict(toy["model"], features, out)
+        expected_err = capsys.readouterr().err
+        assert expected == 2 and expected_err == f"error: {_one_process_error(toy, features)}\n"
+        before = open_fds()
+        with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            assert predict(toy["model"], features, out) == expected
+        assert capsys.readouterr().err == expected_err
+        # A fault of the read is raised before any fork.
+        assert fork.call_count == (workers - 1 if _reads_cleanly(features) else 0)
+        assert not out.exists()
+        assert_no_child_left()
+        assert open_fds() == before
 
 
 def test_a_worker_s_earlier_fault_wins(toy, tmp_path, capsys):
-    # The parent never parses row 5's cells, but meets the short row 7;
-    # the worker's bad cell in row 5 is what one process reports.
+    # The read stops at the short row 7, and the parent then parses the
+    # rows before it, so row 5's bad cell is the fault one process meets
+    # first, in any slice.
     features = tmp_path / "features.csv"
     lines = FAULTS["bad cell in a worker's row before a later short row"](
         toy["features"].read_bytes().splitlines())
@@ -235,24 +258,11 @@ def _in_child(action):
     return mock.patch.object(mtqe.bayes.NaiveBayesModel, "predict", patched)
 
 
-def _one_row_short_in_child():
-    """iter_features, except that in a forked child it drops the last row the child owns."""
-    parent, real = os.getpid(), mtqe.feature_csv.iter_features
-
-    def patched(*args):
-        rows = list(real(*args))
-        if os.getpid() != parent:
-            rows[max(i for i, row in enumerate(rows) if row is not None)] = None
-        return iter(rows)
-
-    return mock.patch.object(mtqe.feature_csv, "iter_features", patched)
-
-
 FAILED_WORKERS = {
     "exits 3": (lambda: _in_child(lambda: os._exit(3)), "exited with code 3"),
     "killed": (lambda: _in_child(lambda: os.kill(os.getpid(), signal.SIGKILL)),
                f"exited with code -{int(signal.SIGKILL)}"),
-    "sends one row short": (_one_row_short_in_child, "sent 19 rows, expected 20"),
+    "sends one row short": (one_row_short_in_child, "sent 19 rows, expected 20"),
 }
 
 
@@ -300,19 +310,31 @@ def _expected_predictions(toy, tmp_path):
     return (tmp_path / "one.csv").read_bytes()
 
 
-def test_a_pipe_is_read_in_one_process(toy, tmp_path):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_pipe_is_split_like_a_file(toy, tmp_path, workers):
     expected = _expected_predictions(toy, tmp_path)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     # A process, not a thread, writes the pipe, so predict runs no second thread.
     writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', toy["features"], fifo])
     try:
-        with forced_workers(2), _no_fork():
+        with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             assert predict(toy["model"], fifo, tmp_path / "pred.csv") == 0
     finally:
         writer.kill()
         writer.wait(timeout=10)
+    assert fork.call_count == workers - 1
     assert (tmp_path / "pred.csv").read_bytes() == expected
+
+
+def test_each_input_is_opened_once(toy, tmp_path):
+    log = tmp_path / "opens.log"
+    with forced_workers(3), mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            logged_opens(log):
+        assert predict(toy["model"], toy["features"], tmp_path / "pred.csv") == 0
+    assert fork.call_count == 2
+    opened = log.read_text(encoding="utf-8").splitlines()
+    assert (opened.count(str(toy["model"])), opened.count(str(toy["features"]))) == (1, 1)
 
 
 def test_a_second_thread_keeps_one_process(toy, tmp_path):
@@ -339,10 +361,10 @@ def test_no_fork_in_the_os_keeps_one_process(toy, tmp_path, monkeypatch):
 
 
 def test_small_inputs_never_fork(toy, tmp_path):
-    # The toy inputs are a few KiB: under 64 KiB, as the benchmark's one-pair
-    # inputs are, so neither stage that may fork does.
-    assert os.path.getsize(toy["src"]) < mtqe.workers._BYTES_PER_WORKER
-    assert os.path.getsize(toy["features"]) < mtqe.workers._BYTES_PER_WORKER
+    # The toy inputs have 40 rows, and the digest test's 200: under two
+    # workers' rows, as the benchmark's one-pair inputs are, so neither
+    # stage that may fork does.
+    assert 200 < 2 * mtqe.workers._ROWS_PER_WORKER
     with _no_fork():
         assert run_cli("extract", "--pairs-src", toy["src"], "--pairs-tgt", toy["tgt"],
                        "--src-lm", toy["src_lm"], "--tgt-lm", toy["tgt_lm"],
@@ -351,10 +373,11 @@ def test_small_inputs_never_fork(toy, tmp_path):
         assert predict(toy["model"], tmp_path / "features.csv", tmp_path / "pred.csv") == 0
 
 
-def test_worker_count_follows_the_features_file(tmp_path, monkeypatch):
-    features = tmp_path / "features.csv"
-    features.write_bytes(b"x\n" * (5 * mtqe.workers._BYTES_PER_WORKER // 2))  # five blocks of 64 KiB
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert mtqe.workers._worker_count(features) == 3  # one per usable CPU
-    features.write_bytes(b"x\n" * (mtqe.workers._BYTES_PER_WORKER // 2 - 1))  # under 64 KiB
-    assert mtqe.workers._worker_count(features) == 1
+def test_worker_count_follows_the_rows_held(toy, tmp_path):
+    # 40 pairs for extract and 40 feature rows for predict, whatever the file sizes.
+    with mock.patch.object(mtqe.workers, "_worker_count", wraps=mtqe.workers._worker_count) as count:
+        assert run_cli("extract", "--pairs-src", toy["src"], "--pairs-tgt", toy["tgt"],
+                       "--src-lm", toy["src_lm"], "--tgt-lm", toy["tgt_lm"],
+                       "--lexicon", toy["lexicon"], "--out", tmp_path / "features.csv") == 0
+        assert predict(toy["model"], toy["features"], tmp_path / "pred.csv") == 0
+    assert count.call_args_list == [mock.call(40), mock.call(40)]
