@@ -9,6 +9,7 @@ to a floor so every score is finite.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .defaults import ABSOLUTE_VARIANCE_FLOOR
@@ -24,6 +25,8 @@ from .grading import Grade
 # and the absolute floor passed to train_nb, ABSOLUTE_VARIANCE_FLOOR by
 # default.
 RELATIVE_VARIANCE_FLOOR = 1e-9
+# The largest variance whose double, each Gaussian term's divisor, is finite.
+_MAX_VARIANCE = sys.float_info.max / 2
 
 _MAGIC = "mtqe-nb-model"
 _FORMAT_VERSION = 1
@@ -118,10 +121,13 @@ def train_nb(rows, variance_floor: float = ABSOLUTE_VARIANCE_FLOOR) -> NaiveBaye
     omitted.  Sums use fsum, so row order cannot change the model.
 
     Raises:
+        ValueError: unless ``variance_floor`` is > 0 with a finite double.
         EmptyTrainingSet: when no rows are given.
     """
     if not 0.0 < variance_floor < math.inf:
         raise ValueError(f"variance_floor must be > 0 and finite, got {variance_floor}")
+    if variance_floor > _MAX_VARIANCE:
+        raise ValueError(f"variance_floor must be <= {_MAX_VARIANCE}, got {variance_floor}")
     data = [(_as_values(x), y) for x, y in rows]
     if not data:
         raise EmptyTrainingSet()
@@ -166,12 +172,15 @@ def load_model(path) -> NaiveBayesModel:
     The round trip preserves every parameter bit-for-bit, so predictions
     match the saved model exactly.  Raises CorruptModel for a malformed
     file and for parameters no training run writes: a prior outside
-    (0, 1], a variance or variance floor <= 0, or a non-finite value.
+    (0, 1], a variance or variance floor <= 0 or with an infinite double
+    (which would score inf / inf = nan), or a non-finite value.
     """
     lines = read_model_lines(iter_lines(path), _MAGIC, _FORMAT_VERSION)
     (variance_floor,) = _hex_floats(lines, "variance_floor", 1)
     if variance_floor <= 0.0:
         raise CorruptModel(f"variance floor {variance_floor} must be > 0")
+    if variance_floor > _MAX_VARIANCE:
+        raise CorruptModel(f"variance floor {variance_floor} must be <= {_MAX_VARIANCE}")
     n_classes = header_int(lines, "classes")
     if not 1 <= n_classes <= len(Grade):
         raise CorruptModel(f"class count {n_classes} outside 1..{len(Grade)}")
@@ -197,6 +206,8 @@ def load_model(path) -> NaiveBayesModel:
         variances[grade] = _hex_floats(lines, "variances", N_FEATURES)
         if min(variances[grade]) <= 0.0:
             raise CorruptModel(f"variance {min(variances[grade])} must be > 0")
+        if max(variances[grade]) > _MAX_VARIANCE:
+            raise CorruptModel(f"variance {max(variances[grade])} must be <= {_MAX_VARIANCE}")
         classes.append(grade)
     # Read to the end first, so a line after "end" is reported as such.
     if rest := list(lines):

@@ -90,14 +90,11 @@ def _cmd_extract(args) -> int:
     if not pairs:
         raise EmptyCorpus()
 
-    def score(start, stop):
-        """The feature CSV lines of pairs ``start`` to ``stop - 1``."""
-        lines = []
-        for pair_id in range(start, stop):
-            pair = sentence_pair(pair_id, *pairs[pair_id])
-            vector = extract_features(pair, src_lm, tgt_lm, lexicon)
-            lines.append(feature_line(pair_id, vector, grades.get(pair_id)))
-        return lines
+    def score(pair_id):
+        """The feature CSV line of pair ``pair_id``."""
+        pair = sentence_pair(pair_id, *pairs[pair_id])
+        vector = extract_features(pair, src_lm, tgt_lm, lexicon)
+        return feature_line(pair_id, vector, grades.get(pair_id))
 
     lines = run_in_workers("extract", score, len(pairs))
     atomic_write_lines(args.out, chain([FEATURE_HEADERS[args.judgments is not None]], lines))
@@ -124,17 +121,11 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     from .bayes import load_model
     from .feature_csv import FEATURE_HEADERS, parse_row
-    from .fileio import atomic_write_lines, parse_int, read_table
+    from .fileio import atomic_write_lines, read_table
     from .workers import run_in_workers
 
     model = load_model(args.model)
     held = []  # the line of each data row, its width and id checked
-
-    def features(row):
-        """Data row ``row`` as read_features gives it, parsed from its held line."""
-        line = held[row]
-        cells = line.split(",")
-        return parse_row(row, parse_int(cells[0]), line, cells)
 
     def parse_held():
         """Parse the held rows in order, raising the first bad cell.
@@ -143,33 +134,29 @@ def _cmd_predict(args) -> int:
         row until it has read them all, so it meets a bad cell of a held row
         before the fault that ended the read and before any -inf row.
         """
-        for row in range(len(held)):
-            features(row)
+        for row, line in enumerate(held):
+            parse_row(row, line)
 
     try:
-        for _, _, line, _ in read_table(args.features, ",", FEATURE_HEADERS):
+        for _, _, line in read_table(args.features, ",", FEATURE_HEADERS):
             held.append(line)
     except (QEError, OSError):
         parse_held()
         raise
 
-    def grade(start, stop):
-        """The ``id,grade`` lines of rows ``start`` to ``stop - 1``.
+    def grade(row):
+        """The ``id,grade`` line of held row ``row``.
 
         None stands in for a row with a bad cell and for one that every
         class scores -inf.
         """
-        lines = []
-        for row in range(start, stop):
-            try:
-                row_id, vector, _ = features(row)
-            except MalformedRow:
-                lines.append(None)
-                continue
-            scores, grade = model.predict(vector)
-            # The best score, so every class gives -inf.
-            lines.append(None if scores[grade] == -math.inf else f"{row_id},{grade.label}")
-        return lines
+        try:
+            row_id, vector, _ = parse_row(row, held[row])
+        except MalformedRow:
+            return None
+        scores, grade = model.predict(vector)
+        # The best score, so every class gives -inf.
+        return None if scores[grade] == -math.inf else f"{row_id},{grade.label}"
 
     lines = run_in_workers("predict", grade, len(held))
     if None in lines:
@@ -187,9 +174,9 @@ def _read_grade_file(path):
     from .grading import Grade
 
     grades = {}
-    for row, row_id, _, cells in read_table(path, ",", ("id,grade", FEATURE_HEADERS[1])):
+    for row, row_id, line in read_table(path, ",", ("id,grade", FEATURE_HEADERS[1])):
         try:
-            grades[row_id] = Grade.from_label(cells[-1])
+            grades[row_id] = Grade.from_label(line.rpartition(",")[2])
         except ValueError as exc:
             raise MalformedRow(row, str(exc)) from None
     return grades

@@ -161,10 +161,11 @@ def load_judgments(path) -> list[HumanJudgment]:
     :func:`~mtqe.fileio.read_table`) raise MalformedRow.
     """
     judgments = []
-    for row, sentence_id, _, cells in read_table(path, "\t", (_JUDGMENT_HEADER,)):
-        params = tuple(map(_SCORES.get, cells[1:]))
+    for row, sentence_id, line in read_table(path, "\t", (_JUDGMENT_HEADER,)):
+        cells = line.split("\t")[1:]
+        params = tuple(map(_SCORES.get, cells))
         if None in params:  # a cell other than "0" to "4", such as "00", or a fault to name
-            params = _checked_params(row, cells[1:])
+            params = _checked_params(row, cells)
         judgments.append(HumanJudgment(sentence_id, params))
     return judgments
 

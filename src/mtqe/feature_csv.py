@@ -8,7 +8,6 @@ none of them loads the tokenizer or the n-gram code.
 from __future__ import annotations
 
 import math
-from itertools import starmap
 from typing import NamedTuple
 
 from .errors import MalformedRow, MixedLabeling
@@ -43,12 +42,12 @@ class FeatureVector(NamedTuple):
     tgt_punct_count: int            # f16
 
 
-# One rule per feature column, in f1..f16 order: a count is an integer
+# One rule per cell, the id's and then f1..f16's: a count is an integer
 # and every other feature a float with six decimal places.  The template
 # of a labeled row ends in the grade's label.
 _CELLS = ",".join(["{}", *("{:d}" if i in _INT_INDEXES else "{:.6f}" for i in range(N_FEATURES))])
 _ROWS = (_CELLS, _CELLS + ",{.label}")
-_PARSERS = tuple(parse_int if i in _INT_INDEXES else float for i in range(N_FEATURES))
+_PARSERS = (parse_int, *(parse_int if i in _INT_INDEXES else float for i in range(N_FEATURES)))
 
 
 def feature_line(row_id: int, vector: FeatureVector, grade) -> str:
@@ -82,19 +81,19 @@ def write_features(rows, path) -> None:
     atomic_write_lines(path, lines)
 
 
-def parse_row(row, row_id, line, cells) -> tuple[int, FeatureVector, Grade | None]:
+def parse_row(row, line) -> tuple[int, FeatureVector, Grade | None]:
     """Data row ``row`` of a feature CSV as ``(id, FeatureVector, Grade | None)``, each cell checked.
 
-    ``row_id``, ``line`` and ``cells`` are what :func:`~mtqe.fileio.read_table`
-    yields for the row once it has checked its width and id.  An
-    unparseable cell, a non-finite value or a count too large for a float
-    raises MalformedRow with ``row``.
+    ``line`` is the row as :func:`~mtqe.fileio.read_table` yields it, its
+    width and id checked, and is split here.  An unparseable cell, a
+    non-finite value or a count too large for a float raises MalformedRow.
     """
     try:
         # The fileio rule for every float cell at once: a plain row.
         if not is_plain(line):
             raise ValueError("cells must be plain ASCII numbers")
-        values = [parse(cell) for parse, cell in zip(_PARSERS, cells[1:])]
+        cells = line.split(",")
+        row_id, *values = [parse(cell) for parse, cell in zip(_PARSERS, cells)]
         grade = Grade.from_label(cells[-1]) if len(cells) > 1 + N_FEATURES else None
         # isfinite converts a count to a float, so a count too large
         # for one raises OverflowError.
@@ -108,7 +107,7 @@ def parse_row(row, row_id, line, cells) -> tuple[int, FeatureVector, Grade | Non
 def read_features(path) -> list[tuple[int, FeatureVector, Grade | None]]:
     """Every row of a feature CSV written by :func:`write_features`, each checked.
 
-    Each row is read by :func:`~mtqe.fileio.read_table` and then parsed by
-    :func:`parse_row`, so the first faulty row raises MalformedRow.
+    Each row is checked by :func:`~mtqe.fileio.read_table` and then split
+    and parsed by :func:`parse_row`, so the first faulty row raises MalformedRow.
     """
-    return list(starmap(parse_row, read_table(path, ",", FEATURE_HEADERS)))
+    return [parse_row(row, line) for row, _, line in read_table(path, ",", FEATURE_HEADERS)]

@@ -137,13 +137,14 @@ def not_rising(row: int, key: str, previous: str) -> MalformedRow:
 def read_table(path, sep: str, headers):
     """Data rows of a table whose header line is one of ``headers``, read forward.
 
-    Yields ``(row, row_id, line, cells)`` for each data row: ``row``
-    counted from 0, ``cells`` the line split on ``sep`` into exactly as
-    many cells as the header has, and ``row_id`` the first cell as an
-    integer.  A missing or unknown header raises ``MalformedRow(None,
-    ...)`` quoting the header found; a row of the wrong width, then a bad
-    id cell or one not above the previous row's id, raises MalformedRow
-    for that row.
+    Yields ``(row, row_id, line)`` for each data row: ``row`` counted from
+    0, and ``row_id`` the first of the line's cells, as many as the header
+    has, as an integer.  The line is not split, so the reader of its cells
+    splits it once: its width is its count of ``sep`` plus one, and its id
+    the text before the first ``sep``.  A missing or unknown header raises
+    ``MalformedRow(None, ...)`` quoting the header found; a row of the
+    wrong width, then a bad id cell or one not above the previous row's id,
+    raises MalformedRow for that row.
     """
     lines = iter_lines(path)
     header = next(lines, None)
@@ -153,15 +154,16 @@ def read_table(path, sep: str, headers):
     width = header.count(sep) + 1
     previous = -math.inf  # below every id
     for row, line in enumerate(lines):
-        cells = split_row(line, row, sep, width)
+        if line.count(sep) + 1 != width:
+            split_row(line, row, sep, width)  # which raises the width's MalformedRow
         try:
-            row_id = parse_int(cells[0])
+            row_id = parse_int(line.partition(sep)[0])
         except (ValueError, OverflowError) as exc:
             raise MalformedRow(row, str(exc)) from None
         if row_id <= previous:
             raise not_rising(row, f"id {row_id}", f"id {previous}")
         previous = row_id
-        yield row, row_id, line, cells
+        yield row, row_id, line
 
 
 def read_model_lines(lines, magic: str, version: int):

@@ -1,12 +1,12 @@
 """Per-row work split over one process per usable CPU.
 
-``extract`` scores each sentence pair on its own and ``predict`` grades
-each feature row on its own.  Each stage reads and checks all its input
-itself and raises every input error before it forks, so a worker opens
-no input file: it inherits the loaded models and the held rows
-copy-on-write, computes its contiguous slice of them and sends the result
-back down a pipe.  Only ``extract`` and ``predict`` import this module,
-so no other stage pays for it.
+``extract`` scores each sentence pair and ``predict`` grades each feature
+row by one function of one row.  Each stage reads and checks all its
+input itself and raises every input error before it forks, so a worker
+opens no input file: it inherits the loaded models and the held rows
+copy-on-write, calls the function on each row of its contiguous slice and
+sends the values back down a pipe.  Only ``extract`` and ``predict``
+import this module, so no other stage pays for it.
 """
 
 import marshal
@@ -18,18 +18,17 @@ _ROWS_PER_WORKER = 1 << 9
 
 
 def run_in_workers(stage: str, work, total: int) -> list:
-    """``work(0, total)``, computed in n processes, one per usable CPU.
+    """``[work(row) for row in range(total)]``, computed in n processes, one per usable CPU.
 
-    ``work(start, stop)`` returns a list of one value marshal can dump for
-    each row in ``range(start, stop)``, and n follows from ``total`` (see
-    :func:`_worker_count`).  Slice k of n holds rows ``total * k // n`` up
-    to ``total * (k + 1) // n``.  Worker k of 1..n-1 is a forked child that
-    computes slice k and sends its list back as one marshal dump; this
-    process computes slice 0, then joins the lists in slice order.  A
-    worker that fails, is killed or sends a list of the wrong length raises
-    RuntimeError naming ``stage``.  On any exception every worker still
-    running is killed, and every worker is reaped and every pipe closed
-    before this returns or raises.
+    ``work(row)`` returns one value marshal can dump, and n follows from
+    ``total`` (see :func:`_worker_count`).  Slice k of n holds rows
+    ``total * k // n`` up to ``total * (k + 1) // n``.  Worker k of 1..n-1
+    is a forked child that computes the values of slice k and sends their
+    list back as one marshal dump; this process computes slice 0, then
+    joins the lists in slice order.  A worker that fails, is killed or
+    sends a list of the wrong length raises RuntimeError naming ``stage``.
+    On any exception every worker still running is killed, and every worker
+    is reaped and every pipe closed before this returns or raises.
     """
     workers = _worker_count(total)
     bounds = [total * k // workers for k in range(workers + 1)]
@@ -48,7 +47,7 @@ def run_in_workers(stage: str, work, total: int) -> list:
                             [read_fd, *(fd for _, fd in children)])
             os.close(write_fd)
             children.append((pid, read_fd))
-        rows = work(0, bounds[1])
+        rows = list(map(work, range(bounds[1])))
         for k, (pid, read_fd) in enumerate(list(children), 1):
             data = _read_to_end(read_fd)
             status = os.waitpid(pid, 0)[1]
@@ -100,16 +99,16 @@ def _worker_count(total: int) -> int:
 
 
 def _run_worker(work, bounds, write_fd, inherited_fds) -> None:
-    """In a forked child: send ``work(*bounds)`` down ``write_fd`` as a marshal dump, then exit.
+    """In a forked child: send ``[work(row) for row in range(*bounds)]`` down ``write_fd``, then exit.
 
-    It never returns.  It prints nothing: it exits 0 once every byte is
-    written and 1 on any failure, which the parent reports.
+    It sends the list as one marshal dump and never returns.  It prints
+    nothing: it exits 0 once every byte is written and 1 on any failure.
     """
     status = 1
     try:
         for fd in inherited_fds:
             os.close(fd)
-        data = memoryview(marshal.dumps(work(*bounds)))
+        data = memoryview(marshal.dumps(list(map(work, range(*bounds)))))
         while data:
             data = data[os.write(write_fd, data):]
         status = 0

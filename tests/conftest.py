@@ -16,7 +16,8 @@ from mtqe import workers
 from mtqe.cli import main as cli_main
 from mtqe.corpus import SOURCE, ParallelCorpus, SentencePair, is_punctuation_char
 from mtqe.feature_csv import N_FEATURES
-from mtqe.fileio import read_lines
+from mtqe.errors import MalformedRow
+from mtqe.fileio import iter_lines, parse_int, read_lines
 from mtqe.lexicon import TranslationLexicon
 from mtqe.ngram import BOS, END, UNK
 
@@ -137,6 +138,36 @@ def save_reference_lm(lm, path):
     lines += [" ".join(gram) + f"\t{lm.counts[gram]}" for gram in sorted(lm.counts)]
     lines.append("end")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def reference_read_table(path, sep, headers):
+    """``fileio.read_table`` as it read a table by splitting each row into cells.
+
+    Yields ``(row, row_id, line, cells)`` for each data row and raises what
+    ``read_table`` raises, with its messages: the reference for its
+    separator count and its id parse from the text before the first ``sep``.
+    """
+    lines = iter_lines(path)
+    header = next(lines, None)
+    if header not in headers:
+        found = "an empty file" if header is None else repr(header)
+        raise MalformedRow(None, f"expected {' or '.join(map(repr, headers))}, got {found}")
+    width = header.count(sep) + 1
+    previous = -math.inf  # below every id
+    for row, line in enumerate(lines):
+        cells = line.split(sep)
+        if len(cells) != width:
+            raise MalformedRow(row, f"expected {width} cells, got {len(cells)}")
+        try:
+            row_id = parse_int(cells[0])
+        except (ValueError, OverflowError) as exc:
+            raise MalformedRow(row, str(exc)) from None
+        if row_id == previous:
+            raise MalformedRow(row, f"duplicate id {row_id}")
+        if row_id < previous:
+            raise MalformedRow(row, f"id {row_id} out of order after id {previous}")
+        previous = row_id
+        yield row, row_id, line, cells
 
 
 def reference_order_fault(gram_lines, order):
@@ -447,23 +478,18 @@ def forced_workers(n):
 
 
 def one_row_short_in_child():
-    """run_in_workers, except that a forked worker's slice drops its last row.
+    """run_in_workers, except that a forked worker computes its slice less its last row.
 
-    ``extract`` and ``predict`` import run_in_workers when they run, so the
-    patch reaches both stages' work functions.
+    Only a forked worker calls ``_run_worker``, so the patch reaches every
+    worker of ``extract`` and ``predict`` and never the parent.
     """
-    real = workers.run_in_workers
+    real = workers._run_worker
 
-    def patched(stage, work, total):
-        parent = os.getpid()
+    def patched(work, bounds, *args):
+        start, stop = bounds
+        real(work, (start, stop - 1), *args)
 
-        def short(start, stop):
-            rows = work(start, stop)
-            return rows if os.getpid() == parent else rows[:-1]
-
-        return real(stage, short, total)
-
-    return mock.patch.object(workers, "run_in_workers", patched)
+    return mock.patch.object(workers, "_run_worker", patched)
 
 
 @contextmanager

@@ -451,6 +451,39 @@ class TestTrainPredictEvaluate:
         assert f"variance_floor must be > 0 and finite, got {floor}" in capsys.readouterr().err
         assert not model_path.exists()
 
+    def test_training_rejects_a_floor_whose_double_overflows(self, tmp_path, small_data, capsys):
+        # Each Gaussian term divides by twice a variance, which must be finite.
+        labeled = self._labeled(tmp_path, small_data)
+        model_path = tmp_path / "nb.model"
+        capsys.readouterr()
+        assert run_cli("train", "--features", labeled, "--variance-floor", "1e308",
+                       "--out", model_path) == 2
+        assert capsys.readouterr().err == (
+            "error: variance_floor must be <= 8.988465674311579e+307, got 1e+308\n"
+        )
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("where", ["variance floor", "variance"])
+    def test_predict_refuses_a_variance_whose_double_overflows(self, tmp_path, small_data,
+                                                               capsys, where):
+        # With an f3 variance of 1e308, f3 = 1e200 would score inf / inf = nan.
+        floor = 1e308 if where == "variance floor" else 1.0
+        variances = tuple(max(floor, v) for v in (1.0, 1.0, 1e308) + (1.0,) * 13)
+        model = NaiveBayesModel((Grade.POOR,), {Grade.POOR: 1.0}, {Grade.POOR: (0.0,) * 16},
+                                {Grade.POOR: variances}, floor)
+        model_path = tmp_path / "nb.model"
+        model.save(model_path)
+        features = self._with_f3(self._labeled(tmp_path, small_data), tmp_path / "big.csv", 0,
+                                 "1e200")
+        predictions = tmp_path / "pred.csv"
+        capsys.readouterr()
+        assert run_cli("predict", "--model", model_path, "--features", features,
+                       "--out", predictions) == 2
+        assert capsys.readouterr().err == (
+            f"error: corrupt model file: {where} 1e+308 must be <= 8.988465674311579e+307\n"
+        )
+        assert not predictions.exists()
+
     def test_evaluate_reads_only_id_and_grade(self, tmp_path, small_data, capsys):
         models = TestExtract()._models(tmp_path, small_data)
         base = ["extract", "--pairs-src", small_data["src"], "--pairs-tgt", small_data["tgt"],

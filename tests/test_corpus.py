@@ -25,10 +25,10 @@ from mtqe.errors import (
     QEError,
     ReservedToken,
 )
-from mtqe.fileio import parse_int, read_table
+from mtqe.fileio import parse_int
 from mtqe.grading import HumanJudgment
 
-from conftest import reference_tokenize, run_cli
+from conftest import reference_read_table, reference_tokenize, run_cli
 
 _CHARS = list("abcXY zq.?!,()-'।॥") + ["लड़", "का", "दौ"]
 _text = st.text(alphabet=st.sampled_from("".join(_CHARS)), max_size=40)
@@ -188,7 +188,7 @@ def _outcome(load, path):
 def _reference_load_judgments(path):
     """load_judgments as it read every cell: one parse_int call and range check per cell."""
     judgments = []
-    for row, sentence_id, _, cells in read_table(path, "\t", (_HEADER,)):
+    for row, sentence_id, _, cells in reference_read_table(path, "\t", (_HEADER,)):
         try:
             params = [parse_int(cell) for cell in cells[1:]]
         except ValueError:

@@ -47,11 +47,11 @@ from conftest import (
 )
 
 # The fault names below call rows 5 and 7 a worker's and row 6 the
-# parent's, and the rows of one process its shard.  Each case runs on the
-# toy's 40 rows, where rows 5-7 lie in the parent's slice, and on its first
-# 10, where they lie in workers' slices: worker 1's at 2 workers, and
-# worker 1's (row 5) and worker 2's (rows 6-7) at 3.  So every row is
-# parsed by the parent in one file and by a worker in the other.
+# parent's, and the rows of one process, its slice, its shard.  Each case
+# runs on the toy's 40 rows, where rows 5-7 lie in the parent's slice, and
+# on its first 10, where they lie in workers' slices: worker 1's at 2
+# workers, and worker 1's (row 5) and worker 2's (rows 6-7) at 3.  So every
+# row is parsed by the parent in one file and by a worker in the other.
 WORKER_ROW, LATER_WORKER_ROW, PARENT_ROW = 5, 7, 6
 
 
