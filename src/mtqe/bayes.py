@@ -2,8 +2,10 @@
 
 The joint log score of a class y and a feature vector x is
 ln P(y) + sum_i ln N(x_i; mean_{y,i}, var_{y,i}).  All arithmetic stays in
-log space so the 16-term product cannot underflow; variances are clamped
-to a floor so every score is finite.
+log space so the 16-term product cannot underflow.  Every variance and
+its double are finite and > 0, so the score of finite features is never
+NaN: it is finite, or -inf when a feature's distance from a class mean
+squares beyond the float range.
 """
 
 from __future__ import annotations
@@ -47,18 +49,49 @@ def _as_values(x) -> tuple[float, ...]:
     return values
 
 
+def _check_variance(name, value):
+    if not value > 0.0:
+        raise ValueError(f"{name} {value} must be > 0")
+    if value > _MAX_VARIANCE:
+        raise ValueError(f"{name} {value} must be <= {_MAX_VARIANCE}")
+
+
 class NaiveBayesModel:
     """Class priors plus per-class, per-feature Gaussian parameters.
 
     Immutable after training; predictions are pure functions of the input.
+    The constructor raises ValueError unless there is a class and the
+    classes ascend strictly, every prior is in (0, 1], every class has 16
+    finite means and 16 variances, and every variance and the floor are in
+    (0, half the largest float]: a larger one's double, each Gaussian
+    term's divisor, is infinite and would score inf / inf = nan.
     """
 
     def __init__(self, classes, priors, means, variances, variance_floor):
         self.classes = tuple(classes)  # ascending grade order, ties go to the first
         self.priors = priors  # {Grade: P(y)}
         self.means = means  # {Grade: 16 floats}
-        self.variances = variances  # {Grade: 16 floats, all >= variance_floor}
+        self.variances = variances  # {Grade: 16 floats}, >= variance_floor from train_nb
         self.variance_floor = variance_floor
+        if not self.classes:  # load_model refuses this first, as a header fault
+            raise ValueError(f"class count 0 outside 1..{len(Grade)}")
+        _check_variance("variance floor", variance_floor)
+        for low, high in zip(self.classes, self.classes[1:]):
+            if high <= low:
+                raise ValueError("duplicate class" if high == low
+                                 else "classes are not in ascending grade order")
+        for y in self.classes:
+            if not 0.0 < priors[y] <= 1.0:
+                raise ValueError(f"prior {priors[y]} outside (0, 1]")
+            for name, values in (("means", means[y]), ("variances", variances[y])):
+                if len(values) != N_FEATURES:
+                    raise ValueError(f"class {y.label} has {len(values)} {name}, "
+                                     f"expected {N_FEATURES}")
+            for m in means[y]:
+                if not math.isfinite(m):
+                    raise ValueError(f"mean {m} is not finite")
+            for v in variances[y]:
+                _check_variance("variance", v)
         # Per class: ln P(y), the means, each feature's normalizing term
         # 0.5 ln(2 pi) + 0.5 ln var and its 2 var, computed once so that
         # log_joint does only the per-row arithmetic, in the same order.
@@ -121,13 +154,14 @@ def train_nb(rows, variance_floor: float = ABSOLUTE_VARIANCE_FLOOR) -> NaiveBaye
     omitted.  Sums use fsum, so row order cannot change the model.
 
     Raises:
-        ValueError: unless ``variance_floor`` is > 0 with a finite double.
+        ValueError: unless ``variance_floor`` is > 0 and finite, and when
+            :class:`NaiveBayesModel` refuses the fitted parameters (a floor
+            or a variance whose double is infinite).
         EmptyTrainingSet: when no rows are given.
     """
+    # A NaN or a floor <= 0 would vanish inside max() below.
     if not 0.0 < variance_floor < math.inf:
         raise ValueError(f"variance_floor must be > 0 and finite, got {variance_floor}")
-    if variance_floor > _MAX_VARIANCE:
-        raise ValueError(f"variance_floor must be <= {_MAX_VARIANCE}, got {variance_floor}")
     data = [(_as_values(x), y) for x, y in rows]
     if not data:
         raise EmptyTrainingSet()
@@ -151,19 +185,21 @@ def train_nb(rows, variance_floor: float = ABSOLUTE_VARIANCE_FLOOR) -> NaiveBaye
     return NaiveBayesModel(classes, priors, means, variances, floor)
 
 
-def _hex_floats(lines, key, n_values):
+def _hex_floats(lines, key) -> tuple[float, ...]:
     parts = header_value(lines, key).split(" ")
-    if len(parts) != n_values:
-        raise CorruptModel(f"'{key}' line carries {len(parts)} values, expected {n_values}")
     try:
         if not all(map(is_plain, parts)):
             raise ValueError
-        values = tuple(float.fromhex(p) for p in parts)
+        return tuple(map(float.fromhex, parts))
     except (ValueError, OverflowError):
         raise CorruptModel(f"bad float in '{key}' line") from None
-    if not all(map(math.isfinite, values)):
-        raise CorruptModel(f"non-finite value in '{key}' line")
-    return values
+
+
+def _hex_float(lines, key) -> float:
+    values = _hex_floats(lines, key)
+    if len(values) != 1:
+        raise CorruptModel(f"'{key}' line carries {len(values)} values, expected 1")
+    return values[0]
 
 
 def load_model(path) -> NaiveBayesModel:
@@ -171,16 +207,11 @@ def load_model(path) -> NaiveBayesModel:
 
     The round trip preserves every parameter bit-for-bit, so predictions
     match the saved model exactly.  Raises CorruptModel for a malformed
-    file and for parameters no training run writes: a prior outside
-    (0, 1], a variance or variance floor <= 0 or with an infinite double
-    (which would score inf / inf = nan), or a non-finite value.
+    file and, once the whole file has been read, with the constructor's
+    message for parameters :class:`NaiveBayesModel` refuses.
     """
     lines = read_model_lines(iter_lines(path), _MAGIC, _FORMAT_VERSION)
-    (variance_floor,) = _hex_floats(lines, "variance_floor", 1)
-    if variance_floor <= 0.0:
-        raise CorruptModel(f"variance floor {variance_floor} must be > 0")
-    if variance_floor > _MAX_VARIANCE:
-        raise CorruptModel(f"variance floor {variance_floor} must be <= {_MAX_VARIANCE}")
+    variance_floor = _hex_float(lines, "variance_floor")
     n_classes = header_int(lines, "classes")
     if not 1 <= n_classes <= len(Grade):
         raise CorruptModel(f"class count {n_classes} outside 1..{len(Grade)}")
@@ -194,22 +225,14 @@ def load_model(path) -> NaiveBayesModel:
             grade = Grade.from_label(label)
         except ValueError:
             raise CorruptModel(f"unknown class label {label!r}") from None
-        if classes and grade <= classes[-1]:
-            if grade == classes[-1]:
-                raise CorruptModel("duplicate class")
-            raise CorruptModel("classes are not in ascending grade order")
-        (prior,) = _hex_floats(lines, "prior", 1)
-        if not 0.0 < prior <= 1.0:
-            raise CorruptModel(f"prior {prior} outside (0, 1]")
-        priors[grade] = prior
-        means[grade] = _hex_floats(lines, "means", N_FEATURES)
-        variances[grade] = _hex_floats(lines, "variances", N_FEATURES)
-        if min(variances[grade]) <= 0.0:
-            raise CorruptModel(f"variance {min(variances[grade])} must be > 0")
-        if max(variances[grade]) > _MAX_VARIANCE:
-            raise CorruptModel(f"variance {max(variances[grade])} must be <= {_MAX_VARIANCE}")
         classes.append(grade)
+        priors[grade] = _hex_float(lines, "prior")
+        means[grade] = _hex_floats(lines, "means")
+        variances[grade] = _hex_floats(lines, "variances")
     # Read to the end first, so a line after "end" is reported as such.
     if rest := list(lines):
         raise CorruptModel(f"line {rest[0]!r} follows the last class")
-    return NaiveBayesModel(tuple(classes), priors, means, variances, variance_floor)
+    try:
+        return NaiveBayesModel(classes, priors, means, variances, variance_floor)
+    except ValueError as exc:
+        raise CorruptModel(str(exc)) from None

@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("predict", help="grade feature rows with a trained model")
     p.add_argument("--model", required=True, help="model file from train")
-    p.add_argument("--features", required=True, help="feature CSV (grade column ignored)")
+    p.add_argument("--features", required=True, help="feature CSV (a grade column is checked, not used)")
     p.add_argument("--out", required=True, help="id,grade CSV to write")
     p.set_defaults(func=_cmd_predict)
 

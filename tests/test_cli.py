@@ -459,7 +459,7 @@ class TestTrainPredictEvaluate:
         assert run_cli("train", "--features", labeled, "--variance-floor", "1e308",
                        "--out", model_path) == 2
         assert capsys.readouterr().err == (
-            "error: variance_floor must be <= 8.988465674311579e+307, got 1e+308\n"
+            "error: variance floor 1e+308 must be <= 8.988465674311579e+307\n"
         )
         assert not model_path.exists()
 
@@ -467,12 +467,15 @@ class TestTrainPredictEvaluate:
     def test_predict_refuses_a_variance_whose_double_overflows(self, tmp_path, small_data,
                                                                capsys, where):
         # With an f3 variance of 1e308, f3 = 1e200 would score inf / inf = nan.
+        # The model refuses such a variance, so its file is written by hand.
         floor = 1e308 if where == "variance floor" else 1.0
         variances = tuple(max(floor, v) for v in (1.0, 1.0, 1e308) + (1.0,) * 13)
-        model = NaiveBayesModel((Grade.POOR,), {Grade.POOR: 1.0}, {Grade.POOR: (0.0,) * 16},
-                                {Grade.POOR: variances}, floor)
         model_path = tmp_path / "nb.model"
-        model.save(model_path)
+        model_path.write_text("".join(f"{line}\n" for line in (
+            "mtqe-nb-model\t1", f"variance_floor\t{floor.hex()}", "classes\t1", "class\tPoor",
+            f"prior\t{(1.0).hex()}", "means\t" + " ".join([(0.0).hex()] * 16),
+            "variances\t" + " ".join(v.hex() for v in variances), "end",
+        )), encoding="utf-8")
         features = self._with_f3(self._labeled(tmp_path, small_data), tmp_path / "big.csv", 0,
                                  "1e200")
         predictions = tmp_path / "pred.csv"

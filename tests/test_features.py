@@ -115,9 +115,10 @@ class TestExtract:
 
     def test_requires_order_three_models(self):
         low_order = train_lm([["a", "b"]], 2)
-        with pytest.raises(ValueError):
+        message = "^language models must have order >= 3$"
+        with pytest.raises(ValueError, match=message):
             extract_features(_pair(["a"], ["क"]), low_order, TGT_LM, LEXICON)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             extract_features(_pair(["a"], ["क"]), SRC_LM, low_order, LEXICON)
 
     def test_pure_function(self):

@@ -1,5 +1,6 @@
 """One file codec, one contract: every reader reports bad input the same way."""
 
+import math
 import os
 import re
 import stat
@@ -436,6 +437,19 @@ def test_model_faults_come_in_line_order(name, artifacts, tmp_path, capsys):
     bad.write_bytes(b"\n".join(lines) + b"\n")
     detail = f"non-integer value in header line '{key}'"
     _model_refused_with(detail, name, bad, artifacts, tmp_path, capsys)
+
+
+def test_model_value_fault_loses_to_a_later_missing_end(artifacts, tmp_path, capsys):
+    # A classifier's parameter values are checked once the whole file has
+    # been read, so a bad prior is reported only when the file has its end.
+    lines = read_lines(artifacts[READERS["model"][0]])
+    lines[next(i for i, line in enumerate(lines) if line.startswith("prior\t"))] = "prior\tnan"
+    bad = tmp_path / "faults-nb.model"
+    bad.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    detail = f"the last line must be 'end', got {lines[-2]!r}"
+    _model_refused_with(detail, "model", bad, artifacts, tmp_path, capsys)
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _model_refused_with("prior nan outside (0, 1]", "model", bad, artifacts, tmp_path, capsys)
 
 
 def _load_judgment_row(cells):
@@ -910,12 +924,58 @@ def test_writer_refuses_what_the_reader_refuses(ids, grade):
             assert written.read_bytes() == by_hand.read_bytes()
 
 
-@settings(max_examples=40)
-@given(st.sets(st.sampled_from(Grade), min_size=1), st.data())
-def test_nb_model_round_trip(classes, data):
-    classes = sorted(classes)
-    priors = {y: data.draw(st.floats(0.0, 1.0, exclude_min=True)) for y in classes}
-    means = {y: data.draw(st.tuples(*[_finite] * N_FEATURES)) for y in classes}
-    variances = {y: data.draw(st.tuples(*[_variance] * N_FEATURES)) for y in classes}
-    model = NaiveBayesModel(classes, priors, means, variances, data.draw(_variance))
-    _rewrites_same_bytes(lambda model, path: model.save(path), load_model, model)
+# Values outside the ranges NaiveBayesModel takes, and their edges.
+_bad_values = st.sampled_from([0.0, -0.0, -1.0, 1.5, 1e308, sys.float_info.max,
+                               math.nan, math.inf, -math.inf])
+_class_orders = st.one_of(st.sets(st.sampled_from(Grade), min_size=1).map(sorted),
+                          st.lists(st.sampled_from(Grade), max_size=4))
+
+
+@settings(max_examples=80)
+@given(_class_orders, st.data())
+def test_nb_model_takes_what_load_model_takes(classes, data):
+    # Parameters in and out of range, a few values at a time, are written to
+    # a model file by hand.  The constructor refuses them with the text
+    # load_model gives the file, or takes them and saves exactly its bytes.
+    floor = data.draw(_variance)
+    blocks = [[data.draw(st.floats(0.0, 1.0, exclude_min=True)),
+               list(data.draw(st.tuples(*[_finite] * N_FEATURES))),
+               list(data.draw(st.tuples(*[_variance] * N_FEATURES)))] for _ in classes]
+    for edit in data.draw(st.lists(st.sampled_from(["floor", "prior", "means", "variances",
+                                                    "drop", "append"]),
+                                     max_size=2, unique=True)):
+        if edit == "floor" or not blocks:
+            floor = data.draw(_bad_values)
+            continue
+        block = data.draw(st.sampled_from(blocks))
+        if edit == "prior":
+            block[0] = data.draw(_bad_values)
+            continue
+        values = block[data.draw(st.sampled_from([1, 2]))]
+        if edit == "drop":
+            values.pop()
+        elif edit == "append":
+            values.append(data.draw(_finite))
+        else:
+            values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_bad_values)
+    lines = ["mtqe-nb-model\t1", f"variance_floor\t{floor.hex()}", f"classes\t{len(classes)}"]
+    priors, means, variances = {}, {}, {}
+    for y, (prior, m, v) in zip(classes, blocks):
+        lines += [f"class\t{y.label}", f"prior\t{prior.hex()}",
+                  "means\t" + " ".join(x.hex() for x in m),
+                  "variances\t" + " ".join(x.hex() for x in v)]
+        priors[y], means[y], variances[y] = prior, tuple(m), tuple(v)
+    with tempfile.TemporaryDirectory() as directory:
+        by_hand, saved = Path(directory) / "by-hand.model", Path(directory) / "saved.model"
+        by_hand.write_text("".join(f"{line}\n" for line in lines + ["end"]), encoding="utf-8")
+        try:
+            model = NaiveBayesModel(classes, priors, means, variances, floor)
+        except ValueError as exc:
+            with pytest.raises(CorruptModel) as info:
+                load_model(by_hand)
+            assert str(info.value) == f"corrupt model file: {exc}"
+        else:
+            model.save(saved)
+            assert saved.read_bytes() == by_hand.read_bytes()
+            load_model(by_hand).save(saved)
+            assert saved.read_bytes() == by_hand.read_bytes()
