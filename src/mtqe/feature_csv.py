@@ -75,7 +75,7 @@ def write_features(rows, path) -> None:
         if (grade is not None) != labeled:
             raise MixedLabeling()
         if row_id <= previous:
-            raise not_rising(row, f"id {row_id}", f"id {previous}")
+            raise MalformedRow(row, not_rising(f"id {row_id}", f"id {previous}"))
         previous = row_id
         lines.append(feature_line(row_id, vector, grade))
     atomic_write_lines(path, lines)

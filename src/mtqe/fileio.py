@@ -124,14 +124,14 @@ def split_row(line: str, row: int, sep: str, width: int) -> list[str]:
     return cells
 
 
-def not_rising(row: int, key: str, previous: str) -> MalformedRow:
-    """The error for data row ``row``, whose key is not above the previous row's.
+def not_rising(key: str, previous: str) -> str:
+    """The fault of a row or line whose key is not above the previous one's.
 
     Both keys are named as a message shows them, like ``id 3``.
     """
     if key == previous:
-        return MalformedRow(row, f"duplicate {key}")
-    return MalformedRow(row, f"{key} out of order after {previous}")
+        return f"duplicate {key}"
+    return f"{key} out of order after {previous}"
 
 
 def read_table(path, sep: str, headers):
@@ -161,7 +161,7 @@ def read_table(path, sep: str, headers):
         except (ValueError, OverflowError) as exc:
             raise MalformedRow(row, str(exc)) from None
         if row_id <= previous:
-            raise not_rising(row, f"id {row_id}", f"id {previous}")
+            raise MalformedRow(row, not_rising(f"id {row_id}", f"id {previous}"))
         previous = row_id
         yield row, row_id, line
 
@@ -282,10 +282,12 @@ def _write_atomically(path, blocks) -> None:
 # file: a header line naming the cache, the loader kind and the versions
 # that fix the payload's layout, then the sha256 of the payload, then the
 # payload, a marshal dump.  Bump the payload version whenever a loader's
-# payload changes shape or meaning, so no entry of the old layout is read.
-# Version 2 is never used: caches may hold ``v2`` entries of another layout.
+# payload changes shape or meaning, so no entry of the old layout is read,
+# and whenever a loader starts refusing files it used to accept, so no entry
+# a laxer parse stored is served.  Version 2 is never used: caches may hold
+# ``v2`` entries of another layout.
 _CACHE_MAGIC = "mtqe-model-cache"
-_PAYLOAD_VERSION = 3
+_PAYLOAD_VERSION = 4
 _CACHE_TAG = f"v{_PAYLOAD_VERSION}-{sys.implementation.cache_tag}-m{marshal.version}"
 _CHECKSUM_BYTES = 32  # a sha256 digest
 # The most the cache directory holds.  After each store the least recently

@@ -127,7 +127,7 @@ def _parse(lines) -> dict[str, int]:
         pair = (source, target)
         if pair <= previous:
             entry = "entry {!r} -> {!r}".format
-            raise not_rising(row, entry(*pair), entry(*previous))
+            raise MalformedRow(row, not_rising(entry(*pair), entry(*previous)))
         previous = pair
         sizes[source] = get(source, 0) + 1
     return sizes

@@ -32,7 +32,7 @@ from itertools import chain, islice, repeat
 
 from .corpus import BOS, END, UNK
 from .errors import CorruptModel, EmptyCorpus
-from .fileio import header_int, load_cached, read_model_lines, write_model_lines
+from .fileio import header_int, load_cached, not_rising, read_model_lines, write_model_lines
 
 _MAGIC = "mtqe-ngram-lm"
 _FORMAT_VERSION = 1
@@ -84,12 +84,13 @@ class NgramModel:
     nothing that grows with the counts.
 
     Exact Laplace normalization divides by a context's total,
-    sum_w counts[context + (w,)].  A context's occurrences are the
-    windows of its (order - 1)-gram, and each of them continues unless it
-    ends a padded sentence, which only ``</s>`` does.  So the total of a
-    context is its own count, 0 for a context ending in ``</s>``, and for
-    order 1, where the context is empty, the sum of the unigram counts.
-    ``load_lm`` refuses a file whose counts break this rule.
+    sum_w counts[context + (w,)].  Every window of a gram shorter than
+    ``order`` continues unless it ends a padded sentence, which only
+    ``</s>`` does.  So the continuations of such a gram sum to its own
+    count, or to 0 when it ends in ``</s>``: the total of a context is its
+    (order - 1)-gram's count, and for order 1, where the context is empty,
+    the sum of the unigram counts.  ``load_lm`` refuses a file whose counts
+    break this rule at any length.
 
     The queries are ``sentence_log_prob`` (f4/f5) and ``bands`` (f8-f14).
     Immutable after construction; every query is pure, so concurrent
@@ -201,13 +202,17 @@ class NgramModel:
 
         words = ["", *self.vocab]
         for key in sorted(chain(*counts), key=padded):
-            tokens = []
-            rest = key
-            while rest:
-                rest, digit = divmod(rest, base)
-                tokens.append(words[digit])
-            tokens.reverse()
-            yield " ".join(tokens) + f"\t{counts[len(tokens) - 1][key]}"
+            yield f"{_text(key, base, words)}\t{counts[bisect_right(bounds, key)][key]}"
+
+
+def _text(key: int, base: int, words) -> str:
+    """Packed gram ``key`` as its line writes it, ``words[id]`` being the token of each id."""
+    tokens = []
+    while key:
+        key, digit = divmod(key, base)
+        tokens.append(words[digit])
+    tokens.reverse()
+    return " ".join(tokens)
 
 
 def train_lm(sentences, order: int = 3) -> NgramModel:
@@ -252,7 +257,8 @@ def load_lm(path) -> NgramModel:
     for truncated or malformed files, gram lines that do not rise strictly
     in token-tuple order, a gram holding UNK or a token with no unigram
     line, a ``vocab_size`` or quartile header line the counts do not give,
-    and, last, counts that break the context rule of :class:`NgramModel`.
+    and, last, counts that break the count rule of :class:`NgramModel`,
+    naming the first faulty gram of the longest length that has one.
     A file is parsed once per content: the model cache keeps the ``(order,
     vocab, counts, quartiles)`` the parse returns, and the model is built
     from them, parsed or cached (see :func:`~mtqe.fileio.load_cached`).
@@ -302,13 +308,6 @@ def _parse(lines) -> tuple:
     # extensions, and ids are code-point ranks: token lists compare in
     # token-tuple order, the order save writes, so they must rise strictly.
     previous = []  # below every gram's tokens
-    # The context rule of NgramModel, checked in the same pass: the
-    # continuations of a context are the full-order lines right after its
-    # own line, so the pass keeps only the open context, the total its line
-    # gives and the sum so far.  The first context that breaks the rule is
-    # raised after every other check, so no other fault's message changes.
-    context, context_text, total, continued = -1, "", 0, 0  # -1: no context is open
-    broken = None
     for line in lines:
         try:
             gram_text, text = line.split("\t")
@@ -335,28 +334,10 @@ def _parse(lines) -> tuple:
             fault = f"holds {UNK!r}" if UNK in tokens else "has a token with no unigram line"
             raise CorruptModel(f"n-gram {gram_text!r} {fault}") from None
         if tokens <= previous:
-            if tokens == previous:
-                raise CorruptModel(f"duplicate n-gram {gram_text!r}")
-            raise CorruptModel(f"n-gram {gram_text!r} out of order after n-gram "
-                               f"{' '.join(previous)!r}")
+            raise CorruptModel(not_rising(f"n-gram {gram_text!r}",
+                                          f"n-gram {' '.join(previous)!r}"))
         previous = tokens
         counts[n - 1][key] = count
-        if n == order and key // base == context:
-            continued += count
-        elif order > 1 and broken is None:
-            if continued != total:  # the open context has all its continuations
-                broken = _context_fault(context_text, total, continued)
-            elif n == order - 1:
-                context, context_text, continued = key, gram_text, 0
-                total = 0 if tokens[-1] == END else count
-            else:
-                context, total, continued = -1, 0, 0
-                if n == order:
-                    context_text = gram_text.rpartition(" ")[0]
-                    broken = (f"n-gram {gram_text!r} continues n-gram {context_text!r}, "
-                              "which has no line")
-    if order > 1 and broken is None and continued != total:
-        broken = _context_fault(context_text, total, continued)
     if not all(counts):
         raise CorruptModel(f"some n-gram length in 1..{order} has no gram")
     quartiles = _quartiles(counts)
@@ -364,13 +345,29 @@ def _parse(lines) -> tuple:
     for (key, value), expected in zip(header.items(), derived):
         if value != expected:
             raise CorruptModel(f"header line '{key}' says {value}, the counts give {expected}")
-    if broken is not None:
-        raise CorruptModel(broken)
+    # The count rule of NgramModel, at each length from order - 1 down to 1:
+    # the counts of a gram's continuations, the one-longer grams whose
+    # context (``key // base``) it is, sum to its count, or to 0 when it ends
+    # in END.  Keys of one length rise in token-tuple order, so the least
+    # faulty key is the first in the file.
+    end = vocab[END]
+    for grams, longer in zip(counts[-2::-1], counts[:0:-1]):
+        sums = dict.fromkeys(grams, 0)
+        for key, count in longer.items():
+            context = key // base
+            sums[context] = sums.get(context, 0) + count
+        faulty = [key for key, total in sums.items()
+                  if total != (0 if key % base == end else grams.get(key))]
+        if faulty:
+            key = min(faulty)
+            words = ["", *vocab]
+            text = _text(key, base, words)
+            if key not in grams:
+                first = _text(min(gram for gram in longer if gram // base == key), base, words)
+                raise CorruptModel(f"n-gram {first!r} continues n-gram {text!r}, which has no line")
+            if key % base == end:
+                raise CorruptModel(
+                    f"n-gram {text!r} ends in {END!r}, yet its continuations sum to {sums[key]}")
+            raise CorruptModel(
+                f"n-gram {text!r} has count {grams[key]}, its continuations sum to {sums[key]}")
     return order, vocab, counts, quartiles
-
-
-def _context_fault(text: str, total: int, continued: int) -> str:
-    """The message for context ``text``, whose continuations sum to ``continued``, not ``total``."""
-    if text.rpartition(" ")[2] == END:
-        return f"n-gram {text!r} ends in {END!r}, yet its continuations sum to {continued}"
-    return f"n-gram {text!r} has count {total}, its continuations sum to {continued}"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mtqe
 from mtqe.bayes import ABSOLUTE_VARIANCE_FLOOR, RELATIVE_VARIANCE_FLOOR, NaiveBayesModel
-from mtqe.corpus import SOURCE, TARGET, iter_parallel, tokenize
+from mtqe.corpus import BOS, END, SOURCE, TARGET, iter_parallel, tokenize
 from mtqe.features import read_features
 from mtqe.fileio import read_lines
 from mtqe.grading import Grade
@@ -22,6 +22,7 @@ from mtqe.ngram import load_lm
 from conftest import (
     brute_force_lexicon,
     cache_entries,
+    decode_lm,
     make_corpus,
     model_cache,
     read_lexicon_entries,
@@ -167,6 +168,32 @@ class TestExtract:
         assert expected in err
         assert "row 20" in err
         assert not out.exists()
+
+    def test_unigram_count_its_continuations_do_not_give(self, tmp_path, small_data, capsys):
+        # A word counted above Q3 and raised by one keeps every quartile
+        # header line, so only the count rule finds the edit.
+        models = self._models(tmp_path, small_data)
+        model = decode_lm(load_lm(models["src_lm"]))
+        (word,), count = next(
+            (gram, count) for gram, count in sorted(model.counts.items())
+            if len(gram) == 1 and gram[0] not in (BOS, END) and count > model.quartiles[1][1]
+        )
+        lines = read_lines(models["src_lm"])
+        lines[lines.index(f"{word}\t{count}")] = f"{word}\t{count + 1}"
+        _write_lines(models["src_lm"], lines)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        code = run_cli("extract", "--pairs-src", small_data["src"], "--pairs-tgt",
+                       small_data["tgt"], "--src-lm", models["src_lm"],
+                       "--tgt-lm", models["tgt_lm"], "--lexicon", models["lexicon"],
+                       "--out", out / "f.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: corrupt model file: n-gram {word!r} has count {count + 1}, "
+            f"its continuations sum to {count}\n"
+        )
+        assert os.listdir(out) == []
 
 
 class TestReservedMarkers:

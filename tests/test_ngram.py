@@ -1,6 +1,8 @@
 import math
 import random
 import tempfile
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -492,16 +494,19 @@ class TestDerivedHeaders:
 
 
 def _first_broken_context(counts, order):
-    """The first context, in token-tuple order, whose continuations do not sum to its total.
+    """The first gram shorter than ``order`` whose continuations do not sum to its total.
 
-    A context's total is its own count, 0 when it ends in END or has no line.
+    A gram's total is its own count, 0 when it ends in END or has no line.
+    The longest length comes first, and token-tuple order within a length.
     """
-    sums = reference_context_totals(counts, order)
-    contexts = {gram for gram in counts if len(gram) == order - 1} | set(sums)
-    for context in sorted(contexts):
-        total = 0 if context[-1] == END else counts.get(context, 0)
-        if sums.get(context, 0) != total:
-            return context
+    sums = Counter()
+    for gram, count in counts.items():
+        sums[gram[:-1]] += count
+    for n in range(order - 1, 0, -1):
+        for context in sorted({gram for gram in chain(counts, sums) if len(gram) == n}):
+            total = 0 if context[-1] == END else counts.get(context, 0)
+            if sums[context] != total:
+                return context
     return None
 
 
@@ -512,10 +517,10 @@ def _save_counts(counts, order, path):
 
 
 class TestContextRule:
-    """A context's count is the sum of its continuations, and no gram continues END."""
+    """A gram's count is the sum of its continuations at every length, and no gram continues END."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_sentences, st.integers(min_value=2, max_value=4), st.data())
+    @given(_sentences, st.integers(min_value=2, max_value=5), st.data())
     def test_broken_counts_are_corrupt(self, sentences, order, data):
         counts = reference_counts(sentences, order)
         contexts = sorted(gram for gram in counts if len(gram) == order - 1)
@@ -523,8 +528,7 @@ class TestContextRule:
         edits = ["bump", "continue end"] + (["drop"] if order > 2 else [])
         edit = data.draw(st.sampled_from(edits), label="edit")
         if edit == "bump":
-            grams = sorted(gram for gram in counts if len(gram) >= order - 1)
-            gram = data.draw(st.sampled_from(grams), label="gram")
+            gram = data.draw(st.sampled_from(sorted(counts)), label="gram")
             counts[gram] += data.draw(st.integers(1, 3), label="by")
         elif edit == "drop":
             del counts[data.draw(st.sampled_from(contexts), label="context")]
@@ -539,7 +543,7 @@ class TestContextRule:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "m.lm"
             _save_counts(counts, order, path)
-            if broken is None:  # an edit of a context ending in END breaks nothing
+            if broken is None:  # a bump of the END unigram, no gram's continuation
                 assert decode_lm(load_lm(path)).counts == counts
                 return
             with pytest.raises(CorruptModel) as info:
@@ -560,7 +564,9 @@ class TestContextRuleMessages:
         ({("b", END, "a"): 1}, "n-gram 'b </s>' ends in '</s>', yet its continuations sum to 1"),
         ({("a", "b"): None},
          "n-gram 'a b </s>' continues n-gram 'a b', which has no line"),
-    ], ids=["context count", "continuation count", "continues end", "no context line"])
+        ({("a",): 2}, "n-gram 'a' has count 2, its continuations sum to 1"),
+    ], ids=["context count", "continuation count", "continues end", "no context line",
+            "unigram count"])
     def test_message_names_the_context(self, tmp_path, edit, message):
         path = tmp_path / "m.lm"
         _save_counts(self.BASE, 3, path)
