@@ -3,7 +3,12 @@
 A token is a plain string with no internal whitespace.  The tokenizer
 splits on whitespace and then peels leading and trailing punctuation off
 each chunk into tokens of their own; source-side text is lowercased first,
-target-side text is kept as written.
+target-side text is kept as written.  A token is punctuation (f15/f16)
+exactly when it was peeled, so the tokenizer counts a side's punctuation
+tokens as it peels: a pair from :func:`sentence_pair` or
+:func:`iter_parallel` carries those counts, and a pair built by hand is
+counted by the token rule :func:`is_punctuation_token`, which gives the
+same numbers.
 """
 
 from __future__ import annotations
@@ -60,14 +65,28 @@ def tokenize(text: str, side: str) -> list[str]:
         their own, so internal punctuation (hyphens, apostrophes) stays
         attached.  Empty or all-whitespace input yields an empty list.
     """
+    return _peel(text, side)[0]
+
+
+def _peel(text: str, side: str) -> tuple[list[str], int]:
+    """The tokens of :func:`tokenize`, and how many of them are punctuation tokens.
+
+    The punctuation tokens are the peeled characters: each is one
+    punctuation character, and what remains of a chunk starts and ends with
+    a character that is not punctuation, so it never is one.
+    """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     if side == SOURCE:
         text = text.lower()
     tokens: list[str] = []
+    punctuation = 0
     for chunk in text.split():
-        if not (is_punctuation_char(chunk[0]) or is_punctuation_char(chunk[-1])):
-            tokens.append(chunk)  # most chunks are words
+        # No letter or digit is punctuation, so most words need no lookup.
+        if (chunk[0].isalnum() and chunk[-1].isalnum()) or not (
+            is_punctuation_char(chunk[0]) or is_punctuation_char(chunk[-1])
+        ):
+            tokens.append(chunk)
             continue
         # Peel punctuation off both ends by index: chunk[start:end] is the rest.
         start, end = 0, len(chunk)
@@ -79,15 +98,26 @@ def tokenize(text: str, side: str) -> list[str]:
         if start < end:
             tokens.append(chunk[start:end])
         tokens.extend(chunk[end:])
-    return tokens
+        punctuation += start + len(chunk) - end
+    return tokens, punctuation
 
 
 class SentencePair(NamedTuple):
-    """One source sentence and its translation, both tokenized."""
+    """One source sentence and its translation, both tokenized.
+
+    ``source_punct`` and ``target_punct`` count each side's punctuation
+    tokens (f15/f16).  :func:`sentence_pair` and :func:`iter_parallel` fill
+    them in as they tokenize; a pair built as ``SentencePair(id, source,
+    target)`` leaves them None, and :func:`~mtqe.features.extract_features`
+    then counts its tokens by :func:`is_punctuation_token`, which gives the
+    same numbers.
+    """
 
     id: int
     source: tuple[str, ...]
     target: tuple[str, ...]
+    source_punct: int | None = None
+    target_punct: int | None = None
 
 
 # A parallel corpus is a tuple of SentencePairs, pair i at position i with id i,
@@ -142,8 +172,12 @@ def iter_parallel_lines(source_path, target_path):
 
 
 def sentence_pair(pair_id: int, source: str, target: str) -> SentencePair:
-    """Pair ``pair_id`` of a source and a target line, each tokenized for its side."""
-    return SentencePair(pair_id, tuple(tokenize(source, SOURCE)), tuple(tokenize(target, TARGET)))
+    """Pair ``pair_id`` of a source and a target line, each tokenized and counted for its side."""
+    source_tokens, source_punct = _peel(source, SOURCE)
+    target_tokens, target_punct = _peel(target, TARGET)
+    return SentencePair(
+        pair_id, tuple(source_tokens), tuple(target_tokens), source_punct, target_punct
+    )
 
 
 def iter_parallel(source_path, target_path):

@@ -34,7 +34,12 @@ def extract_features(
     """
     if src_lm.order < 3 or tgt_lm.order < 3:
         raise ValueError("language models must have order >= 3")
-    _, source, target = pair
+    _, source, target, src_punct, tgt_punct = pair
+    # A pair built by hand carries no counts; the token rule gives the tokenizer's.
+    if src_punct is None:
+        src_punct = sum(map(is_punctuation_token, source))
+    if tgt_punct is None:
+        tgt_punct = sum(map(is_punctuation_token, target))
     src_count = len(source)
     tgt_count = len(target)
     (uni, bi, tri), seen = src_lm.bands(source, 3)
@@ -44,7 +49,7 @@ def extract_features(
     return FeatureVector(
         src_token_count=src_count,
         tgt_token_count=tgt_count,
-        avg_src_token_len=(sum(len(t) for t in source) / src_count) if src_count else 0.0,
+        avg_src_token_len=(sum(map(len, source)) / src_count) if src_count else 0.0,
         src_lm_logprob=src_lm.sentence_log_prob(source),
         tgt_lm_logprob=tgt_lm.sentence_log_prob(target),
         tgt_tokens_per_type=(tgt_count / len(set(target))) if tgt_count else 0.0,
@@ -56,6 +61,6 @@ def extract_features(
         pct_high_freq_trigrams=high_tri,
         pct_low_freq_trigrams=low_tri,
         pct_unigrams_seen=100.0 * (seen / src_count) if src_count else 0.0,
-        src_punct_count=sum(1 for t in source if is_punctuation_token(t)),
-        tgt_punct_count=sum(1 for t in target if is_punctuation_token(t)),
+        src_punct_count=src_punct,
+        tgt_punct_count=tgt_punct,
     )

@@ -257,8 +257,11 @@ def load_lm(path) -> NgramModel:
     for truncated or malformed files, gram lines that do not rise strictly
     in token-tuple order, a gram holding UNK or a token with no unigram
     line, a ``vocab_size`` or quartile header line the counts do not give,
-    and, last, counts that break the count rule of :class:`NgramModel`,
-    naming the first faulty gram of the longest length that has one.
+    counts that break the count rule of :class:`NgramModel`, naming the
+    first faulty gram of the longest length that has one, and, last, at
+    order >= 2, a ``<s>`` unigram count other than (order - 1) times the
+    ``</s>`` count (a marker with no line counts 0).  At order 1 no ``<s>``
+    is counted, so nothing checks the ``</s>`` count.
     A file is parsed once per content: the model cache keeps the ``(order,
     vocab, counts, quartiles)`` the parse returns, and the model is built
     from them, parsed or cached (see :func:`~mtqe.fileio.load_cached`).
@@ -370,4 +373,12 @@ def _parse(lines) -> tuple:
                     f"n-gram {text!r} ends in {END!r}, yet its continuations sum to {sums[key]}")
             raise CorruptModel(
                 f"n-gram {text!r} has count {grams[key]}, its continuations sum to {sums[key]}")
+    # Each sentence is begun by order - 1 BOS and ended by one END, which
+    # continues no gram, so the rule above cannot reach its count.
+    ends = counts[0].get(end, 0)
+    begins = counts[0].get(vocab[BOS], 0)
+    if order > 1 and begins != (order - 1) * ends:
+        raise CorruptModel(
+            f"n-gram {END!r} has count {ends}, yet n-gram {BOS!r} has count {begins}, "
+            f"not {order - 1} times that")
     return order, vocab, counts, quartiles

@@ -195,6 +195,31 @@ class TestExtract:
         )
         assert os.listdir(out) == []
 
+    def test_end_count_the_begin_count_does_not_give(self, tmp_path, small_data, capsys):
+        # </s> counts the sentences and continues no gram, so only its tie
+        # to the <s> count finds the edit; raising a count above Q3 keeps
+        # every quartile header line.
+        models = self._models(tmp_path, small_data)
+        model = decode_lm(load_lm(models["src_lm"]))
+        count = model.counts[(END,)]
+        assert count > model.quartiles[1][1]
+        lines = read_lines(models["src_lm"])
+        lines[lines.index(f"{END}\t{count}")] = f"{END}\t{count + 1}"
+        _write_lines(models["src_lm"], lines)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        code = run_cli("extract", "--pairs-src", small_data["src"], "--pairs-tgt",
+                       small_data["tgt"], "--src-lm", models["src_lm"],
+                       "--tgt-lm", models["tgt_lm"], "--lexicon", models["lexicon"],
+                       "--out", out / "f.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: corrupt model file: n-gram '</s>' has count {count + 1}, "
+            f"yet n-gram '<s>' has count {model.counts[(BOS,)]}, not 2 times that\n"
+        )
+        assert os.listdir(out) == []
+
 
 class TestReservedMarkers:
     """Every stage that reads a corpus rejects a marker token at its line."""

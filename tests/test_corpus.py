@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mtqe.corpus import (
     SOURCE,
     TARGET,
+    _peel,
     is_punctuation_char,
     is_punctuation_token,
     iter_corpus,
@@ -75,15 +76,22 @@ class TestTokenize:
     def test_equals_chunk_copying_reference(self, text, side):
         assert tokenize(text, side) == reference_tokenize(text, side)
 
+    @given(st.one_of(_peel_text, _text, _symbols, st.text()), st.sampled_from([SOURCE, TARGET]))
+    def test_peel_counts_the_punctuation_tokens(self, text, side):
+        tokens, punctuation = _peel(text, side)
+        assert tokens == reference_tokenize(text, side)
+        assert punctuation == sum(map(is_punctuation_token, tokens))
+
     def test_long_punctuation_run_takes_linear_time(self):
         # Peeling a run by copying the chunk at each character is quadratic:
         # about 25 s of CPU for this one on a 2-core Xeon under CPython 3.11,
         # against under 1 s peeled by index.
         run = "!" * (1 << 20)
         start = time.process_time()
-        tokens = tokenize("a" + run, TARGET)
+        tokens, punctuation = _peel("a" + run, TARGET)
         elapsed = time.process_time() - start
         assert tokens == ["a", *run]
+        assert punctuation == 1 << 20
         assert elapsed < 4.5
 
 

@@ -71,3 +71,18 @@ def test_toy_pipeline_bytes_are_pinned(tmp_path, workers):
     digests = {key: sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
     assert digests == ARTIFACT_DIGESTS
     assert printed == STDOUT_DIGESTS
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_takes_punctuation_counts_from_the_tokenizer(tmp_path, workers):
+    # The CLI's pairs carry f15/f16 from the tokenizer, so extract never
+    # applies the token rule, and still writes the pinned bytes.
+    def recount(token):
+        raise AssertionError(f"extract recounted the punctuation of {token!r}")
+
+    (tmp_path / "data").mkdir()
+    (tmp_path / "out").mkdir()
+    with forced_workers(workers), mock.patch("mtqe.features.is_punctuation_token", recount):
+        paths, codes = run_toy_pipeline(tmp_path / "data", tmp_path / "out", n_pairs=200, seed=0)
+    assert codes == [0] * 7
+    assert sha256(paths["features"].read_bytes()).hexdigest() == ARTIFACT_DIGESTS["features"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtqe.corpus import SentencePair
+from mtqe.corpus import SOURCE, TARGET, SentencePair, sentence_pair, tokenize
 from mtqe.errors import MalformedRow, MixedLabeling
 from mtqe.feature_csv import FEATURE_COLUMNS, FeatureVector
 from mtqe.features import extract_features, read_features, write_features
@@ -71,6 +71,28 @@ def _check_invariants(fv: FeatureVector, source, target):
     ):
         if len(source) < n:
             assert low == 0.0 and high == 0.0
+
+
+# Words of the toy models, punctuation, and text of any kind.
+_line = st.one_of(
+    st.text(alphabet=list("abcdef .,!?-'\"()") + ["क", "ख", "ग", "।", "॥"], max_size=40),
+    st.text(max_size=40),
+)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**6), _line, _line)
+def test_tokenizer_counts_give_the_token_rule_vector(pair_id, source, target):
+    # The CLI scores pairs that carry the tokenizer's f15/f16 counts; a
+    # hand-built pair is counted by the token rule.  Both give one vector.
+    counted = extract_features(sentence_pair(pair_id, source, target), SRC_LM, TGT_LM, LEXICON)
+    hand_built = SentencePair(
+        pair_id, tuple(tokenize(source, SOURCE)), tuple(tokenize(target, TARGET))
+    )
+    recounted = extract_features(hand_built, SRC_LM, TGT_LM, LEXICON)
+    assert [float(value).hex() for value in counted] == [
+        float(value).hex() for value in recounted
+    ]
 
 
 class TestExtract:

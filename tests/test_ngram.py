@@ -543,12 +543,43 @@ class TestContextRule:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "m.lm"
             _save_counts(counts, order, path)
-            if broken is None:  # a bump of the END unigram, no gram's continuation
+            if broken is None:  # a bump of the END unigram, which continues no gram
+                broken = (END,)
+            with pytest.raises(CorruptModel) as info:
+                load_lm(path)
+        assert f"n-gram {' '.join(broken)!r}" in str(info.value)
+
+
+class TestSentenceMarkerRule:
+    """At order >= 2 the ``<s>`` unigram counts order - 1 times the ``</s>`` unigram."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sentences, st.integers(min_value=1, max_value=5), st.data())
+    def test_end_count_must_match_begin_count(self, sentences, order, data):
+        counts = reference_counts(sentences, order)
+        ends = counts[(END,)]
+        edited = data.draw(st.integers(1, 2 * ends + 2).filter(lambda n: n != ends), label="count")
+        counts[(END,)] = edited
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            _save_counts(counts, order, path)
+            if order == 1:  # no <s> is counted, so nothing pins the count
                 assert decode_lm(load_lm(path)).counts == counts
                 return
             with pytest.raises(CorruptModel) as info:
                 load_lm(path)
-        assert f"n-gram {' '.join(broken)!r}" in str(info.value)
+        assert str(info.value) == (
+            f"corrupt model file: n-gram '</s>' has count {edited}, "
+            f"yet n-gram '<s>' has count {(order - 1) * ends}, not {order - 1} times that"
+        )
+
+    def test_a_missing_marker_counts_zero(self, tmp_path):
+        # The order-2 model of the sentence "a" without its <s> grams: every
+        # other rule holds, and </s> still counts one sentence.
+        counts = {("a",): 1, (END,): 1, ("a", END): 1}
+        _save_counts(counts, 2, tmp_path / "m.lm")
+        with pytest.raises(CorruptModel, match="n-gram '<s>' has count 0, not 1 times that"):
+            load_lm(tmp_path / "m.lm")
 
 
 class TestContextRuleMessages:
@@ -565,8 +596,9 @@ class TestContextRuleMessages:
         ({("a", "b"): None},
          "n-gram 'a b </s>' continues n-gram 'a b', which has no line"),
         ({("a",): 2}, "n-gram 'a' has count 2, its continuations sum to 1"),
+        ({(END,): 2}, "n-gram '</s>' has count 2, yet n-gram '<s>' has count 2, not 2 times that"),
     ], ids=["context count", "continuation count", "continues end", "no context line",
-            "unigram count"])
+            "unigram count", "end count"])
     def test_message_names_the_context(self, tmp_path, edit, message):
         path = tmp_path / "m.lm"
         _save_counts(self.BASE, 3, path)
