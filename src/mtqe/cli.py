@@ -127,23 +127,6 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     held = []  # the line of each data row, its width and id checked
 
-    def parse_held():
-        """Parse the held rows in order, raising the first bad cell.
-
-        One process parses a row's cells as it reads the row, and grades no
-        row until it has read them all, so it meets a bad cell of a held row
-        before the fault that ended the read and before any -inf row.
-        """
-        for row, line in enumerate(held):
-            parse_row(row, line)
-
-    try:
-        for _, _, line in read_table(args.features, ",", FEATURE_HEADERS):
-            held.append(line)
-    except (QEError, OSError):
-        parse_held()
-        raise
-
     def grade(row):
         """The ``id,grade`` line of held row ``row``.
 
@@ -158,10 +141,22 @@ def _cmd_predict(args) -> int:
         # The best score, so every class gives -inf.
         return None if scores[grade] == -math.inf else f"{row_id},{grade.label}"
 
-    lines = run_in_workers("predict", grade, len(held))
-    if None in lines:
-        parse_held()
-        raise MalformedRow(lines.index(None), "no class gives the features a finite score")
+    def graded():
+        """The ``id,grade`` line of every held row, or the fault of the first faulty one."""
+        lines = run_in_workers("predict", grade, len(held))
+        if None in lines:
+            row = lines.index(None)
+            parse_row(row, held[row])  # which raises the row's bad cell, if it has one
+            raise MalformedRow(row, "no class gives the features a finite score")
+        return lines
+
+    try:
+        for _, _, line in read_table(args.features, ",", FEATURE_HEADERS):
+            held.append(line)
+    except (QEError, OSError):
+        graded()  # a faulty row before the one that ended the read is met first
+        raise
+    lines = graded()
     atomic_write_lines(args.out, chain(["id,grade"], lines))
     print(f"predicted {len(lines)} rows")
     return 0

@@ -287,7 +287,7 @@ def _write_atomically(path, blocks) -> None:
 # a laxer parse stored is served.  Version 2 is never used: caches may hold
 # ``v2`` entries of another layout.
 _CACHE_MAGIC = "mtqe-model-cache"
-_PAYLOAD_VERSION = 5
+_PAYLOAD_VERSION = 6
 _CACHE_TAG = f"v{_PAYLOAD_VERSION}-{sys.implementation.cache_tag}-m{marshal.version}"
 _CHECKSUM_BYTES = 32  # a sha256 digest
 # The most the cache directory holds.  After each store the least recently

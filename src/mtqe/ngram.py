@@ -37,6 +37,9 @@ from .fileio import header_int, load_cached, not_rising, read_model_lines, write
 _MAGIC = "mtqe-ngram-lm"
 _FORMAT_VERSION = 1
 _LARGEST_COUNT = int(math.nextafter(math.inf, 0))  # the largest float; queries divide counts
+# What splits a model file: its lines, each gram line's gram from its
+# count, and a gram's tokens.  No token may hold one.
+_SEPARATORS = frozenset("\n\t ")
 
 
 def _nearest_rank(sorted_values: list[int], percentile: int) -> int:
@@ -224,7 +227,9 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
 
     Raises:
         EmptyCorpus: when no sentences are given.
-        ValueError: when a token is one of the markers UNK, BOS and END.
+        ValueError: when a token is one of the markers UNK, BOS and END,
+            or is one that no model file can hold: empty, or holding a
+            space, a tab or a line feed.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -236,6 +241,9 @@ def train_lm(sentences, order: int = 3) -> NgramModel:
     reserved = tokens.intersection((UNK, BOS, END))
     if reserved:
         raise ValueError(f"reserved token {min(reserved)!r} in the sentences")
+    unfit = [token for token in tokens if not token or _SEPARATORS.intersection(token)]
+    if unfit:
+        raise ValueError(f"token {min(unfit)!r} is empty or holds a space, tab or line feed")
     vocab = _vocabulary(tokens)
     base = len(vocab) + 1
     start = [vocab[BOS]] * (order - 1)
@@ -258,10 +266,10 @@ def load_lm(path) -> NgramModel:
     in token-tuple order, a gram holding UNK or a token with no unigram
     line, a ``vocab_size`` or quartile header line the counts do not give,
     counts that break the count rule of :class:`NgramModel`, naming the
-    first faulty gram of the longest length that has one, and, last, at
-    order >= 2, a ``<s>`` unigram count other than (order - 1) times the
-    ``</s>`` count (a marker with no line counts 0).  At order 1 no ``<s>``
-    is counted, so nothing checks the ``</s>`` count.
+    first faulty gram of the longest length that has one, at order >= 2 a
+    ``<s>`` unigram count other than (order - 1) times the ``</s>`` count (a
+    marker with no line counts 0), and, last, at any order, a file with no
+    ``</s>`` line, which counts no sentence.
     A file is parsed once per content: the model cache keeps the ``(order,
     vocab, counts, quartiles)`` the parse returns, and the model is built
     from them, parsed or cached (see :func:`~mtqe.fileio.load_cached`).
@@ -381,4 +389,7 @@ def _parse(lines) -> tuple:
         raise CorruptModel(
             f"n-gram {END!r} has count {ends}, yet n-gram {BOS!r} has count {begins}, "
             f"not {order - 1} times that")
+    # train_lm counts at least one sentence, so at least one END.
+    if not ends:
+        raise CorruptModel(f"n-gram {END!r} has no line, so the model counts no sentence")
     return order, vocab, counts, quartiles

@@ -2,7 +2,7 @@
 
 ``extract`` scores each sentence pair and ``predict`` grades each feature
 row by one function of one row.  Each stage reads and checks all its
-input itself and raises every input error before it forks, so a worker
+input itself and raises every input error in the parent, so a worker
 opens no input file: it inherits the loaded models and the held rows
 copy-on-write, calls the function on each row of its contiguous slice and
 sends the values back down a pipe.  Only ``extract`` and ``predict``

@@ -220,6 +220,28 @@ class TestExtract:
         )
         assert os.listdir(out) == []
 
+    def test_a_model_that_counts_no_sentence(self, tmp_path, small_data, capsys):
+        # Every count and header line agrees, and 0 <s> is 2 times 0 </s>.
+        models = self._models(tmp_path, small_data)
+        _write_lines(models["src_lm"], [
+            "mtqe-ngram-lm\t1", "order\t3", "vocab_size\t4",
+            *(f"q{q}_{n}\t1" for n in (1, 2, 3) for q in (1, 3)),
+            "ngrams\t3", "a\t1", "a a\t1", "a a a\t1", "end",
+        ])
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        code = run_cli("extract", "--pairs-src", small_data["src"], "--pairs-tgt",
+                       small_data["tgt"], "--src-lm", models["src_lm"],
+                       "--tgt-lm", models["tgt_lm"], "--lexicon", models["lexicon"],
+                       "--out", out / "f.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: corrupt model file: "
+            "n-gram '</s>' has no line, so the model counts no sentence\n"
+        )
+        assert os.listdir(out) == []
+
 
 class TestReservedMarkers:
     """Every stage that reads a corpus rejects a marker token at its line."""

@@ -478,6 +478,8 @@ PAYLOAD_DIGESTS = {
         "f5c69c0be30d514d7cd1c591b0540cdcf224ccdcead38410b8c9dd3756be6043"),
     5: ("9f13e67435d1313d035e4fcc27a744b4878f30ebffe34df765d542b701344ba8",
         "f5c69c0be30d514d7cd1c591b0540cdcf224ccdcead38410b8c9dd3756be6043"),
+    6: ("9f13e67435d1313d035e4fcc27a744b4878f30ebffe34df765d542b701344ba8",
+        "f5c69c0be30d514d7cd1c591b0540cdcf224ccdcead38410b8c9dd3756be6043"),
 }
 
 

@@ -132,6 +132,39 @@ class TestTraining:
             train_lm([["a", "b"], ["c", marker, "a"]], order=3)
         assert str(info.value) == f"reserved token {marker!r} in the sentences"
 
+    @pytest.mark.parametrize("token", ["", "a b", "a\nb", "a\tb", " "])
+    def test_a_token_no_model_file_holds_is_rejected(self, token):
+        # A model file splits its lines at LF, a gram from its count at a
+        # tab and a gram's tokens at spaces.
+        with pytest.raises(ValueError) as info:
+            train_lm([["a", "b"], ["c", token, "~"]], order=3)
+        assert str(info.value) == f"token {token!r} is empty or holds a space, tab or line feed"
+
+    def test_the_least_unfit_token_is_named(self):
+        with pytest.raises(ValueError, match="^token 'a b' is empty"):
+            train_lm([["c d"], ["a b", "b\n"]], order=1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.one_of(st.text(max_size=3), st.text(
+        st.characters(blacklist_characters="\n\t "), min_size=1, max_size=3)), max_size=4),
+        max_size=4), st.integers(min_value=1, max_value=4))
+    def test_every_model_it_returns_loads_back(self, sentences, order):
+        try:
+            model = train_lm(sentences, order)
+        except EmptyCorpus:
+            assert not sentences
+            return
+        except ValueError:
+            tokens = set(chain.from_iterable(sentences))
+            assert tokens & {UNK, BOS, END} or any(not t or {*t} & {*"\n\t "} for t in tokens)
+            return
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "m.lm"
+            model.save(path)
+            loaded = load_lm(path)
+        assert (loaded.vocab, loaded.counts, loaded.quartiles) == (
+            model.vocab, model.counts, model.quartiles)
+
 
 class TestCondProb:
     def test_laplace_estimate(self):
@@ -551,7 +584,10 @@ class TestContextRule:
 
 
 class TestSentenceMarkerRule:
-    """At order >= 2 the ``<s>`` unigram counts order - 1 times the ``</s>`` unigram."""
+    """The ``</s>`` unigram counts the sentences, at least one.
+
+    At order >= 2 the ``<s>`` unigram counts order - 1 times the ``</s>`` unigram.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(_sentences, st.integers(min_value=1, max_value=5), st.data())
@@ -572,6 +608,25 @@ class TestSentenceMarkerRule:
             f"corrupt model file: n-gram '</s>' has count {edited}, "
             f"yet n-gram '<s>' has count {(order - 1) * ends}, not {order - 1} times that"
         )
+
+    @pytest.mark.parametrize("counts", [
+        {("a",): 1},
+        {("a",): 1, ("a", "a"): 1, ("a", "a", "a"): 1},
+    ], ids=["order 1", "order 3"])
+    def test_a_model_that_counts_no_sentence_is_corrupt(self, tmp_path, counts):
+        # Every other rule holds: at order 3, 0 <s> is 2 times 0 </s>.
+        _save_counts(counts, len(counts), tmp_path / "m.lm")
+        with pytest.raises(CorruptModel) as info:
+            load_lm(tmp_path / "m.lm")
+        assert str(info.value) == (
+            "corrupt model file: n-gram '</s>' has no line, so the model counts no sentence")
+
+    def test_the_marker_tie_is_checked_first(self, tmp_path):
+        # The order-2 model of the sentence "a" without its </s> grams.
+        counts = {("a",): 1, (BOS,): 1, (BOS, "a"): 1, ("a", "a"): 1}
+        _save_counts(counts, 2, tmp_path / "m.lm")
+        with pytest.raises(CorruptModel, match="'</s>' has count 0, yet n-gram '<s>' has count 1,"):
+            load_lm(tmp_path / "m.lm")
 
     def test_a_missing_marker_counts_zero(self, tmp_path):
         # The order-2 model of the sentence "a" without its <s> grams: every

@@ -1,18 +1,20 @@
 """``predict`` grades its rows in one process per usable CPU, with the bytes and errors of one.
 
 The parent reads every row of the feature CSV, checks its width and id
-and holds its line; a read fault is raised before any fork.  Worker k of n
-parses, checks and grades slice k of the held rows and sends back an
-``id,grade`` line per row, or None for a row with a bad cell or one that
-every class scores -inf.  On a None the parent parses its held rows again
-in order and raises the fault one process would meet first.  These tests
-force a worker count with ``conftest.forced_workers`` and check that:
+and holds its line.  Worker k of n parses, checks and grades slice k of
+the held rows and sends back an ``id,grade`` line per row, or None for a
+row with a bad cell or one that every class scores -inf.  The parent
+raises the fault of the first None row, and a fault that ended the read
+only when no held row has one, so ``predict`` reports the first faulty row
+in file order, as one process that reads, parses and grades each row in
+turn does.  These tests force a worker count with
+``conftest.forced_workers`` and check that:
 
 - the predictions file has the same bytes at any worker count, and when
   the feature CSV is a pipe;
-- a fault, or two faults in rows of different slices, gives the same exit
-  code and stderr at 2 and 3 workers as at 1, and leaves no predictions
-  file, no child process and no open pipe;
+- a fault, or up to three faults in rows of any slices, gives the stderr
+  of that one process, with exit code 2, at 1, 2 and 3 workers, and leaves
+  no predictions file, no child process and no open pipe;
 - each input file is opened once, by the parent;
 - a worker that fails, is killed or sends the wrong number of rows makes
   ``predict`` exit 1 with no predictions file, and an interrupted parent
@@ -22,6 +24,8 @@ force a worker count with ``conftest.forced_workers`` and check that:
   count follows the rows they hold.
 """
 
+import contextlib
+import io
 import math
 import os
 import signal
@@ -39,7 +43,7 @@ import mtqe.bayes
 import mtqe.workers
 from mtqe.bayes import load_model
 from mtqe.errors import MalformedRow, QEError
-from mtqe.feature_csv import FEATURE_HEADERS, N_FEATURES, read_features
+from mtqe.feature_csv import FEATURE_HEADERS, N_FEATURES, parse_row
 from mtqe.fileio import read_table
 
 from conftest import (
@@ -145,9 +149,8 @@ def _both(first, second):
     return lambda lines: second(first(lines))
 
 
-# Each fault, as a function of the feature CSV's lines.  Every row before
-# the first fault is read, so which fault one process reports depends on
-# the row, not on which process parses it.
+# Each fault, as a function of the feature CSV's lines.  The first faulty
+# row in file order is the one reported, whichever process parses it.
 FAULTS = {
     "bad cell in a worker's row before a later short row":
         _both(_bad(WORKER_ROW), _short(LATER_WORKER_ROW)),
@@ -184,27 +187,33 @@ FAULTS = {
 
 
 def _one_process_error(toy, features):
-    """The error predict raised as one process: it read every row, then graded them in turn."""
+    """The fault of the first faulty row: one process reads, parses and grades each row in turn."""
     model = load_model(toy["model"])
     try:
-        rows = read_features(features)
+        for row, _, line in read_table(features, ",", FEATURE_HEADERS):
+            _, vector, _ = parse_row(row, line)
+            scores, grade = model.predict(vector)
+            if scores[grade] == -math.inf:
+                return MalformedRow(row, "no class gives the features a finite score")
     except QEError as exc:
         return exc
-    for row, (_, vector, _) in enumerate(rows):
-        scores, grade = model.predict(vector)
-        if scores[grade] == -math.inf:
-            return MalformedRow(row, "no class gives the features a finite score")
     return None
 
 
-def _reads_cleanly(features):
-    """True when every row of ``features`` passes the read, whatever its feature cells hold."""
+def _rows_held(features):
+    """The rows of ``features`` that pass the read before its first fault of width, id or bytes."""
+    held = 0
     try:
         for _ in read_table(features, ",", FEATURE_HEADERS):
-            pass
+            held += 1
     except QEError:
-        return False
-    return True
+        pass
+    return held
+
+
+def _forks(workers, features):
+    """The workers ``predict`` forks at ``forced_workers(workers)``: one per held row at most."""
+    return max(0, min(workers, _rows_held(features)) - 1)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -224,17 +233,17 @@ def test_errors_match_one_process(toy, tmp_path, capsys, fault, workers):
         with forced_workers(workers), mock.patch.object(os, "fork", wraps=os.fork) as fork:
             assert predict(toy["model"], features, out) == expected
         assert capsys.readouterr().err == expected_err
-        # A fault of the read is raised before any fork.
-        assert fork.call_count == (workers - 1 if _reads_cleanly(features) else 0)
+        # The held rows are graded, in as many workers as they warrant, before any fault is raised.
+        assert fork.call_count == _forks(workers, features)
         assert not out.exists()
         assert_no_child_left()
         assert open_fds() == before
 
 
 def test_a_worker_s_earlier_fault_wins(toy, tmp_path, capsys):
-    # The read stops at the short row 7, and the parent then parses the
-    # rows before it, so row 5's bad cell is the fault one process meets
-    # first, in any slice.
+    # The read stops at the short row 7, and the rows before it are
+    # graded first, so row 5's bad cell, the first faulty row, is reported
+    # in any slice.
     features = tmp_path / "features.csv"
     lines = FAULTS["bad cell in a worker's row before a later short row"](
         toy["features"].read_bytes().splitlines())
@@ -244,6 +253,41 @@ def test_a_worker_s_earlier_fault_wins(toy, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: malformed row 5: could not convert string to float: 'x'\n"
     )
+
+
+def _id_out_of_order(row):
+    """Row ``row`` takes the previous row's id; row 0 takes row 1's, so row 1 is out of order."""
+    def fault(lines):
+        source = row if row else 2  # the data row before ``row``, or row 1
+        return _cell(lines, row, 0, lines[source].split(b",", 1)[0])
+    return fault
+
+
+INJECTED = {"bad cell": _bad, "-inf cell": _infinite, "short row": _short,
+            "bad UTF-8": _utf8, "id out of order": _id_out_of_order}
+
+
+@settings(max_examples=12, deadline=None)
+@given(faults=st.lists(st.tuples(st.integers(0, 39), st.sampled_from(sorted(INJECTED))),
+                       min_size=1, max_size=3, unique_by=lambda fault: fault[0]))
+def test_the_first_faulty_row_is_reported(toy, faults):
+    lines = toy["features"].read_bytes().splitlines()
+    for row, kind in faults:
+        lines = INJECTED[kind](row)(lines)
+    with tempfile.TemporaryDirectory() as directory:
+        features, out = Path(directory) / "features.csv", Path(directory) / "pred.csv"
+        features.write_bytes(b"".join(line + b"\n" for line in lines))
+        expected_err = f"error: {_one_process_error(toy, features)}\n"
+        for workers in (1, 2, 3):
+            before, err = open_fds(), io.StringIO()
+            with forced_workers(workers), contextlib.redirect_stderr(err), \
+                    mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                assert predict(toy["model"], features, out) == 2
+            assert err.getvalue() == expected_err
+            assert fork.call_count == _forks(workers, features)
+            assert os.listdir(directory) == ["features.csv"]  # no predictions or temp file
+            assert_no_child_left()
+            assert open_fds() == before
 
 
 def _in_child(action):
